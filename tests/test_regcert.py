@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from cpdhnf import (ConfigNotInW, PointConfigFp, RankOutOfRange,
                     catalecticant_corank, certify_regularity, fp_rank,
-                    hilbert_from_points, random_config, rank_bound)
+                    hilbert_from_points, random_config, rank_bound, regcert)
+from cpdhnf.regcert import _fp_kernel, _grow_bound, _row_echelon
 
 
 def rational_rank(M):
@@ -60,6 +61,80 @@ class TestFpRank:
         with pytest.raises(ValueError):
             fp_rank(np.eye(2, dtype=np.int64), 8192)
 
+    def test_huge_and_negative_entries(self):
+        # float64 rounds entries this large, so they must be reduced mod p
+        # in integer arithmetic before the conversion
+        rng = np.random.default_rng(13)
+        for p in (2, 3, 8191, 32749):
+            M = rng.integers(-2 ** 63, 2 ** 63 - 1, size=(45, 80), dtype=np.int64)
+            M[:, :3] = 2 ** 63 - 1
+            M[0] = -2 ** 63
+            assert fp_rank(M, p) == _row_echelon(M, p)[0]
+            assert fp_rank(M.T, p) == _row_echelon(M, p)[0]
+
+
+def _blocked_rank_cases(rng):
+    """Inputs several panels wide: full-rank, low-rank products, zero
+    panels and zero columns, in wide and tall shapes."""
+    for p in (2, 3, 8191, 32749):
+        for rows, cols in ((40, 150), (150, 40), (97, 97), (70, 260)):
+            yield p, rng.integers(0, p, size=(rows, cols))
+            # the second rank falls short only after several panels, when
+            # the trailing block has grown furthest from its residues
+            for k in (int(rng.integers(1, min(rows, cols))), min(rows, cols) - 3):
+                yield p, (rng.integers(0, p, size=(rows, k))
+                          @ rng.integers(0, p, size=(k, cols))) % p
+            M = rng.integers(0, p, size=(rows, cols))
+            M[:, :min(cols, 70)] = 0
+            M[:, rng.integers(0, cols, size=cols // 3)] = 0
+            yield p, M
+            M = rng.integers(0, p, size=(rows, cols))
+            M[rng.integers(0, rows, size=rows // 2)] = 0
+            yield p, M
+
+
+class TestBlockedRank:
+    """fp_rank factors panels of columns and updates the rest by GEMM; the
+    per-pivot elimination it replaces is the reference."""
+
+    def test_matches_per_pivot_elimination(self):
+        for p, M in _blocked_rank_cases(np.random.default_rng(14)):
+            assert fp_rank(M, p) == _row_echelon(M, p)[0]
+
+    def test_full_reduction_path(self, monkeypatch):
+        # below any bound, the trailing block is reduced in full before
+        # every update
+        rng = np.random.default_rng(15)
+        monkeypatch.setattr(regcert, "_LAZY_LIMIT", 1)
+        for p, M in _blocked_rank_cases(rng):
+            assert fp_rank(M, p) == _row_echelon(M, p)[0]
+
+    def test_lazy_bound_stays_exact(self):
+        # 300,000 full panels, 9.6 million columns, never allocated: only
+        # the largest prime needs full reductions, and no bound reaches 2^52
+        for p, expected in ((2, 0), (8191, 0), (32749, 2)):
+            bound, reductions = p, 0
+            for _ in range(300_000):
+                bound, reduce_first = _grow_bound(bound, 32, p)
+                reductions += reduce_first
+                assert bound < 2 ** 52
+            assert reductions == expected
+        assert _grow_bound(8191, 32, 8191) == (8191 + 32 * 8191 ** 2, False)
+        assert _grow_bound(2 ** 52 - 10, 1, 3) == (2 ** 52 - 1, False)
+        assert _grow_bound(2 ** 52 - 9, 1, 3) == (3 + 9, True)
+
+
+class TestFpKernel:
+    def test_annihilates_evaluation_matrix(self):
+        for m, n, r, seed in [(2, 2, 4, 1), (6, 4, 20, 2), (3, 5, 9, 3)]:
+            config = random_config(m, n, r, seed=seed)
+            w = config.w_matrix()
+            basis = _fp_kernel(w, config.p)
+            cols = (m + 1) * (n + 1)
+            assert basis.shape == (cols - fp_rank(w, config.p), cols)
+            assert np.all((w @ basis.T) % config.p == 0)
+            assert fp_rank(basis, config.p) == basis.shape[0]
+
 
 class TestHilbertFromPoints:
     def test_square_small_table(self):
@@ -72,6 +147,11 @@ class TestHilbertFromPoints:
         expected = {(1, 1): 12, (2, 1): 21, (3, 1): 12, (1, 2): 15, (1, 5): 12}
         for degree, value in expected.items():
             assert hilbert_from_points(config, degree) == value
+
+    def test_blocked_size_value(self):
+        # a 1260 x 2100 shift matrix, many panels wide
+        for seed in range(3):
+            assert hilbert_from_points(random_config(6, 4, 20, seed=seed), (3, 2)) == 20
 
     def test_bilinear_degree_equals_point_count(self):
         for m, n, r, seed in [(3, 2, 5, 3), (4, 4, 9, 4), (5, 2, 8, 5)]:
