@@ -3,6 +3,11 @@
 Monomial bases of the graded pieces, the ring's Hilbert function, the
 rational rank bound controlling which bidegrees can work for a given
 number of points, and automatic degree selection for the solver.
+
+The monomial order lives here alone: ``monomial_index`` ranks exponent rows
+in it, and ``shift_table`` maps each shift monomial times each x_k y_l to a
+row of the (d, e) basis, which is the index map of the shift matrix and of
+every pull-back through its left nullspace.
 """
 
 import math
@@ -10,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import RankOutOfRange
 
@@ -59,15 +66,20 @@ class MonomialBasis:
     def exponents(self):
         return _basis_exponents(self.m, self.n, self.degree)
 
+    @property
+    def rows(self):
+        """The exponents as an int64 array of shape (len, m+n+2), x first."""
+        return np.array([a + b for a, b in self.exponents],
+                        dtype=np.int64).reshape(-1, self.m + self.n + 2)
+
     def __len__(self):
         return len(self.exponents)
 
     def index_of(self, a, b):
-        key = (tuple(a), tuple(b))
-        try:
-            return _basis_index(self.m, self.n, self.degree)[key]
-        except KeyError:
-            raise ValueError(f"exponents {key} not of degree {tuple(self.degree)}") from None
+        a, b = tuple(a), tuple(b)
+        if (len(a), len(b)) != (self.m + 1, self.n + 1):
+            raise ValueError(f"exponents {(a, b)} do not have {self.m + 1} + {self.n + 1} entries")
+        return int(monomial_index(self.m, self.n, self.degree, a + b))
 
 
 @lru_cache(maxsize=256)
@@ -78,15 +90,68 @@ def _basis_exponents(m, n, degree):
     )
 
 
-@lru_cache(maxsize=256)
-def _basis_index(m, n, degree):
-    return {ab: i for i, ab in enumerate(_basis_exponents(m, n, degree))}
-
-
 def monomial_basis(m, n, degree):
     basis = MonomialBasis(m, n, Bidegree(*degree))
     assert len(basis) == hilbert_dim(m, n, *degree)
     return basis
+
+
+@lru_cache(maxsize=256)
+def _binomials(total, nvars):
+    """Table C[x, j] = C(x, j) for x <= total + nvars - 2 and j < nvars."""
+    return np.array([[math.comb(x, j) for j in range(nvars)]
+                     for x in range(total + nvars - 1)], dtype=np.int64)
+
+
+def _lex_rank(a, total):
+    """Positions of exponent rows of the given total degree in the
+    lexicographically descending order of ``_exponents``.
+
+    Tuples before ``a`` are those larger at the first position i where
+    they differ; with s_i = total - (a_0 + ... + a_i) there are
+    C(s_i + nvars-2-i, nvars-1-i) of them for each i (combinatorial number
+    system).  Every term is below the block size, so int64 is exact.
+    """
+    nvars = a.shape[-1]
+    if nvars == 1:
+        return np.zeros(a.shape[:-1], dtype=np.int64)
+    rest = total - np.cumsum(a[..., :-1], axis=-1)
+    i = np.arange(nvars - 1)
+    return _binomials(total, nvars)[rest + (nvars - 2 - i), nvars - 1 - i].sum(axis=-1)
+
+
+def monomial_index(m, n, degree, exps):
+    """Positions of exponent rows in ``monomial_basis(m, n, degree)``.
+
+    ``exps`` is an integer array of shape (..., m+n+2): the m+1 x-exponents,
+    then the n+1 y-exponents.  Raises ValueError if any row is not a
+    monomial of that degree, so no row can land on a neighbour's index.
+    """
+    d, e = degree
+    exps = np.asarray(exps, dtype=np.int64)
+    if exps.shape[-1:] != (m + n + 2,):
+        raise ValueError(f"exponent rows must have {m + n + 2} entries")
+    a, b = exps[..., :m + 1], exps[..., m + 1:]
+    if (exps < 0).any() or (a.sum(axis=-1) != d).any() or (b.sum(axis=-1) != e).any():
+        raise ValueError(f"exponents not of degree {(d, e)}")
+    return _lex_rank(a, d) * math.comb(n + e, e) + _lex_rank(b, e)
+
+
+@lru_cache(maxsize=256)
+def shift_table(m, n, degree):
+    """Row of the (d, e) basis of each shift monomial of degree (d-1, e-1)
+    times each x_k y_l.
+
+    int64 array of shape (n_shifts, (m+1)(n+1)); row i follows the shift
+    basis order and the pairs (k, l) run row-major.  Cached and shared by
+    every caller, so it is read-only.
+    """
+    d, e = degree
+    shifts = monomial_basis(m, n, (d - 1, e - 1)).rows
+    pairs = monomial_basis(m, n, (1, 1)).rows  # x_k y_l, (k, l) row-major
+    table = monomial_index(m, n, (d, e), shifts[:, None, :] + pairs)
+    table.flags.writeable = False
+    return table
 
 
 def rank_bound(m, n, d, e):

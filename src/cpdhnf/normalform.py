@@ -4,7 +4,8 @@ A pre-normal form is a rank-r map on a graded piece whose kernel is the
 ideal's piece in that degree.  Restricting it to a well-conditioned column
 subset turns multiplication by degree-raising polynomials into commuting
 r x r matrices whose joint eigenvalues are homogeneous coordinates of the
-solution points.
+solution points.  Every pull-back along a shift reads its columns from
+``bigraded.shift_table``, where the monomial order lives.
 """
 
 import warnings
@@ -13,19 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bigraded import Bidegree, monomial_basis
+from .bigraded import Bidegree, monomial_basis, monomial_index, shift_table
 from .config import DEFAULT_TOLERANCES
 from .errors import BasisDeficient, DefectiveEigenvectors, FlatteningRankMismatch
-
-
-def _unit(dim, k):
-    v = [0] * dim
-    v[k] = 1
-    return tuple(v)
-
-
-def _add(a, inc):
-    return tuple(x + y for x, y in zip(a, inc))
 
 
 def shifted_submatrix(N, m, n, degree, shift):
@@ -35,31 +26,8 @@ def shifted_submatrix(N, m, n, degree, shift):
     x^{a'+e_k} y^{b'+e_l}; pairs (k, l) run row-major.
     """
     d, e = degree
-    a1, b1 = (tuple(shift[0]), tuple(shift[1]))
-    if sum(a1) != d - 1 or sum(b1) != e - 1:
-        raise ValueError(f"shift {shift} does not have degree ({d - 1}, {e - 1})")
-    basis = monomial_basis(m, n, degree)
-    cols = np.empty((m + 1) * (n + 1), dtype=np.int64)
-    pos = 0
-    for k in range(m + 1):
-        ak = _add(a1, _unit(m + 1, k))
-        for l in range(n + 1):
-            cols[pos] = basis.index_of(ak, _add(b1, _unit(n + 1, l)))
-            pos += 1
-    return N[:, cols]
-
-
-def _combined_shift(N, m, n, degree, coeffs, shift_degree):
-    """Linear combination sum_c coeffs * N_{a',b'} over all shifts of the
-    given degree."""
-    shifts = monomial_basis(m, n, shift_degree).exponents
-    if len(coeffs) != len(shifts):
-        raise ValueError("one coefficient per shift monomial required")
-    out = np.zeros((N.shape[0], (m + 1) * (n + 1)), dtype=np.result_type(N, coeffs))
-    for c, (a1, b1) in zip(coeffs, shifts):
-        if c != 0:
-            out += c * shifted_submatrix(N, m, n, degree, (a1, b1))
-    return out
+    row = monomial_basis(m, n, (d - 1, e - 1)).index_of(*shift)
+    return N[:, shift_table(m, n, (d, e))[row]]
 
 
 def make_h0(N, m, n, degree, rng=None, coeffs=None):
@@ -70,16 +38,18 @@ def make_h0(N, m, n, degree, rng=None, coeffs=None):
     bad draw surfaces downstream as a pivot-rank deficiency.
     """
     d, e = degree
-    nshifts = len(monomial_basis(m, n, (d - 1, e - 1)))
+    table = shift_table(m, n, (d, e))
     if coeffs is None:
         if (d, e) == (1, 1):
             coeffs = np.ones(1)
         else:
             if rng is None:
                 raise ValueError("need rng when no coefficients are supplied")
-            coeffs = rng.standard_normal(nshifts)
+            coeffs = rng.standard_normal(len(table))
     coeffs = np.asarray(coeffs)
-    return coeffs, _combined_shift(N, m, n, degree, coeffs, (d - 1, e - 1))
+    if len(coeffs) != len(table):
+        raise ValueError("one coefficient per shift monomial required")
+    return coeffs, np.tensordot(coeffs, N[:, table], axes=([0], [1]))
 
 
 @dataclass
@@ -235,17 +205,17 @@ def multiplication_matrices(pnf, tol=DEFAULT_TOLERANCES):
             nj = pnf.N[:, j::n1]
             mats.append(scipy.linalg.solve_triangular(tri_r, pnf.q.conj().T @ nj[:, sel]))
     else:
+        m, n = pnf.m, pnf.n
         d, e = pnf.degree
-        h_degree = (d - 2, e - 1)
-        h_shifts = monomial_basis(pnf.m, pnf.n, h_degree).exponents
-        dtype = np.result_type(pnf.N, pnf.h)
-        for k in range(pnf.m + 1):
-            nk = np.zeros((r, (pnf.m + 1) * (pnf.n + 1)), dtype=dtype)
-            for c, (a2, b1) in zip(pnf.h, h_shifts):
-                if c != 0:
-                    shift = (_add(a2, _unit(pnf.m + 1, k)), b1)
-                    nk = nk + c * shifted_submatrix(pnf.N, pnf.m, pnf.n, pnf.degree, shift)
-            mats.append(scipy.linalg.solve_triangular(tri_r, pnf.q.conj().T @ nk[:, sel]))
+        h_rows = monomial_basis(m, n, (d - 2, e - 1)).rows
+        x_rows = monomial_basis(m, n, (1, 0)).rows
+        # the shift h-monomial * x_k, for every k and every h-monomial
+        shifts = monomial_index(m, n, (d - 1, e - 1), x_rows[:, None, :] + h_rows)
+        # one (h-monomial, basis column) block of N per k; gathering all k
+        # at once would hold (m+1) times as much
+        for cols in shift_table(m, n, (d, e))[shifts][..., sel]:
+            nk = np.tensordot(pnf.h, pnf.N[:, cols], axes=([0], [1]))
+            mats.append(scipy.linalg.solve_triangular(tri_r, pnf.q.conj().T @ nk))
     family = MultiplicationFamily(np.array(mats), pnf.axis)
     resid = family.commutation_residual()
     if resid > tol.comm_rel:

@@ -2,9 +2,10 @@
 
 The kernel of the mode-1 flattening yields bilinear forms f_j(x, y) =
 x^T F_j y.  Shifting these forms by monomials gives a sparse structured
-matrix whose left nullspace carries the normal-form data.  Both a dense
-SVD and an iterative Gram-matrix eigensolver path are provided for the
-nullspace.
+matrix whose left nullspace carries the normal-form data; its row
+positions come from ``bigraded.shift_table``, where the monomial order
+lives.  Both a dense SVD and an iterative Gram-matrix eigensolver path are
+provided for the nullspace.
 """
 
 import warnings
@@ -15,24 +16,9 @@ import scipy.io
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .bigraded import Bidegree, hilbert_dim, monomial_basis
+from .bigraded import Bidegree, hilbert_dim, shift_table
 from .config import DEFAULT_TOLERANCES
 from .errors import CorankMismatch, FlatteningRankMismatch
-
-_E = {}
-
-
-def _unit(dim, k):
-    key = (dim, k)
-    if key not in _E:
-        v = [0] * dim
-        v[k] = 1
-        _E[key] = tuple(v)
-    return _E[key]
-
-
-def _add(a, inc):
-    return tuple(x + y for x, y in zip(a, inc))
 
 
 @dataclass
@@ -145,25 +131,6 @@ class ResultantMatrix:
         return self.matrix.toarray()
 
 
-def shift_row_indices(m, n, degree):
-    """For each shift monomial of degree (d-1, e-1), the row positions in
-    the (d, e) basis of that shift times each x_k y_l."""
-    d, e = degree
-    row_basis = monomial_basis(m, n, (d, e))
-    shift_basis = monomial_basis(m, n, (d - 1, e - 1))
-    out = []
-    for a1, b1 in shift_basis.exponents:
-        rows = np.empty((m + 1) * (n + 1), dtype=np.int64)
-        pos = 0
-        for k in range(m + 1):
-            ak = _add(a1, _unit(m + 1, k))
-            for l in range(n + 1):
-                rows[pos] = row_basis.index_of(ak, _add(b1, _unit(n + 1, l)))
-                pos += 1
-        out.append(rows)
-    return out
-
-
 def build_resultant(system, degree):
     """Assemble the shift matrix column by column, without polynomial
     multiplication: each column copies the coefficients of one form into
@@ -174,16 +141,13 @@ def build_resultant(system, degree):
     m, n, s = system.m, system.n, system.s
     if s == 0:
         raise ValueError("empty system")
-    rows_per_shift = shift_row_indices(m, n, (d, e))
-    nshift = len(rows_per_shift)
-    block = (m + 1) * (n + 1)
+    table = shift_table(m, n, (d, e))
+    nshift, block = table.shape
     nrows = hilbert_dim(m, n, d, e)
 
-    row_idx = np.tile(np.concatenate(rows_per_shift), s)
+    row_idx = np.tile(table.ravel(), s)
     col_idx = np.repeat(np.arange(s * nshift), block)
-    vals = np.concatenate([
-        np.tile(system.coeffs[j].reshape(-1), nshift) for j in range(s)
-    ])
+    vals = np.tile(system.coeffs.reshape(s, 1, block), (1, nshift, 1)).ravel()
     mat = scipy.sparse.coo_matrix(
         (vals, (row_idx, col_idx)), shape=(nrows, s * nshift)
     ).tocsc()

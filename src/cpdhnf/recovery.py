@@ -328,9 +328,7 @@ def decompose_with_info(t, r, options=None):
     for fixed options.seed.
     """
     options = options or DecomposeOptions()
-    tol = options.tolerances or DEFAULT_TOLERANCES
-    if options.tolerances is None:
-        options = options.with_(tolerances=tol)
+    tol = options.tolerances
     rng = np.random.default_rng(options.seed)
     timings = {}
     info = {"seed": options.seed, "warnings": []}

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bigraded import hilbert_dim, rank_bound
+from .bigraded import hilbert_dim, rank_bound, shift_table
 from .errors import ConfigNotInW, RankOutOfRange
-from .polysys import shift_row_indices
 
 DEFAULT_PRIME = 8191
 
@@ -233,11 +232,12 @@ def hilbert_from_points(config, degree):
         raise ValueError("degree must be at least (1, 1)")
     m, n, r, p = config.m, config.n, config.r, config.p
     w = config.w_matrix()
-    if fp_rank(w, p) < r:
-        raise ConfigNotInW(f"point evaluations have rank < {r} over Z_{p}")
     forms = _fp_kernel(w, p)
     s = forms.shape[0]
-    shift_rows = np.asarray(shift_row_indices(m, n, (d, e)))
+    # the kernel has one row per free column: rank(w) = cols - s
+    if w.shape[1] - s < r:
+        raise ConfigNotInW(f"point evaluations have rank < {r} over Z_{p}")
+    shift_rows = shift_table(m, n, (d, e))
     nshift = len(shift_rows)
     nrows = hilbert_dim(m, n, d, e)
     ncols = s * nshift

@@ -102,10 +102,6 @@ def flatten_mode1(t):
     return t.data.reshape(l1, m1 * n1)
 
 
-def unflatten_mode1(M, shape, scalars=REAL):
-    return DenseTensor(np.asarray(M).reshape(shape), scalars)
-
-
 def cpd_eval(dec, shape=None):
     """Evaluate a CPD back into a dense tensor."""
     if shape is not None and tuple(shape) != dec.shape:

@@ -1,12 +1,30 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdhnf import (RankOutOfRange, hilbert_dim, monomial_basis, rank_bound,
                     select_degree)
+from cpdhnf.bigraded import monomial_index, shift_table
+
+
+def loop_shift_table(m, n, degree):
+    """Reference: each shift monomial times each x_k y_l, looked up one
+    tuple at a time in a dict over the enumerated (d, e) basis."""
+    d, e = degree
+    index = {ab: i for i, ab in enumerate(monomial_basis(m, n, degree).exponents)}
+    rows = []
+    for a1, b1 in monomial_basis(m, n, (d - 1, e - 1)).exponents:
+        row = []
+        for k in range(m + 1):
+            ak = tuple(x + (i == k) for i, x in enumerate(a1))
+            for l in range(n + 1):
+                row.append(index[(ak, tuple(y + (j == l) for j, y in enumerate(b1)))])
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
 
 
 class TestHilbertDim:
@@ -89,11 +107,55 @@ class TestMonomialBasis:
         with pytest.raises(ValueError):
             basis.index_of((1, 0, 0), (1, 0, 0))
 
+    def test_monomial_index_inverts_enumeration(self):
+        # m = 49 at degree 2 would overflow int64 if rows were packed as
+        # base-(d+1) numbers
+        for m, n, degree in [(3, 2, (2, 2)), (4, 1, (0, 3)), (49, 2, (2, 1))]:
+            basis = monomial_basis(m, n, degree)
+            assert np.array_equal(monomial_index(m, n, degree, basis.rows),
+                                  np.arange(len(basis)))
+
+    @pytest.mark.parametrize("row", [
+        (1, 0, 0, 1, 0, 0),     # degree (1, 1), not (2, 1)
+        (3, -1, 0, 1, 0, 0),    # right degree, negative entry
+        (2, 0, 0, 0, 0, 0),     # y-degree 0
+        (2, 0, 0, 1, 0),        # too short
+    ])
+    def test_monomial_index_rejects_rows_outside_basis(self, row):
+        with pytest.raises(ValueError):
+            monomial_index(2, 2, (2, 1), np.array([row]))
+
+    def test_index_of_rejects_misaligned_blocks(self):
+        basis = monomial_basis(2, 2, (2, 1))
+        with pytest.raises(ValueError):
+            basis.index_of((2, 0, 0, 1), (0, 0))
+
     @given(m=st.integers(1, 8), n=st.integers(1, 8),
            d=st.integers(1, 6), e=st.integers(0, 3))
     @settings(max_examples=30, deadline=None)
     def test_size_matches_hilbert_dim(self, m, n, d, e):
         assert len(monomial_basis(m, n, (d, e))) == hilbert_dim(m, n, d, e)
+
+
+class TestShiftTable:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(20)
+        cases = {(2, 2, (2, 1)), (6, 4, (3, 2)), (5, 5, (3, 3)), (1, 6, (2, 4))}
+        while len(cases) < 30:
+            m, n, d, e = (int(x) for x in rng.integers(1, [7, 7, 5, 5]))
+            if hilbert_dim(m, n, d, e) <= 20000:
+                cases.add((m, n, (d, e)))
+        assert sum(e >= 2 and d >= 2 for _, _, (d, e) in cases) >= 5
+        for m, n, degree in sorted(cases):
+            table = shift_table(m, n, degree)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, loop_shift_table(m, n, degree)), (m, n, degree)
+
+    def test_shared_table_is_read_only(self):
+        table = shift_table(3, 2, (2, 1))
+        assert shift_table(3, 2, (2, 1)) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 class TestSelectDegree:

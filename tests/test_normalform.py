@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from cpdhnf import (BasisDeficient, DefectiveEigenvectors, build_resultant,
                     prenormal_general, shifted_submatrix,
                     simultaneous_diagonalize)
 from cpdhnf.linalg import subspace_distance
-from cpdhnf.normalform import MultiplicationFamily
+from cpdhnf.normalform import MultiplicationFamily, PreNormalForm
 from cpdhnf.tensors import CPDecomposition
 
 
@@ -82,6 +84,53 @@ class TestMakeH0:
         c1, m1 = make_h0(N, 2, 2, (2, 1), rng=np.random.default_rng(7))
         c2, m2 = make_h0(N, 2, 2, (2, 1), rng=np.random.default_rng(7))
         assert np.array_equal(c1, c2) and np.array_equal(m1, m2)
+
+
+def loop_combination(N, m, n, degree, coeffs, shifts):
+    """Reference: sum of coeffs[i] * shifted_submatrix(shifts[i]), one
+    shift at a time, with the bound on how far any other summation order
+    can be from it: 2 (number of summands) eps times the sum of |terms|."""
+    out = np.zeros((N.shape[0], (m + 1) * (n + 1)))
+    size = np.zeros_like(out)
+    for c, shift in zip(coeffs, shifts):
+        term = c * shifted_submatrix(N, m, n, degree, shift)
+        out += term
+        size += np.abs(term)
+    return out, 2 * len(shifts) * np.finfo(float).eps * size
+
+
+@pytest.mark.parametrize("degree", [(2, 1), (3, 1), (2, 2), (3, 2)])
+class TestGatheredProducts:
+    def test_make_h0_matches_per_shift_loop(self, degree):
+        m, n = 3, 2
+        rng = np.random.default_rng(30)
+        N = rng.standard_normal((5, len(monomial_basis(m, n, degree))))
+        coeffs, nh0 = make_h0(N, m, n, degree, rng=rng)
+        shifts = monomial_basis(m, n, (degree[0] - 1, degree[1] - 1)).exponents
+        ref, tol = loop_combination(N, m, n, degree, coeffs, shifts)
+        assert np.all(np.abs(nh0 - ref) <= tol)
+
+    def test_multiplication_matches_per_shift_loop(self, degree):
+        # with q = I and an identity pivot block, M_k is the h * x_k
+        # combination restricted to the pivot columns, with no rounding
+        m, n, r = 3, 2, 5
+        d, e = degree
+        rng = np.random.default_rng(31)
+        ncols = len(monomial_basis(m, n, degree))
+        N = rng.standard_normal((r, ncols))
+        h_shifts = monomial_basis(m, n, (d - 2, e - 1)).exponents
+        h = rng.standard_normal(len(h_shifts))
+        pivots = rng.permutation((m + 1) * (n + 1))
+        tri = np.hstack([np.eye(r), rng.standard_normal((r, len(pivots) - r))])
+        pnf = PreNormalForm(N, m, n, degree, "x", None, h, np.eye(r), tri, pivots, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random N: the family does not commute
+            family = multiplication_matrices(pnf)
+        for k in range(m + 1):
+            shifts = [(tuple(x + (i == k) for i, x in enumerate(a)), b) for a, b in h_shifts]
+            ref, tol = loop_combination(N, m, n, degree, h, shifts)
+            sel = pivots[:r]
+            assert np.all(np.abs(family.matrices[k] - ref[:, sel]) <= tol[:, sel])
 
 
 class TestChooseBasis:
