@@ -161,7 +161,7 @@ def rank_bound(m, n, d, e):
     point count, so (d, e) cannot certify the points.  Infinite at (1, 1).
     Returned as an exact Fraction (or math.inf).
     """
-    if (d, e) < (1, 1):
+    if min(d, e) < 1:
         raise ValueError("degree must be at least (1, 1) componentwise")
     if (d, e) == (1, 1):
         return math.inf

@@ -19,7 +19,7 @@ from .errors import CpdError, RankOutOfRange
 from .bigraded import rank_bound
 from .recovery import add_noise, decompose_with_info
 from .regcert import DEFAULT_PRIME, certify_regularity
-from .tensors import COMPLEX, REAL, backward_error, random_cpd
+from .tensors import COMPLEX, REAL, random_cpd
 from .tensorio import read_tensor, write_tensor
 
 RESULT_FORMAT = "cpdhnf-result v1"
@@ -79,7 +79,7 @@ def cmd_decompose(args):
         "rank": args.rank,
         "degree_used": list(info["degree_used"]),
         "path": info["path"],
-        "backward_error": backward_error(tensor, dec),
+        "backward_error": info["backward_error"],
         "stage_timings_ms": info["stage_timings_ms"],
         "factors": _factor_payload(dec.factors),
         "seed": args.seed,
@@ -120,8 +120,7 @@ def cmd_noise_sweep(args):
                 options = DecomposeOptions(kernel=args.kernel, seed=base + 2)
                 start = time.perf_counter()
                 try:
-                    dec, _ = decompose_with_info(noisy, args.rank, options)
-                    err = backward_error(noisy, dec)
+                    err = decompose_with_info(noisy, args.rank, options)[1]["backward_error"]
                 except CpdError as exc:
                     print(f"level {e} trial {trial} failed: {exc}", file=sys.stderr)
                     err = math.nan

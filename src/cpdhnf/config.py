@@ -1,15 +1,16 @@
 """Tolerance and pipeline option dataclasses."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds used throughout the pipeline.
 
-    The iterative eigensolver runs at tolerance 1e-6 with 25 restarts and
-    takes over from the dense SVD at 10,000 matrix entries; the remaining
-    values are engineering defaults.  Override any of them per call.
+    The iterative eigensolver runs at tolerance 1e-6 with 25 restarts; under
+    ``kernel="auto"`` it takes over from the dense SVD at 10,000 entries and
+    hands back to it, with a warning, when it cannot certify the corank.
+    The remaining values are engineering defaults.  Override any per call.
     """
 
     # kernel extraction from the flattening
@@ -25,7 +26,7 @@ class Tolerances:
     sep_ratio: float = 1e2
     eigs_tol: float = 1e-6
     eigs_maxiter: int = 25
-    eigs_entry_threshold: int = 10_000   # use the Gram eigensolver above this
+    eigs_entry_threshold: int = 10_000   # auto uses the Gram eigensolver from here
 
     # basis choice and multiplication matrices
     piv_rel: float = 1e-8         # smallest/largest pivot ratio in the QR
@@ -59,6 +60,3 @@ class DecomposeOptions:
     seed: int = 0
     grouping: object = None
     tolerances: Tolerances = field(default_factory=Tolerances)
-
-    def with_(self, **kw):
-        return replace(self, **kw)

@@ -136,7 +136,7 @@ def build_resultant(system, degree):
     multiplication: each column copies the coefficients of one form into
     the rows of the shifted monomials."""
     d, e = degree
-    if (d, e) < (1, 1):
+    if min(d, e) < 1:
         raise ValueError("degree must be at least (1, 1)")
     m, n, s = system.m, system.n, system.s
     if s == 0:
@@ -164,10 +164,13 @@ def left_nullspace(res, r, method="auto", tol=DEFAULT_TOLERANCES):
 
     ``svd`` runs a full dense SVD and keeps the last r left singular
     vectors.  ``eigs`` forms the Gram matrix R R^H and extracts the r
-    smallest eigenpairs iteratively; ``auto`` switches to it above the
-    configured entry count.  Raises CorankMismatch when the spectrum does
-    not show a corank-r gap, which signals a degree outside the regularity
-    or a misspecified rank.
+    smallest eigenpairs iteratively.  ``auto`` uses ``eigs`` at or above
+    ``tol.eigs_entry_threshold`` matrix entries and ``svd`` below; when the
+    eigensolver cannot certify the corank (no gap, or no convergence) it
+    falls back to the dense SVD and warns with the eigensolver's detail.
+    Raises CorankMismatch when the spectrum does not show a corank-r gap,
+    which signals a degree outside the regularity or a misspecified rank;
+    under ``auto`` only when the SVD agrees.
     """
     nrows, ncols = res.shape
     if res.s == 0 or ncols == 0:
@@ -180,19 +183,21 @@ def left_nullspace(res, r, method="auto", tol=DEFAULT_TOLERANCES):
             f"shift matrix is {nrows} x {ncols}: corank is at least "
             f"{nrows - ncols} > {r}; the degree is outside the regularity"
         )
-    if method == "auto":
-        method = "eigs" if nrows * ncols >= tol.eigs_entry_threshold else "svd"
-    if method == "svd":
-        N, ok, detail = _nullspace_svd(res, r, tol)
-    elif method == "eigs":
-        try:
-            N, ok, detail = _nullspace_eigs(res, r, tol)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise CorankMismatch(f"iterative eigensolver did not converge: {exc}") from exc
-    else:
+    if method not in ("auto", "svd", "eigs"):
         raise ValueError(f"unknown nullspace method {method!r}")
-    if not ok:
-        raise CorankMismatch(detail)
+    if method == "svd" or (method == "auto" and nrows * ncols < tol.eigs_entry_threshold):
+        N = _nullspace_svd(res, r, tol)
+    else:
+        try:
+            N = _nullspace_eigs(res, r, tol)
+        except CorankMismatch as exc:
+            if method == "eigs":
+                raise
+            N = _nullspace_svd(res, r, tol)
+            warnings.warn(
+                f"eigs could not certify corank {r} ({exc}); fell back to svd",
+                stacklevel=2,
+            )
     scale = scipy.sparse.linalg.norm(res.matrix)
     rel = np.linalg.norm((N @ res.matrix).ravel()) / scale if scale else 0.0
     if rel > tol.null_rel:
@@ -211,14 +216,13 @@ def _nullspace_svd(res, r, tol):
     if expected_rank < len(sv):
         small, large = sv[expected_rank], sv[expected_rank - 1]
         if small > 0 and large / small < tol.sep_ratio:
-            return None, False, (
+            raise CorankMismatch(
                 f"singular values {large:.3e} / {small:.3e} not separated by "
                 f"{tol.sep_ratio:.0e}: corank differs from {r}"
             )
     elif sv[expected_rank - 1] / sv[0] < tol.rank_rel:
-        return None, False, "shift matrix rank deficient beyond the expected corank"
-    N = u[:, expected_rank:].conj().T
-    return N, True, ""
+        raise CorankMismatch("shift matrix rank deficient beyond the expected corank")
+    return u[:, expected_rank:].conj().T
 
 
 def _nullspace_eigs(res, r, tol):
@@ -229,17 +233,19 @@ def _nullspace_eigs(res, r, tol):
     k = min(r + 3, nrows - 1)
     # small negative shift keeps the shift-invert factorization definite
     sigma = -1e-8 * scale
-    detail = ""
     # fixed starting vector: ARPACK otherwise draws one from the global
     # generator, which would break run-to-run determinism
     v0 = np.random.default_rng(0x5EED).standard_normal(nrows).astype(gram.dtype)
     # a degenerate near-zero cluster can be undercounted when the Lanczos
     # subspace is too small; escalate ncv before giving up
     for ncv in (None, min(nrows, max(4 * k + 1, 40)), min(nrows, max(10 * k, 100))):
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            gram, k=k, sigma=sigma, which="LM", ncv=ncv, v0=v0,
-            tol=tol.eigs_tol, maxiter=tol.eigs_maxiter,
-        )
+        try:
+            vals, vecs = scipy.sparse.linalg.eigsh(
+                gram, k=k, sigma=sigma, which="LM", ncv=ncv, v0=v0,
+                tol=tol.eigs_tol, maxiter=tol.eigs_maxiter,
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise CorankMismatch(f"iterative eigensolver did not converge: {exc}") from exc
         order = np.argsort(np.abs(vals))
         vals, vecs = vals[order], vecs[:, order]
         small, nxt = abs(vals[r - 1]), abs(vals[r])
@@ -249,11 +255,10 @@ def _nullspace_eigs(res, r, tol):
                 # real input: continue with the real part of the nullspace
                 N = np.real(N)
                 N = np.linalg.qr(N.T)[0].T
-            return N, True, ""
-        detail = (
-            f"Gram eigenvalues {nxt:.3e} / {small:.3e} not separated by "
-            f"{tol.sep_ratio ** 2:.0e}: corank differs from {r}"
-        )
+            return N
         if ncv is not None and ncv >= nrows:
             break
-    return None, False, detail
+    raise CorankMismatch(
+        f"Gram eigenvalues {nxt:.3e} / {small:.3e} not separated by "
+        f"{tol.sep_ratio ** 2:.0e}: corank differs from {r}"
+    )

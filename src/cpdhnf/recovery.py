@@ -9,8 +9,8 @@ import numpy as np
 
 from .bigraded import select_degree
 from .config import DEFAULT_TOLERANCES, DecomposeOptions
-from .errors import (AmbiguousKernel, CorankMismatch, CpdError, RankDeficientKR,
-                     RankOutOfRange, SingularJacobian)
+from .errors import (AmbiguousKernel, CpdError, RankDeficientKR, RankOutOfRange,
+                     SingularJacobian)
 from .linalg import khatri_rao
 from .normalform import (multiplication_matrices, pencil_prenormal,
                          prenormal_general, simultaneous_diagonalize)
@@ -160,39 +160,19 @@ def _resolve_degree(options, r, mc, nc, lc):
         raise ValueError(f"unknown path {options.path!r}")
     if options.degree is not None:
         d, e = (int(x) for x in options.degree)
-        if (d, e) < (1, 1):
-            raise ValueError("forced degree must be at least (1, 1)")
-        if (d, e) == (1, 1):
-            if r > mc:
-                raise RankOutOfRange(f"pencil degree (1,1) needs rank <= {mc}")
-            return (1, 1), "pencil", False
-        if d == 1:
-            return (e, 1), "normal-form", True
-        return (d, e), "normal-form", False
-    if options.path == "pencil":
+        if min(d, e) < 1:
+            raise ValueError("forced degree must be at least (1, 1) componentwise")
+    elif options.path == "pencil" or (options.path == "auto" and r <= mc):
+        d, e = 1, 1
+    else:
+        d, e = select_degree(mc - 1, nc - 1, r, lc - 1, beta_independent=False).degree
+    if (d, e) == (1, 1):
         if r > mc:
-            raise RankOutOfRange(f"pencil path needs rank <= {mc}, got {r}")
+            raise RankOutOfRange(f"pencil degree (1, 1) needs rank <= {mc}, got {r}")
         return (1, 1), "pencil", False
-    if options.path == "auto" and r <= mc:
-        return (1, 1), "pencil", False
-    plan = select_degree(mc - 1, nc - 1, r, lc - 1, beta_independent=False)
-    d, e = plan.degree
     if d == 1:
         return (e, 1), "normal-form", True
     return (d, e), "normal-form", False
-
-
-def _core_nullspace(res, r, kernel, tol):
-    if kernel == "auto":
-        method = "eigs" if res.shape[0] * res.shape[1] >= tol.eigs_entry_threshold else "svd"
-        try:
-            return left_nullspace(res, r, method=method, tol=tol), method
-        except CorankMismatch:
-            if method == "eigs":
-                # surface only if the dense path agrees
-                return left_nullspace(res, r, method="svd", tol=tol), "svd"
-            raise
-    return left_nullspace(res, r, method=kernel, tol=tol), kernel
 
 
 def _decompose_order3(t, r, options, rng, timings, info, tracker):
@@ -204,7 +184,6 @@ def _decompose_order3(t, r, options, rng, timings, info, tracker):
             f"rank {r} exceeds min(l+1, m*n) = {min(l1, (m1 - 1) * (n1 - 1))} "
             f"for shape {t.shape}"
         )
-    real_field = t.scalars == REAL
 
     with _stage(timings, "compression", tracker):
         targets = (min(l1, r), min(m1, r), min(n1, r))
@@ -231,43 +210,30 @@ def _decompose_order3(t, r, options, rng, timings, info, tracker):
     if path == "pencil":
         with _stage(timings, "multiplication", tracker):
             pnf = pencil_prenormal(flat, r, (mc, nc), rng=rng, tol=tol)
-            info["basis_cond"] = pnf.cond
-            family = multiplication_matrices(pnf, tol)
-        with _stage(timings, "diagonalization", tracker):
-            coords = simultaneous_diagonalize(family, rng=rng, tol=tol)
-        if real_field:
-            coords = coords.real
-        gammas = np.empty((nc, r), dtype=coords.dtype)
-        betas = np.empty((mc, r), dtype=coords.dtype)
-        transposed = system.transposed()
-        with _stage(timings, "recovery", tracker):
-            for i in range(r):
-                g = coords[:, i] / np.linalg.norm(coords[:, i])
-                gammas[:, i] = g
-                betas[:, i] = solve_gamma(transposed, g, tol)
     else:
         with _stage(timings, "resultant", tracker):
             res = build_resultant(system, degree)
         with _stage(timings, "cokernel", tracker):
-            N, method = _core_nullspace(res, r, options.kernel, tol)
-            info["kernel_method"] = method
-        if real_field:
-            N = np.real(N)
+            N = left_nullspace(res, r, options.kernel, tol)
         with _stage(timings, "multiplication", tracker):
             pnf = prenormal_general(N, mc - 1, nc - 1, degree, rng=rng, tol=tol)
-            info["basis_cond"] = pnf.cond
-            family = multiplication_matrices(pnf, tol)
-        with _stage(timings, "diagonalization", tracker):
-            coords = simultaneous_diagonalize(family, rng=rng, tol=tol)
-        if real_field:
-            coords = coords.real
-        betas = np.empty((mc, r), dtype=coords.dtype)
-        gammas = np.empty((nc, r), dtype=coords.dtype)
-        with _stage(timings, "recovery", tracker):
-            for i in range(r):
-                b = coords[:, i] / np.linalg.norm(coords[:, i])
-                betas[:, i] = b
-                gammas[:, i] = solve_gamma(system, b, tol)
+    with _stage(timings, "multiplication", tracker):
+        info["basis_cond"] = pnf.cond
+        family = multiplication_matrices(pnf, tol)
+    with _stage(timings, "diagonalization", tracker):
+        coords = simultaneous_diagonalize(family, rng=rng, tol=tol)
+    if t.scalars == REAL:
+        coords = coords.real
+
+    # the eigenvalues give the points on the family's side; the forms
+    # restricted to each point give the other side
+    other = system if family.axis == "x" else system.transposed()
+    with _stage(timings, "recovery", tracker):
+        known = coords / [np.linalg.norm(c) for c in coords.T]
+        solved = np.empty((other.n + 1, r), dtype=coords.dtype)
+        for i in range(r):
+            solved[:, i] = solve_gamma(other, known[:, i], tol)
+    betas, gammas = (known, solved) if family.axis == "x" else (solved, known)
 
     point_sets = [(betas, gammas)]
     if options.newton_iters > 0:

@@ -228,18 +228,22 @@ def hilbert_from_points(config, degree):
     returns the corank.
     """
     d, e = degree
-    if (d, e) < (1, 1):
+    if min(d, e) < 1:
         raise ValueError("degree must be at least (1, 1)")
-    m, n, r, p = config.m, config.n, config.r, config.p
     w = config.w_matrix()
-    forms = _fp_kernel(w, p)
-    s = forms.shape[0]
+    forms = _fp_kernel(w, config.p)
     # the kernel has one row per free column: rank(w) = cols - s
-    if w.shape[1] - s < r:
-        raise ConfigNotInW(f"point evaluations have rank < {r} over Z_{p}")
-    shift_rows = shift_table(m, n, (d, e))
+    if w.shape[1] - forms.shape[0] < config.r:
+        raise ConfigNotInW(f"point evaluations have rank < {config.r} over Z_{config.p}")
+    return _shift_corank(forms, config.m, config.n, (d, e), config.p)
+
+
+def _shift_corank(forms, m, n, degree, p):
+    """Corank over Z_p of the shift matrix of ``forms`` at ``degree``."""
+    s = forms.shape[0]
+    shift_rows = shift_table(m, n, degree)
     nshift = len(shift_rows)
-    nrows = hilbert_dim(m, n, d, e)
+    nrows = hilbert_dim(m, n, *degree)
     ncols = s * nshift
     # column j * nshift + i holds form j placed at the rows of shift i; the
     # matrix is built in float64 with no more rows than columns, as _rank
@@ -315,12 +319,14 @@ def certify_regularity(m, n, d, r, p=DEFAULT_PRIME, trials=3, seed=0):
     for trial in range(trials):
         trial_seed = seed + trial
         config = random_config(m, n, r, p, seed=trial_seed)
-        rank_w = int(fp_rank(config.w_matrix(), p))
+        # one elimination per trial: the kernel gives rank(w) = cols - s
+        forms = _fp_kernel(config.w_matrix(), p)
+        rank_w = forms.shape[1] - forms.shape[0]
         cert["seed"], cert["rankN"] = trial_seed, rank_w
         if rank_w < r:
             cert["hf"] = None
             continue
-        hf = int(hilbert_from_points(config, (d, 1)))
+        hf = int(_shift_corank(forms, m, n, (d, 1), p))
         cert["hf"] = hf
         if hf == r:
             cert["success"] = True

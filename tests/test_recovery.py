@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from cpdhnf import (AmbiguousKernel, BilinearSystem, CorankMismatch,
                     CPDecomposition, DecomposeOptions, Grouping,
                     RankDeficientKR, RankOutOfRange, SingularJacobian,
-                    backward_error, cpd_eval, decompose, decompose_with_info,
-                    evaluate, flatten_mode1, kernel_flattening, newton_refine,
-                    random_cpd, solve_alpha, solve_gamma)
+                    backward_error, build_resultant, cpd_eval, decompose,
+                    decompose_with_info, evaluate, flatten_mode1,
+                    hilbert_from_points, kernel_flattening, newton_refine,
+                    polysys, random_config, random_cpd, rank_bound,
+                    solve_alpha, solve_gamma)
 from cpdhnf.linalg import factor_set_distance
 
 from conftest import GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_GAMMAS
@@ -254,3 +257,45 @@ class TestNoise:
         _, pre = decompose_with_info(noisy, 10, DecomposeOptions(newton_iters=0))
         _, post = decompose_with_info(noisy, 10, DecomposeOptions(newton_iters=3))
         assert post["backward_error"] <= pre["backward_error"]
+
+
+class TestCokernelFallback:
+    """(12, 7, 3) at rank 12 has a 252 x 252 shift matrix, so auto picks eigs."""
+
+    def _check(self, detail):
+        t, _ = random_cpd((12, 7, 3), 12, seed=52)
+        dec, info = decompose_with_info(t, 12, DecomposeOptions(seed=1))
+        ref = decompose(t, 12, DecomposeOptions(kernel="svd", seed=1))
+        assert all(np.array_equal(a, b) for a, b in zip(dec.factors, ref.factors))
+        assert any("fell back to svd" in w and detail in w for w in info["warnings"])
+        with pytest.raises(CorankMismatch) as exc:
+            decompose(t, 12, DecomposeOptions(kernel="eigs", seed=1))
+        assert exc.value.stage == "cokernel"
+
+    def test_gap_failure_falls_back(self, monkeypatch):
+        def no_gap(res, r, tol):
+            raise CorankMismatch("injected: no Gram gap")
+        monkeypatch.setattr(polysys, "_nullspace_eigs", no_gap)
+        self._check("injected: no Gram gap")
+
+    def test_arpack_failure_falls_back(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("injected", [], [])
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        self._check("did not converge")
+
+
+class TestDegreeGuards:
+    """Degrees are compared componentwise, so (2, 0) is rejected like (0, 2)."""
+
+    @pytest.mark.parametrize("degree", [(2, 0), (0, 2)])
+    def test_every_entry_point_rejects(self, degree, golden_system, golden_tensor):
+        calls = [
+            lambda: build_resultant(golden_system, degree),
+            lambda: hilbert_from_points(random_config(3, 2, 4), degree),
+            lambda: rank_bound(3, 2, *degree),
+            lambda: decompose_with_info(golden_tensor, 4, DecomposeOptions(degree=degree)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"\(1, 1\)"):
+                call()

@@ -255,3 +255,14 @@ class TestCertifyRegularity:
         # rank 12 at (6, 2) needs degree 3
         cert = certify_regularity(6, 2, 3, 12, p=8191)
         assert cert["success"] and cert["hf"] == 12
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rank_from_kernel_matches_fp_rank(self, p):
+        # tiny primes give rank-deficient evaluation matrices on some seeds
+        deficient = 0
+        for seed in range(12):
+            cert = certify_regularity(2, 2, 2, 4, p=p, trials=1, seed=seed)
+            w = random_config(2, 2, 4, p, seed=cert["seed"]).w_matrix()
+            assert cert["rankN"] == fp_rank(w, p)
+            deficient += cert["rankN"] < 4
+        assert deficient > 0
