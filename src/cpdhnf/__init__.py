@@ -4,7 +4,7 @@ computations, plus finite-field certification of the degree choice."""
 
 from .bigraded import (Bidegree, DegreePlan, MonomialBasis, hilbert_dim,
                        monomial_basis, rank_bound, select_degree)
-from .config import DecomposeOptions, Tolerances
+from .config import DecomposeOptions
 from .errors import (AmbiguousKernel, BasisDeficient, ConfigNotInW,
                      CorankMismatch, CpdError, DefectiveEigenvectors,
                      FlatteningRankMismatch, NoFeasibleGrouping,

@@ -29,7 +29,7 @@ class NoFeasibleGrouping(CpdError):
 
 
 class FlatteningRankMismatch(CpdError):
-    """Singular spectrum of of the mode-1 flattening contradicts the supplied rank."""
+    """Singular spectrum of the mode-1 flattening contradicts the supplied rank."""
 
 
 class CorankMismatch(CpdError):

@@ -66,12 +66,17 @@ def unitize(v):
 
 
 def subspace_distance(A, B):
-    """Largest principal angle sine between the row spaces of A and B."""
+    """Largest principal angle sine between the row spaces of A and B.
+
+    Measured as the residual of projecting the smaller space onto the
+    larger one, which resolves angles down to rounding; the cosine route
+    sqrt(1 - cos^2) cannot see angles below about 1e-8.
+    """
     qa = np.linalg.qr(np.asarray(A).conj().T)[0]
     qb = np.linalg.qr(np.asarray(B).conj().T)[0]
-    sv = np.linalg.svd(qa.conj().T @ qb, compute_uv=False)
-    sv = np.clip(sv, -1.0, 1.0)
-    return float(np.sqrt(max(0.0, 1.0 - np.min(sv) ** 2)))
+    if qa.shape[1] > qb.shape[1]:
+        qa, qb = qb, qa
+    return float(np.linalg.norm(qa - qb @ (qb.conj().T @ qa), 2))
 
 
 def match_columns(found, truth):
@@ -88,11 +93,9 @@ def match_columns(found, truth):
     tn = truth / np.maximum(np.linalg.norm(truth, axis=0), 1e-300)
     corr = np.abs(tn.conj().T @ fn)
     perm = [-1] * r
-    used = set()
     for _ in range(r):
         i, j = np.unravel_index(np.argmax(corr), corr.shape)
         perm[i] = int(j)
-        used.add(int(j))
         corr[i, :] = -1.0
         corr[:, j] = -1.0
     return perm

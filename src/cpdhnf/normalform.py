@@ -15,7 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .bigraded import Bidegree, monomial_basis, monomial_index, shift_table
-from .config import DEFAULT_TOLERANCES
+from .config import (COMM_REL, DIAG_FAIL, DIAG_REL, DIAG_RETRIES, PIV_REL,
+                     RANK_REL)
 from .errors import BasisDeficient, DefectiveEigenvectors, FlatteningRankMismatch
 
 
@@ -84,7 +85,7 @@ class PreNormalForm:
         return self.pivots[: self.r]
 
 
-def choose_basis(n_h0, tol=DEFAULT_TOLERANCES):
+def choose_basis(n_h0):
     """Column-pivoted QR picking r well-conditioned basis columns.
 
     Raises BasisDeficient when the r-th pivot collapses, which flags a
@@ -97,17 +98,16 @@ def choose_basis(n_h0, tol=DEFAULT_TOLERANCES):
         )
     q, tri, piv = scipy.linalg.qr(n_h0, mode="economic", pivoting=True)
     diag = np.abs(np.diagonal(tri)[:r])
-    if diag[0] == 0 or diag[-1] / diag[0] < tol.piv_rel:
+    if diag[0] == 0 or diag[-1] / diag[0] < PIV_REL:
         raise BasisDeficient(
             f"pivot ratio {0.0 if diag[0] == 0 else diag[-1] / diag[0]:.2e} below "
-            f"{tol.piv_rel:.0e}: restricted map is numerically singular"
+            f"{PIV_REL:.0e}: restricted map is numerically singular"
         )
     cond = float(np.linalg.cond(tri[:, :r]))
     return q, tri, piv, cond
 
 
-def prenormal_general(N, m, n, degree, rng=None, tol=DEFAULT_TOLERANCES,
-                      h0_coeffs=None, h_coeffs=None):
+def prenormal_general(N, m, n, degree, rng=None, h0_coeffs=None, h_coeffs=None):
     """Assemble the degree-(d, e) pre-normal form from a left nullspace.
 
     Requires d >= 2 (callers handle (1, e) by transposing the two small
@@ -118,7 +118,7 @@ def prenormal_general(N, m, n, degree, rng=None, tol=DEFAULT_TOLERANCES,
     if d < 2:
         raise ValueError("general path needs x-degree >= 2")
     h0, n_h0 = make_h0(N, m, n, degree, rng=rng, coeffs=h0_coeffs)
-    q, tri, piv, cond = choose_basis(n_h0, tol)
+    q, tri, piv, cond = choose_basis(n_h0)
     h_degree = (d - 2, e - 1)
     nh = len(monomial_basis(m, n, h_degree))
     if h_coeffs is None:
@@ -133,8 +133,7 @@ def prenormal_general(N, m, n, degree, rng=None, tol=DEFAULT_TOLERANCES,
     return PreNormalForm(N, m, n, Bidegree(d, e), "x", h0, h, q, tri, np.asarray(piv), cond)
 
 
-def pencil_prenormal(flattening, r, dims, rng=None, tol=DEFAULT_TOLERANCES,
-                     h0_coeffs=None):
+def pencil_prenormal(flattening, r, dims, rng=None, h0_coeffs=None):
     """Pencil-path pre-normal form for ranks r <= m+1.
 
     The top-r right-singular rows of the flattening represent its row
@@ -149,7 +148,7 @@ def pencil_prenormal(flattening, r, dims, rng=None, tol=DEFAULT_TOLERANCES,
     if r > m1:
         raise ValueError(f"pencil path needs rank <= {m1}")
     u, sv, vh = np.linalg.svd(M, full_matrices=False)
-    if sv[0] == 0 or (r < len(sv) and sv[r - 1] / sv[0] < tol.rank_rel):
+    if sv[0] == 0 or (r < len(sv) and sv[r - 1] / sv[0] < RANK_REL):
         raise FlatteningRankMismatch("flattening rank below the requested rank")
     N = vh[:r, :]
     if h0_coeffs is None:
@@ -159,7 +158,7 @@ def pencil_prenormal(flattening, r, dims, rng=None, tol=DEFAULT_TOLERANCES,
     else:
         h0 = np.asarray(h0_coeffs)
     n_h0 = sum(h0[j] * N[:, j::n1] for j in range(n1))
-    q, tri, piv, cond = choose_basis(n_h0, tol)
+    q, tri, piv, cond = choose_basis(n_h0)
     return PreNormalForm(N, m1 - 1, n1 - 1, Bidegree(1, 1), "y", h0, None,
                          q, tri, np.asarray(piv), cond)
 
@@ -188,7 +187,7 @@ class MultiplicationFamily:
         return worst
 
 
-def multiplication_matrices(pnf, tol=DEFAULT_TOLERANCES):
+def multiplication_matrices(pnf):
     """Form the family M_k = (restricted h0-map)^{-1} (restricted g_k-map).
 
     On the general path g_k = h * x_k for k = 0..m; on the pencil path
@@ -218,12 +217,12 @@ def multiplication_matrices(pnf, tol=DEFAULT_TOLERANCES):
             mats.append(scipy.linalg.solve_triangular(tri_r, pnf.q.conj().T @ nk))
     family = MultiplicationFamily(np.array(mats), pnf.axis)
     resid = family.commutation_residual()
-    if resid > tol.comm_rel:
+    if resid > COMM_REL:
         warnings.warn(f"multiplication family commutes only to {resid:.2e}", stacklevel=2)
     return family
 
 
-def simultaneous_diagonalize(family, seed=0, rng=None, tol=DEFAULT_TOLERANCES):
+def simultaneous_diagonalize(family, seed=0, rng=None):
     """Joint eigenvalues of a commuting family.
 
     Eigen-decomposes a random combination and reads each matrix's
@@ -237,7 +236,7 @@ def simultaneous_diagonalize(family, seed=0, rng=None, tol=DEFAULT_TOLERANCES):
     mats = family.matrices
     count, r, _ = mats.shape
     best = None
-    for _ in range(max(1, tol.diag_retries)):
+    for _ in range(DIAG_RETRIES):
         t = rng.standard_normal(count)
         combo = np.tensordot(t, mats, axes=1)
         _, vecs = np.linalg.eig(combo)
@@ -253,19 +252,19 @@ def simultaneous_diagonalize(family, seed=0, rng=None, tol=DEFAULT_TOLERANCES):
                 coords[j] = np.diagonal(dj)
         except np.linalg.LinAlgError:
             continue
-        if worst <= tol.diag_rel:
+        if worst <= DIAG_REL:
             return coords
         if best is None or worst < best[0]:
             best = (worst, coords)
-    if best is None or best[0] > tol.diag_fail:
+    if best is None or best[0] > DIAG_FAIL:
         detail = "singular eigenvector matrix" if best is None else (
-            f"best off-diagonal residual {best[0]:.2e} above {tol.diag_fail:.0e}"
+            f"best off-diagonal residual {best[0]:.2e} above {DIAG_FAIL:.0e}"
         )
         raise DefectiveEigenvectors(f"simultaneous diagonalization failed: {detail}")
     # Approximately commuting input (e.g. a noisy tensor): the diagonal
     # entries are still the right estimates and Newton refinement follows.
     warnings.warn(
-        f"off-diagonal residual {best[0]:.2e} above {tol.diag_rel:.0e}; "
+        f"off-diagonal residual {best[0]:.2e} above {DIAG_REL:.0e}; "
         "continuing with the best attempt", stacklevel=2,
     )
     return best[1]

@@ -17,7 +17,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .bigraded import Bidegree, hilbert_dim, shift_table
-from .config import DEFAULT_TOLERANCES
+from .config import (EIGS_ENTRY_THRESHOLD, EIGS_MAXITER, EIGS_TOL, GAP_REL,
+                     KERNEL_SEP, NULL_REL, RANK_REL, SEP_RATIO)
 from .errors import CorankMismatch, FlatteningRankMismatch
 
 
@@ -48,7 +49,7 @@ class BilinearSystem:
         return BilinearSystem(np.ascontiguousarray(self.coeffs.transpose(0, 2, 1)))
 
 
-def kernel_flattening(M, r, dims, tol=DEFAULT_TOLERANCES):
+def kernel_flattening(M, r, dims):
     """Orthonormal basis of the flattening kernel as a bilinear system.
 
     ``dims = (m+1, n+1)`` fixes how the (m+1)(n+1) columns split into the
@@ -67,20 +68,20 @@ def kernel_flattening(M, r, dims, tol=DEFAULT_TOLERANCES):
     _, sv, vh = np.linalg.svd(M, full_matrices=True)
     if sv[0] == 0:
         raise FlatteningRankMismatch("zero flattening")
-    if sv[r - 1] / sv[0] < tol.rank_rel:
+    if sv[r - 1] / sv[0] < RANK_REL:
         raise FlatteningRankMismatch(
-            f"sigma_{r}/sigma_1 = {sv[r - 1] / sv[0]:.2e} below {tol.rank_rel:.0e}: "
+            f"sigma_{r}/sigma_1 = {sv[r - 1] / sv[0]:.2e} below {RANK_REL:.0e}: "
             "flattening rank appears smaller than the requested rank"
         )
     if r < len(sv):
-        if sv[r] > 0 and sv[r - 1] / sv[r] < tol.kernel_sep:
+        if sv[r] > 0 and sv[r - 1] / sv[r] < KERNEL_SEP:
             raise FlatteningRankMismatch(
                 f"sigma_{r}/sigma_{r + 1} = {sv[r - 1] / sv[r]:.2e}: no clear rank gap"
             )
-        if sv[r] / sv[0] > tol.gap_rel:
+        if sv[r] / sv[0] > GAP_REL:
             warnings.warn(
                 f"trailing singular value ratio {sv[r] / sv[0]:.2e} exceeds "
-                f"{tol.gap_rel:.0e}; input is not exactly rank {r}",
+                f"{GAP_REL:.0e}; input is not exactly rank {r}",
                 stacklevel=2,
             )
     s = cols - r
@@ -159,15 +160,16 @@ def dump_matrixmarket(res, path):
     scipy.io.mmwrite(path, res.matrix.tocoo())
 
 
-def left_nullspace(res, r, method="auto", tol=DEFAULT_TOLERANCES):
+def left_nullspace(res, r, method="auto"):
     """Orthonormal rows spanning the left nullspace of the shift matrix.
 
     ``svd`` runs a full dense SVD and keeps the last r left singular
-    vectors.  ``eigs`` forms the Gram matrix R R^H and extracts the r
-    smallest eigenpairs iteratively.  ``auto`` uses ``eigs`` at or above
-    ``tol.eigs_entry_threshold`` matrix entries and ``svd`` below; when the
-    eigensolver cannot certify the corank (no gap, or no convergence) it
-    falls back to the dense SVD and warns with the eigensolver's detail.
+    vectors.  ``eigs`` forms the Gram matrix R R^H and extracts its r
+    smallest eigenpairs with one shift-invert ``eigsh`` call.  ``auto`` uses
+    ``eigs`` at or above ``EIGS_ENTRY_THRESHOLD`` (in ``config``) matrix
+    entries and ``svd`` below; when the eigensolver cannot certify the
+    corank (no gap, or no convergence) it falls back to the dense SVD and
+    warns with the eigensolver's detail.
     Raises CorankMismatch when the spectrum does not show a corank-r gap,
     which signals a degree outside the regularity or a misspecified rank;
     under ``auto`` only when the SVD agrees.
@@ -185,47 +187,47 @@ def left_nullspace(res, r, method="auto", tol=DEFAULT_TOLERANCES):
         )
     if method not in ("auto", "svd", "eigs"):
         raise ValueError(f"unknown nullspace method {method!r}")
-    if method == "svd" or (method == "auto" and nrows * ncols < tol.eigs_entry_threshold):
-        N = _nullspace_svd(res, r, tol)
+    if method == "svd" or (method == "auto" and nrows * ncols < EIGS_ENTRY_THRESHOLD):
+        N = _nullspace_svd(res, r)
     else:
         try:
-            N = _nullspace_eigs(res, r, tol)
+            N = _nullspace_eigs(res, r)
         except CorankMismatch as exc:
             if method == "eigs":
                 raise
-            N = _nullspace_svd(res, r, tol)
+            N = _nullspace_svd(res, r)
             warnings.warn(
                 f"eigs could not certify corank {r} ({exc}); fell back to svd",
                 stacklevel=2,
             )
     scale = scipy.sparse.linalg.norm(res.matrix)
     rel = np.linalg.norm((N @ res.matrix).ravel()) / scale if scale else 0.0
-    if rel > tol.null_rel:
+    if rel > NULL_REL:
         warnings.warn(
-            f"nullspace residual ||N R||/||R|| = {rel:.2e} exceeds {tol.null_rel:.0e}",
+            f"nullspace residual ||N R||/||R|| = {rel:.2e} exceeds {NULL_REL:.0e}",
             stacklevel=2,
         )
     return N
 
 
-def _nullspace_svd(res, r, tol):
+def _nullspace_svd(res, r):
     dense = res.matrix.toarray()
     nrows = dense.shape[0]
     u, sv, _ = np.linalg.svd(dense, full_matrices=True)
     expected_rank = nrows - r
     if expected_rank < len(sv):
         small, large = sv[expected_rank], sv[expected_rank - 1]
-        if small > 0 and large / small < tol.sep_ratio:
+        if small > 0 and large / small < SEP_RATIO:
             raise CorankMismatch(
                 f"singular values {large:.3e} / {small:.3e} not separated by "
-                f"{tol.sep_ratio:.0e}: corank differs from {r}"
+                f"{SEP_RATIO:.0e}: corank differs from {r}"
             )
-    elif sv[expected_rank - 1] / sv[0] < tol.rank_rel:
+    elif sv[expected_rank - 1] / sv[0] < RANK_REL:
         raise CorankMismatch("shift matrix rank deficient beyond the expected corank")
     return u[:, expected_rank:].conj().T
 
 
-def _nullspace_eigs(res, r, tol):
+def _nullspace_eigs(res, r):
     R = res.matrix
     gram = (R @ R.conj().T).toarray()
     nrows = gram.shape[0]
@@ -236,29 +238,29 @@ def _nullspace_eigs(res, r, tol):
     # fixed starting vector: ARPACK otherwise draws one from the global
     # generator, which would break run-to-run determinism
     v0 = np.random.default_rng(0x5EED).standard_normal(nrows).astype(gram.dtype)
-    # a degenerate near-zero cluster can be undercounted when the Lanczos
-    # subspace is too small; escalate ncv before giving up
-    for ncv in (None, min(nrows, max(4 * k + 1, 40)), min(nrows, max(10 * k, 100))):
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                gram, k=k, sigma=sigma, which="LM", ncv=ncv, v0=v0,
-                tol=tol.eigs_tol, maxiter=tol.eigs_maxiter,
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise CorankMismatch(f"iterative eigensolver did not converge: {exc}") from exc
-        order = np.argsort(np.abs(vals))
-        vals, vecs = vals[order], vecs[:, order]
-        small, nxt = abs(vals[r - 1]), abs(vals[r])
-        if small == 0 or nxt / small >= tol.sep_ratio ** 2:
-            N = vecs[:, :r].conj().T
-            if not np.iscomplexobj(R.data):
-                # real input: continue with the real part of the nullspace
-                N = np.real(N)
-                N = np.linalg.qr(N.T)[0].T
-            return N
-        if ncv is not None and ncv >= nrows:
-            break
+    # the r near-zero eigenvalues form a cluster, and a Lanczos basis of
+    # ARPACK's default 2k+1 vectors undercounted it on 10 of 12 (20,8,4),
+    # (50,10,5) and (40,8,8) draws and on 55 of 180 criterion-6 eigs runs;
+    # 4k+1 vectors (at least 40) certified every one of them in one call
+    ncv = min(nrows, max(4 * k + 1, 40))
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            gram, k=k, sigma=sigma, which="LM", ncv=ncv, v0=v0,
+            tol=EIGS_TOL, maxiter=EIGS_MAXITER,
+        )
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise CorankMismatch(f"iterative eigensolver did not converge: {exc}") from exc
+    order = np.argsort(np.abs(vals))
+    vals, vecs = vals[order], vecs[:, order]
+    small, nxt = abs(vals[r - 1]), abs(vals[r])
+    if small == 0 or nxt / small >= SEP_RATIO ** 2:
+        N = vecs[:, :r].conj().T
+        if not np.iscomplexobj(R.data):
+            # real input: continue with the real part of the nullspace
+            N = np.real(N)
+            N = np.linalg.qr(N.T)[0].T
+        return N
     raise CorankMismatch(
         f"Gram eigenvalues {nxt:.3e} / {small:.3e} not separated by "
-        f"{tol.sep_ratio ** 2:.0e}: corank differs from {r}"
+        f"{SEP_RATIO ** 2:.0e}: corank differs from {r}"
     )

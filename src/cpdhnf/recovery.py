@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .bigraded import select_degree
-from .config import DEFAULT_TOLERANCES, DecomposeOptions
+from .config import NEWTON_RCOND, RANK_REL, SOLVE_GAP, DecomposeOptions
 from .errors import (AmbiguousKernel, CpdError, RankDeficientKR, RankOutOfRange,
                      SingularJacobian)
 from .linalg import khatri_rao
@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-def solve_gamma(system, beta, tol=DEFAULT_TOLERANCES):
+def solve_gamma(system, beta):
     """Second-point coordinates from the forms at a fixed first point.
 
     Stacks the rows beta^T F_j and takes the right singular vector of the
@@ -52,12 +52,12 @@ def solve_gamma(system, beta, tol=DEFAULT_TOLERANCES):
         # s == n: square-ish system, kernel dimension is 1 iff full row rank
         small, nxt = 0.0, sv[-1]
     # one-dimensional kernel: exactly one singular value collapses
-    if sv[0] == 0 or nxt <= tol.rank_rel * sv[0]:
+    if sv[0] == 0 or nxt <= RANK_REL * sv[0]:
         raise AmbiguousKernel(
             f"second-smallest singular value {nxt:.3e} vanishes: kernel has "
             "dimension greater than one"
         )
-    if small > tol.solve_gap * nxt:
+    if small > SOLVE_GAP * nxt:
         raise AmbiguousKernel(
             f"two smallest singular values {small:.3e}, {nxt:.3e} not separated"
         )
@@ -79,7 +79,7 @@ def _orth_complement(v):
     return q[:, 1:dim]
 
 
-def newton_refine(system, beta, gamma, iters=3, tol=DEFAULT_TOLERANCES):
+def newton_refine(system, beta, gamma, iters=3):
     """Gauss-Newton refinement of an approximate simple zero.
 
     The forms are bihomogeneous, so the raw Jacobian maps both scaling
@@ -109,7 +109,7 @@ def newton_refine(system, beta, gamma, iters=3, tol=DEFAULT_TOLERANCES):
             [ub, np.zeros((system.m + 1, system.n), dtype=ug.dtype)],
             [np.zeros((system.n + 1, system.m), dtype=ub.dtype), ug],
         ])
-        step, rank = _pinv_apply(J @ chart, res, tol.newton_rcond)
+        step, rank = _pinv_apply(J @ chart, res, NEWTON_RCOND)
         if rank < needed:
             raise SingularJacobian(
                 f"chart Jacobian rank {rank} < {needed}: zero is not simple"
@@ -127,7 +127,7 @@ def newton_refine(system, beta, gamma, iters=3, tol=DEFAULT_TOLERANCES):
     return b, g
 
 
-def solve_alpha(flat, betas, gammas, tol=DEFAULT_TOLERANCES):
+def solve_alpha(flat, betas, gammas):
     """First-mode factors by least squares against the flattening.
 
     Solves K A = flat^T for the Khatri-Rao matrix K of the recovered point
@@ -177,7 +177,6 @@ def _resolve_degree(options, r, mc, nc, lc):
 
 def _decompose_order3(t, r, options, rng, timings, info, tracker):
     l1, m1, n1 = t.shape
-    tol = options.tolerances
     tracker["current"] = "validation"
     if r > min(l1, (m1 - 1) * (n1 - 1)):
         raise RankOutOfRange(
@@ -205,23 +204,23 @@ def _decompose_order3(t, r, options, rng, timings, info, tracker):
 
     flat = flatten_mode1(core)
     with _stage(timings, "kernel", tracker):
-        system = kernel_flattening(flat, r, (mc, nc), tol)
+        system = kernel_flattening(flat, r, (mc, nc))
 
     if path == "pencil":
         with _stage(timings, "multiplication", tracker):
-            pnf = pencil_prenormal(flat, r, (mc, nc), rng=rng, tol=tol)
+            pnf = pencil_prenormal(flat, r, (mc, nc), rng=rng)
     else:
         with _stage(timings, "resultant", tracker):
             res = build_resultant(system, degree)
         with _stage(timings, "cokernel", tracker):
-            N = left_nullspace(res, r, options.kernel, tol)
+            N = left_nullspace(res, r, options.kernel)
         with _stage(timings, "multiplication", tracker):
-            pnf = prenormal_general(N, mc - 1, nc - 1, degree, rng=rng, tol=tol)
+            pnf = prenormal_general(N, mc - 1, nc - 1, degree, rng=rng)
     with _stage(timings, "multiplication", tracker):
         info["basis_cond"] = pnf.cond
-        family = multiplication_matrices(pnf, tol)
+        family = multiplication_matrices(pnf)
     with _stage(timings, "diagonalization", tracker):
-        coords = simultaneous_diagonalize(family, rng=rng, tol=tol)
+        coords = simultaneous_diagonalize(family, rng=rng)
     if t.scalars == REAL:
         coords = coords.real
 
@@ -232,7 +231,7 @@ def _decompose_order3(t, r, options, rng, timings, info, tracker):
         known = coords / [np.linalg.norm(c) for c in coords.T]
         solved = np.empty((other.n + 1, r), dtype=coords.dtype)
         for i in range(r):
-            solved[:, i] = solve_gamma(other, known[:, i], tol)
+            solved[:, i] = solve_gamma(other, known[:, i])
     betas, gammas = (known, solved) if family.axis == "x" else (solved, known)
 
     point_sets = [(betas, gammas)]
@@ -240,8 +239,7 @@ def _decompose_order3(t, r, options, rng, timings, info, tracker):
         with _stage(timings, "refinement", tracker):
             refined_b, refined_g = betas.copy(), gammas.copy()
             for i in range(r):
-                b, g = newton_refine(system, betas[:, i], gammas[:, i],
-                                     options.newton_iters, tol)
+                b, g = newton_refine(system, betas[:, i], gammas[:, i], options.newton_iters)
                 refined_b[:, i], refined_g[:, i] = b, g
             if not (np.array_equal(refined_b, betas) and np.array_equal(refined_g, gammas)):
                 # keep the unrefined points as a fallback candidate so that
@@ -254,7 +252,7 @@ def _decompose_order3(t, r, options, rng, timings, info, tracker):
     with _stage(timings, "recovery", tracker):
         for idx, (bs, gs) in enumerate(point_sets):
             try:
-                alphas, resid = solve_alpha(flat, bs, gs, tol)
+                alphas, resid = solve_alpha(flat, bs, gs)
             except RankDeficientKR:
                 if idx == 0:
                     raise
@@ -294,7 +292,6 @@ def decompose_with_info(t, r, options=None):
     for fixed options.seed.
     """
     options = options or DecomposeOptions()
-    tol = options.tolerances
     rng = np.random.default_rng(options.seed)
     timings = {}
     info = {"seed": options.seed, "warnings": []}

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse.linalg
 
 from cpdhnf import (BilinearSystem, CorankMismatch, FlatteningRankMismatch,
                     build_resultant, dump_matrixmarket, evaluate, flatten_mode1,
@@ -139,6 +142,26 @@ class TestLeftNullspace:
             assert np.allclose(N @ N.conj().T, np.eye(12), atol=1e-12)
             assert np.linalg.norm(N @ res.toarray()) <= 1e-8 * np.linalg.norm(res.toarray())
         assert subspace_distance(n_svd, n_eigs) <= 1e-6
+
+    def test_one_gram_eigensolve(self, monkeypatch):
+        """(24, 7, 7) r=24 at (2, 1): ARPACK's default ncv undercounts this
+        draw's near-zero cluster, so the eigensolve must start wide enough."""
+        t, _ = random_cpd((24, 7, 7), 24, seed=1)
+        system = kernel_flattening(flatten_mode1(t), 24, (7, 7))
+        res = build_resultant(system, (2, 1))
+        calls = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("ncv"))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n_eigs = left_nullspace(res, 24, method="eigs")
+        assert len(calls) == 1
+        assert subspace_distance(n_eigs, left_nullspace(res, 24, method="svd")) <= 1e-8
 
     def test_rejects_empty(self):
         empty = BilinearSystem(np.empty((0, 2, 2)))

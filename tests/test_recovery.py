@@ -273,7 +273,7 @@ class TestCokernelFallback:
         assert exc.value.stage == "cokernel"
 
     def test_gap_failure_falls_back(self, monkeypatch):
-        def no_gap(res, r, tol):
+        def no_gap(res, r):
             raise CorankMismatch("injected: no Gram gap")
         monkeypatch.setattr(polysys, "_nullspace_eigs", no_gap)
         self._check("injected: no Gram gap")
