@@ -7,8 +7,9 @@ from .bigraded import (Bidegree, DegreePlan, MonomialBasis, hilbert_dim,
 from .config import DecomposeOptions
 from .errors import (AmbiguousKernel, BasisDeficient, ConfigNotInW,
                      CorankMismatch, CpdError, DefectiveEigenvectors,
-                     FlatteningRankMismatch, NoFeasibleGrouping,
-                     RankDeficientKR, RankOutOfRange, SingularJacobian)
+                     FlatteningRankMismatch, InsufficientMemory,
+                     NoFeasibleGrouping, RankDeficientKR, RankOutOfRange,
+                     SingularJacobian)
 from .linalg import factor_set_distance, khatri_rao, match_columns
 from .polysys import (BilinearSystem, ResultantMatrix, build_resultant,
                       dump_matrixmarket, evaluate, jacobian, kernel_flattening,

@@ -1,7 +1,7 @@
 """Numerical thresholds and pipeline options.
 
-Every threshold the pipeline checks is a constant here.  The iterative
-eigensolver runs at tolerance 1e-6 with 25 restarts; under
+Every threshold the pipeline checks is a constant here.  The Gram
+eigensolver stops at relative residual 1e-6 within 25 steps; under
 ``kernel="auto"`` it takes over from the dense SVD at 10,000 entries and
 hands back to it, with a warning, when it cannot certify the corank.
 The remaining values are engineering defaults.
@@ -20,8 +20,9 @@ NULL_REL = 1e-8        # ||N R|| / ||R|| above this only warns
 # show ratios near 1, while noisy instances near the rank bound can
 # legitimately drop below 1e3
 SEP_RATIO = 1e2
-EIGS_TOL = 1e-6
-EIGS_MAXITER = 25
+EIGS_TOL = 1e-6        # relative residual of each wanted Ritz pair of the
+                       # block inverse iteration, ||F^-1 x - mu x|| / |mu|
+EIGS_MAXITER = 25      # step cap of the block iteration; then it gives up
 EIGS_ENTRY_THRESHOLD = 10_000   # auto uses the Gram eigensolver from here
 
 # basis choice and multiplication matrices

@@ -39,6 +39,17 @@ class CorankMismatch(CpdError):
     """
 
 
+class InsufficientMemory(CpdError):
+    """A dense matrix the stage needs could not be allocated.
+
+    ``nbytes`` is the estimated size of that matrix in bytes.
+    """
+
+    def __init__(self, message, nbytes, stage=None):
+        super().__init__(message, stage)
+        self.nbytes = nbytes
+
+
 class BasisDeficient(CpdError):
     """Column-pivoted QR found fewer than r well-conditioned pivot columns."""
 

@@ -4,8 +4,10 @@ The kernel of the mode-1 flattening yields bilinear forms f_j(x, y) =
 x^T F_j y.  Shifting these forms by monomials gives a sparse structured
 matrix whose left nullspace carries the normal-form data; its row
 positions come from ``bigraded.shift_table``, where the monomial order
-lives.  Both a dense SVD and an iterative Gram-matrix eigensolver path are
-provided for the nullspace.
+lives.  The nullspace comes from a dense SVD or from the Gram matrix
+R R^H: one in-place Cholesky factorization of its shifted dense form and
+blocked inverse subspace iteration, which applies the Gram through the
+sparse R.
 """
 
 import warnings
@@ -13,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .bigraded import Bidegree, hilbert_dim, shift_table
 from .config import (EIGS_ENTRY_THRESHOLD, EIGS_MAXITER, EIGS_TOL, GAP_REL,
                      KERNEL_SEP, NULL_REL, RANK_REL, SEP_RATIO)
-from .errors import CorankMismatch, FlatteningRankMismatch
+from .errors import CorankMismatch, FlatteningRankMismatch, InsufficientMemory
 
 
 @dataclass
@@ -164,15 +167,20 @@ def left_nullspace(res, r, method="auto"):
     """Orthonormal rows spanning the left nullspace of the shift matrix.
 
     ``svd`` runs a full dense SVD and keeps the last r left singular
-    vectors.  ``eigs`` forms the Gram matrix R R^H and extracts its r
-    smallest eigenpairs with one shift-invert ``eigsh`` call.  ``auto`` uses
-    ``eigs`` at or above ``EIGS_ENTRY_THRESHOLD`` (in ``config``) matrix
-    entries and ``svd`` below; when the eigensolver cannot certify the
-    corank (no gap, or no convergence) it falls back to the dense SVD and
-    warns with the eigensolver's detail.
+    vectors.  ``eigs`` forms the dense Gram matrix G = R R^H, adds
+    1e-8 ||G||_F to its diagonal and Cholesky-factors it in place, then
+    runs inverse subspace iteration on a block of 2k columns (k = r + 3)
+    with Rayleigh-Ritz through the sparse R, until the k smallest Ritz
+    pairs have relative residual EIGS_TOL.  ``auto`` uses ``eigs`` at or
+    above ``EIGS_ENTRY_THRESHOLD`` (in ``config``) matrix entries and
+    ``svd`` below; when the eigensolver cannot certify the corank (no gap,
+    a failed factorization, or no convergence in EIGS_MAXITER steps) it
+    falls back to the dense SVD and warns with the eigensolver's detail.
     Raises CorankMismatch when the spectrum does not show a corank-r gap,
     which signals a degree outside the regularity or a misspecified rank;
-    under ``auto`` only when the SVD agrees.
+    under ``auto`` only when the SVD agrees.  Raises InsufficientMemory,
+    with no fallback, when the dense Gram or the dense SVD cannot be
+    allocated.
     """
     nrows, ncols = res.shape
     if res.s == 0 or ncols == 0:
@@ -210,10 +218,24 @@ def left_nullspace(res, r, method="auto"):
     return N
 
 
+def _dense_too_large(nrows, dtype):
+    """The typed error for a dense nrows x nrows buffer that could not be
+    allocated."""
+    dtype = np.dtype(dtype)
+    nbytes = nrows * nrows * dtype.itemsize
+    return InsufficientMemory(
+        f"cannot allocate a dense {nrows} x {nrows} {dtype.name} matrix "
+        f"({nbytes / 2 ** 30:.2f} GiB)",
+        nbytes,
+    )
+
+
 def _nullspace_svd(res, r):
-    dense = res.matrix.toarray()
-    nrows = dense.shape[0]
-    u, sv, _ = np.linalg.svd(dense, full_matrices=True)
+    nrows = res.shape[0]
+    try:
+        u, sv, _ = np.linalg.svd(res.matrix.toarray(), full_matrices=True)
+    except MemoryError as exc:
+        raise _dense_too_large(nrows, res.matrix.dtype) from exc
     expected_rank = nrows - r
     if expected_rank < len(sv):
         small, large = sv[expected_rank], sv[expected_rank - 1]
@@ -229,32 +251,51 @@ def _nullspace_svd(res, r):
 
 def _nullspace_eigs(res, r):
     R = res.matrix
-    gram = (R @ R.conj().T).toarray()
-    nrows = gram.shape[0]
-    scale = np.linalg.norm(gram)
-    k = min(r + 3, nrows - 1)
-    # small negative shift keeps the shift-invert factorization definite
-    sigma = -1e-8 * scale
-    # fixed starting vector: ARPACK otherwise draws one from the global
-    # generator, which would break run-to-run determinism
-    v0 = np.random.default_rng(0x5EED).standard_normal(nrows).astype(gram.dtype)
-    # the r near-zero eigenvalues form a cluster, and a Lanczos basis of
-    # ARPACK's default 2k+1 vectors undercounted it on 10 of 12 (20,8,4),
-    # (50,10,5) and (40,8,8) draws and on 55 of 180 criterion-6 eigs runs;
-    # 4k+1 vectors (at least 40) certified every one of them in one call
-    ncv = min(nrows, max(4 * k + 1, 40))
+    RH = R.conj().T
+    nrows = R.shape[0]
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            gram, k=k, sigma=sigma, which="LM", ncv=ncv, v0=v0,
-            tol=EIGS_TOL, maxiter=EIGS_MAXITER,
+        # Fortran order, so the Cholesky below overwrites it in place
+        gram = (R @ RH).toarray(order="F")
+    except MemoryError as exc:
+        raise _dense_too_large(nrows, R.dtype) from exc
+    k = min(r + 3, nrows - 1)
+    # small positive shift keeps the factorization definite
+    shift = 1e-8 * np.linalg.norm(gram)
+    gram.flat[::nrows + 1] += shift
+    try:
+        factor = scipy.linalg.cho_factor(gram, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise CorankMismatch(f"shifted Gram matrix is not definite: {exc}") from exc
+    # inverse subspace iteration with Rayleigh-Ritz on G, which is applied
+    # only through the sparse R from here on.  The k wanted pairs converge
+    # at the rate (lambda_k + shift) / (lambda_{width+1} + shift): on two
+    # draws each of (20,8,4), (50,10,5) and (40,8,8), a block of k columns
+    # did not converge in 25 steps, 2k took 5-8 steps, and 3k took 3-6
+    # steps but was slower on 5 of the 6.  The start block is fixed for
+    # run-to-run determinism.
+    width = min(nrows, 2 * k)
+    X = np.random.default_rng(0x5EED).standard_normal((nrows, width)).astype(R.dtype)
+    theta, X = _rayleigh_ritz(RH, scipy.linalg.cho_solve(factor, X, check_finite=False))
+    for _ in range(EIGS_MAXITER):
+        Y = scipy.linalg.cho_solve(factor, X, check_finite=False)
+        # Y holds F^{-1} x_i: the k smallest Ritz pairs are done once they
+        # are eigenpairs of F^{-1} to relative tolerance EIGS_TOL.  The
+        # pairs returned come from Y, one step further on at no extra
+        # solve: on a (12,7,3) draw the tested pairs were 2.4e-8 from the
+        # SVD nullspace, and those from Y 2e-12
+        mu = 1.0 / (theta[:k] + shift)
+        resid = np.linalg.norm(Y[:, :k] - X[:, :k] * mu, axis=0)
+        done = np.all(resid <= EIGS_TOL * np.abs(mu))
+        theta, X = _rayleigh_ritz(RH, Y)
+        if done:
+            break
+    else:
+        raise CorankMismatch(
+            f"iterative eigensolver did not converge in {EIGS_MAXITER} steps"
         )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise CorankMismatch(f"iterative eigensolver did not converge: {exc}") from exc
-    order = np.argsort(np.abs(vals))
-    vals, vecs = vals[order], vecs[:, order]
-    small, nxt = abs(vals[r - 1]), abs(vals[r])
+    small, nxt = np.abs(theta[:r]).max(), abs(theta[r])
     if small == 0 or nxt / small >= SEP_RATIO ** 2:
-        N = vecs[:, :r].conj().T
+        N = X[:, :r].conj().T
         if not np.iscomplexobj(R.data):
             # real input: continue with the real part of the nullspace
             N = np.real(N)
@@ -264,3 +305,12 @@ def _nullspace_eigs(res, r):
         f"Gram eigenvalues {nxt:.3e} / {small:.3e} not separated by "
         f"{SEP_RATIO ** 2:.0e}: corank differs from {r}"
     )
+
+
+def _rayleigh_ritz(RH, Y):
+    """Ritz values (ascending) and vectors of G = R R^H on the span of Y,
+    with G applied through RH = R^H."""
+    Q = np.linalg.qr(Y)[0]
+    RQ = RH @ Q
+    theta, W = np.linalg.eigh(RQ.conj().T @ RQ)
+    return theta, Q @ W

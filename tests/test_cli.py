@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from cpdhnf.cli import main
 
@@ -98,6 +99,21 @@ class TestDecompose:
         assert run(["decompose", "--input", str(tensor), "--rank", "40"]) == 1
         err = capsys.readouterr().err
         assert "RankOutOfRange" in err and "error[" in err
+
+    def test_cokernel_allocation_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        tensor = tmp_path / "t.txt"
+        run(["generate", "--dims", "12,7,3", "--rank", "12", "--seed", "3",
+             "--output", str(tensor)])
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", no_memory)
+        monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", no_memory)
+        assert run(["decompose", "--input", str(tensor), "--rank", "12"]) == 1
+        err = capsys.readouterr().err
+        assert "error[cokernel]: InsufficientMemory" in err
+        assert "Traceback" not in err
 
     def test_missing_file(self, capsys):
         assert run(["decompose", "--input", "/nonexistent/t.txt", "--rank", "2"]) == 1

@@ -3,13 +3,17 @@ import warnings
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 import scipy.sparse.linalg
 
-from cpdhnf import (BilinearSystem, CorankMismatch, FlatteningRankMismatch,
-                    build_resultant, dump_matrixmarket, evaluate, flatten_mode1,
-                    jacobian, kernel_flattening, left_nullspace, monomial_basis,
+from cpdhnf import (COMPLEX, REAL, BilinearSystem, CorankMismatch,
+                    FlatteningRankMismatch, build_resultant,
+                    dump_matrixmarket, evaluate, flatten_mode1, jacobian,
+                    kernel_flattening, left_nullspace, monomial_basis, polysys,
                     random_cpd)
+from cpdhnf.config import EIGS_MAXITER, EIGS_TOL, SEP_RATIO
 from cpdhnf.linalg import subspace_distance
+from cpdhnf.tensors import add_noise
 
 from conftest import (GOLDEN_BETAS, GOLDEN_FLATTENING, GOLDEN_GAMMAS,
                       GOLDEN_KERNEL, golden_resultant_dense)
@@ -144,19 +148,19 @@ class TestLeftNullspace:
         assert subspace_distance(n_svd, n_eigs) <= 1e-6
 
     def test_one_gram_eigensolve(self, monkeypatch):
-        """(24, 7, 7) r=24 at (2, 1): ARPACK's default ncv undercounts this
-        draw's near-zero cluster, so the eigensolve must start wide enough."""
+        """(24, 7, 7) r=24 at (2, 1): a draw whose near-zero cluster a
+        narrow Lanczos basis undercounted; the Gram is factored once."""
         t, _ = random_cpd((24, 7, 7), 24, seed=1)
         system = kernel_flattening(flatten_mode1(t), 24, (7, 7))
         res = build_resultant(system, (2, 1))
         calls = []
-        eigsh = scipy.sparse.linalg.eigsh
+        cho_factor = scipy.linalg.cho_factor
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("ncv"))
-            return eigsh(*args, **kwargs)
+            calls.append(args[0].shape)
+            return cho_factor(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             n_eigs = left_nullspace(res, 24, method="eigs")
@@ -172,6 +176,67 @@ class TestLeftNullspace:
         res = build_resultant(golden_system, (2, 1))
         with pytest.raises(ValueError):
             left_nullspace(res, 4, method="qr")
+
+
+def shift_invert_reference(res, r):
+    """The cokernel eigensolver the block iteration replaced: one
+    shift-invert ARPACK call on the dense Gram, with the same gap test.
+    Returns the nullspace rows, or None when the gap test rejects."""
+    R = res.matrix
+    gram = (R @ R.conj().T).toarray()
+    nrows = gram.shape[0]
+    k = min(r + 3, nrows - 1)
+    v0 = np.random.default_rng(0x5EED).standard_normal(nrows).astype(gram.dtype)
+    vals, vecs = scipy.sparse.linalg.eigsh(
+        gram, k=k, sigma=-1e-8 * np.linalg.norm(gram), which="LM",
+        ncv=min(nrows, max(4 * k + 1, 40)), v0=v0, tol=EIGS_TOL, maxiter=EIGS_MAXITER,
+    )
+    order = np.argsort(np.abs(vals))
+    vals, vecs = vals[order], vecs[:, order]
+    small, nxt = abs(vals[r - 1]), abs(vals[r])
+    if small == 0 or nxt / small >= SEP_RATIO ** 2:
+        return vecs[:, :r].conj().T
+    return None
+
+
+class TestBlockIterationAgainstShiftInvert:
+    """The block inverse subspace iteration against the ARPACK call it
+    replaced, on exact and noisy, real and complex instances."""
+
+    @pytest.mark.parametrize("shape, r, degree, scalars, e", [
+        ((8, 5, 4), 8, (2, 1), REAL, None),
+        ((8, 5, 4), 8, (2, 1), COMPLEX, -5),
+        ((12, 7, 3), 12, (3, 1), REAL, -10),
+        ((12, 7, 3), 12, (3, 1), COMPLEX, None),
+        ((12, 7, 3), 12, (3, 1), REAL, -5),
+        ((24, 7, 7), 24, (2, 1), REAL, None),
+        ((24, 7, 7), 24, (2, 1), COMPLEX, -10),
+        ((20, 8, 4), 20, (4, 1), REAL, None),
+        ((20, 8, 4), 20, (4, 1), REAL, -5),
+        ((20, 8, 4), 20, (4, 1), COMPLEX, -10),
+        ((50, 10, 5), 30, (3, 1), REAL, -10),
+        ((50, 10, 5), 30, (3, 1), COMPLEX, None),
+        ((50, 10, 5), 30, (3, 1), REAL, -5),
+    ])
+    def test_same_subspace_and_gap_decision(self, shape, r, degree, scalars, e):
+        t, _ = random_cpd(shape, r, seed=7, scalars=scalars)
+        t = add_noise(t, e, seed=8)
+        with warnings.catch_warnings():
+            # noisy flattenings warn that they are not exactly rank r
+            warnings.simplefilter("ignore")
+            system = kernel_flattening(flatten_mode1(t), r, shape[1:])
+        res = build_resultant(system, degree)
+        reference = shift_invert_reference(res, r)
+        try:
+            block = polysys._nullspace_eigs(res, r)
+        except CorankMismatch:
+            block = None
+        assert (block is None) == (reference is None)
+        if e is None:
+            assert subspace_distance(block, reference) <= 1e-8
+            for wrong in (r - 1, r + 1):
+                with pytest.raises(CorankMismatch):
+                    left_nullspace(res, wrong, method="eigs")
 
 
 class TestEvaluateJacobian:

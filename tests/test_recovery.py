@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg
+import scipy.linalg
+import scipy.sparse
 
 from cpdhnf import (AmbiguousKernel, BilinearSystem, CorankMismatch,
                     CPDecomposition, DecomposeOptions, Grouping,
-                    RankDeficientKR, RankOutOfRange, SingularJacobian,
-                    backward_error, build_resultant, cpd_eval, decompose,
-                    decompose_with_info, evaluate, flatten_mode1,
-                    hilbert_from_points, kernel_flattening, newton_refine,
-                    polysys, random_config, random_cpd, rank_bound,
-                    solve_alpha, solve_gamma)
+                    InsufficientMemory, RankDeficientKR, RankOutOfRange,
+                    SingularJacobian, backward_error, build_resultant,
+                    cpd_eval, decompose, decompose_with_info, evaluate,
+                    flatten_mode1, hilbert_from_points, kernel_flattening,
+                    newton_refine, polysys, random_config, random_cpd,
+                    rank_bound, solve_alpha, solve_gamma)
 from cpdhnf.linalg import factor_set_distance
 
 from conftest import GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_GAMMAS
@@ -278,11 +279,41 @@ class TestCokernelFallback:
         monkeypatch.setattr(polysys, "_nullspace_eigs", no_gap)
         self._check("injected: no Gram gap")
 
-    def test_arpack_failure_falls_back(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("injected", [], [])
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    def test_no_convergence_falls_back(self, monkeypatch):
+        monkeypatch.setattr(polysys, "EIGS_MAXITER", 0)
         self._check("did not converge")
+
+    def test_cholesky_failure_falls_back(self, monkeypatch):
+        def not_definite(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected: not positive definite")
+        monkeypatch.setattr(scipy.linalg, "cho_factor", not_definite)
+        self._check("injected: not positive definite")
+
+    @pytest.mark.parametrize("kernel", ["auto", "eigs", "svd"])
+    def test_allocation_failure_is_typed_not_fallen_back(self, monkeypatch, kernel):
+        """A dense buffer that cannot be allocated is an InsufficientMemory
+        tagged cokernel on every method; the SVD fallback does not catch it."""
+        t, _ = random_cpd((12, 7, 3), 12, seed=52)
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        svd_calls = []
+        nullspace_svd = polysys._nullspace_svd
+
+        def counting_svd(res, r):
+            svd_calls.append(r)
+            return nullspace_svd(res, r)
+
+        monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", no_memory)
+        monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", no_memory)
+        monkeypatch.setattr(polysys, "_nullspace_svd", counting_svd)
+        with pytest.raises(InsufficientMemory) as exc:
+            decompose(t, 12, DecomposeOptions(kernel=kernel, seed=1))
+        assert len(svd_calls) == (kernel == "svd")
+        assert exc.value.stage == "cokernel"
+        assert exc.value.nbytes == 252 * 252 * 8
+        assert "252 x 252" in str(exc.value)
 
 
 class TestDegreeGuards:
