@@ -6,7 +6,9 @@ decomposes the exact instances ``random_cpd(shape, r, seed)`` of every
 seed once (the first of these calls also fills lazy caches), then
 ``--repeats`` more times warm.  Prints one JSON object with, per shape,
 the shift-matrix size, the first calls, the warm medians of the whole
-``decompose_with_info`` call and of ``stage_timings_ms["cokernel"]``, and
+``decompose_with_info`` call and of ``stage_timings_ms["cokernel"]``, the
+median number of ``scipy.linalg.cho_solve`` calls per decomposition (the
+steps of the cokernel's block iteration, counting its start block), and
 the process's peak resident memory.  The package is imported from the
 ``src`` directory next to this script, so a copy of the script in another
 checkout measures that checkout.
@@ -31,16 +33,27 @@ SHAPES = {"20,8,4": 20, "50,10,5": 30, "40,8,8": 39}
 
 def measure(shape, r, seeds, repeats):
     sys.path.insert(0, str(ROOT / "src"))
+    import scipy.linalg
     from cpdhnf import decompose_with_info, hilbert_dim, random_cpd
 
+    solves = [0]
+    cho_solve = scipy.linalg.cho_solve
+
+    def counting(*args, **kwargs):
+        solves[0] += 1
+        return cho_solve(*args, **kwargs)
+
+    scipy.linalg.cho_solve = counting
     tensors = [random_cpd(shape, r, seed=s)[0] for s in seeds]
-    cold, warm_total, warm_cokernel = [], [], []
+    cold, warm_total, warm_cokernel, steps = [], [], [], []
     info = None
     for rep in range(repeats + 1):
         for t in tensors:
+            solves[0] = 0
             t0 = time.perf_counter()
             _, info = decompose_with_info(t, r)
             total_ms = 1e3 * (time.perf_counter() - t0)
+            steps.append(solves[0])
             if rep == 0:
                 cold.append({"total_ms": round(total_ms, 1),
                              "cokernel_ms": info["stage_timings_ms"]["cokernel"]})
@@ -58,6 +71,7 @@ def measure(shape, r, seeds, repeats):
         "warm_runs": len(warm_total),
         "warm_median_total_ms": round(statistics.median(warm_total), 1),
         "warm_median_cokernel_ms": round(statistics.median(warm_cokernel), 1),
+        "median_cho_solve_calls": statistics.median(steps),
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
 

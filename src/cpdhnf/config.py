@@ -1,9 +1,11 @@
 """Numerical thresholds and pipeline options.
 
 Every threshold the pipeline checks is a constant here.  The Gram
-eigensolver stops at relative residual 1e-6 within 25 steps; under
-``kernel="auto"`` it takes over from the dense SVD at 10,000 entries and
-hands back to it, with a warning, when it cannot certify the corank.
+eigensolver stops within 25 steps, once the r nullspace pairs reach
+relative residual 1e-6 and pair r+1, which the gap test reads, reaches
+1e-3; under ``kernel="auto"`` it takes over from the dense SVD at 10,000
+entries and hands back to it, with a warning, when it cannot certify the
+corank.
 The remaining values are engineering defaults.
 """
 
@@ -20,8 +22,9 @@ NULL_REL = 1e-8        # ||N R|| / ||R|| above this only warns
 # show ratios near 1, while noisy instances near the rank bound can
 # legitimately drop below 1e3
 SEP_RATIO = 1e2
-EIGS_TOL = 1e-6        # relative residual of each wanted Ritz pair of the
-                       # block inverse iteration, ||F^-1 x - mu x|| / |mu|
+EIGS_TOL = 1e-6        # relative residual ||F^-1 x - mu x|| / |mu| of the r
+                       # returned Ritz pairs of the block inverse iteration;
+                       # pair r+1 stops at its square root
 EIGS_MAXITER = 25      # step cap of the block iteration; then it gives up
 EIGS_ENTRY_THRESHOLD = 10_000   # auto uses the Gram eigensolver from here
 

@@ -10,6 +10,7 @@ blocked inverse subspace iteration, which applies the Gram through the
 sparse R.
 """
 
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -170,8 +171,9 @@ def left_nullspace(res, r, method="auto"):
     vectors.  ``eigs`` forms the dense Gram matrix G = R R^H, adds
     1e-8 ||G||_F to its diagonal and Cholesky-factors it in place, then
     runs inverse subspace iteration on a block of 2k columns (k = r + 3)
-    with Rayleigh-Ritz through the sparse R, until the k smallest Ritz
-    pairs have relative residual EIGS_TOL.  ``auto`` uses ``eigs`` at or
+    with Rayleigh-Ritz through the sparse R, until the r smallest Ritz
+    pairs have relative residual EIGS_TOL and pair r + 1, whose Ritz value
+    the gap test reads, has EIGS_TOL ** 0.5.  ``auto`` uses ``eigs`` at or
     above ``EIGS_ENTRY_THRESHOLD`` (in ``config``) matrix entries and
     ``svd`` below; when the eigensolver cannot certify the corank (no gap,
     a failed factorization, or no convergence in EIGS_MAXITER steps) it
@@ -230,6 +232,23 @@ def _dense_too_large(nrows, dtype):
     )
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_dense_fits(nrows, dtype):
+    """Raise InsufficientMemory when a dense nrows x nrows buffer, which
+    every nullspace method needs, exceeds the machine's physical memory.
+    Lets the driver fail from the degree plan alone."""
+    memory = _physical_memory()
+    if memory is not None and nrows * nrows * np.dtype(dtype).itemsize > memory:
+        raise _dense_too_large(nrows, dtype)
+
+
 def _nullspace_svd(res, r):
     nrows = res.shape[0]
     try:
@@ -267,25 +286,32 @@ def _nullspace_eigs(res, r):
     except np.linalg.LinAlgError as exc:
         raise CorankMismatch(f"shifted Gram matrix is not definite: {exc}") from exc
     # inverse subspace iteration with Rayleigh-Ritz on G, which is applied
-    # only through the sparse R from here on.  The k wanted pairs converge
-    # at the rate (lambda_k + shift) / (lambda_{width+1} + shift): on two
-    # draws each of (20,8,4), (50,10,5) and (40,8,8), a block of k columns
-    # did not converge in 25 steps, 2k took 5-8 steps, and 3k took 3-6
-    # steps but was slower on 5 of the 6.  The start block is fixed for
-    # run-to-run determinism.
+    # only through the sparse R from here on.  Pair i converges at the
+    # rate (lambda_i + shift) / (lambda_{width+1} + shift).  With all k
+    # pairs tested, on two draws each of (20,8,4), (50,10,5) and (40,8,8),
+    # a block of k columns did not converge in 25 steps, 2k took 5-8
+    # steps, and 3k took 3-6 steps but was slower on 5 of the 6.  The
+    # start block is fixed for run-to-run determinism.
     width = min(nrows, 2 * k)
     X = np.random.default_rng(0x5EED).standard_normal((nrows, width)).astype(R.dtype)
     theta, X = _rayleigh_ritz(RH, scipy.linalg.cho_solve(factor, X, check_finite=False))
     for _ in range(EIGS_MAXITER):
         Y = scipy.linalg.cho_solve(factor, X, check_finite=False)
-        # Y holds F^{-1} x_i: the k smallest Ritz pairs are done once they
-        # are eigenpairs of F^{-1} to relative tolerance EIGS_TOL.  The
-        # pairs returned come from Y, one step further on at no extra
-        # solve: on a (12,7,3) draw the tested pairs were 2.4e-8 from the
-        # SVD nullspace, and those from Y 2e-12
-        mu = 1.0 / (theta[:k] + shift)
-        resid = np.linalg.norm(Y[:, :k] - X[:, :k] * mu, axis=0)
-        done = np.all(resid <= EIGS_TOL * np.abs(mu))
+        # Y holds F^{-1} x_i, and a Ritz pair is converged once it is an
+        # eigenpair of F^{-1} to a relative residual.  Only what the
+        # result reads is tested: the r returned vectors at EIGS_TOL, and
+        # theta_{r+1}, which the gap test reads, at EIGS_TOL ** 0.5,
+        # because a Ritz value's error is quadratic in its residual
+        # (Parlett, The Symmetric Eigenvalue Problem, ch. 11).  Pairs r+2
+        # to k are not read; on (40,8,8) they sit in a cluster, and testing
+        # them took 8 solves instead of 4.  The pairs returned come from
+        # Y, one step further on at no extra solve: on a (12,7,3) draw the
+        # tested pairs were 2.4e-8 from the SVD nullspace, and those from
+        # Y 2e-12
+        mu = 1.0 / (theta[:r + 1] + shift)
+        resid = np.linalg.norm(Y[:, :r + 1] - X[:, :r + 1] * mu, axis=0)
+        resid /= np.abs(mu)
+        done = np.all(resid[:r] <= EIGS_TOL) and resid[r] <= EIGS_TOL ** 0.5
         theta, X = _rayleigh_ritz(RH, Y)
         if done:
             break

@@ -7,15 +7,15 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .bigraded import select_degree
+from .bigraded import hilbert_dim, select_degree
 from .config import NEWTON_RCOND, RANK_REL, SOLVE_GAP, DecomposeOptions
 from .errors import (AmbiguousKernel, CpdError, RankDeficientKR, RankOutOfRange,
                      SingularJacobian)
 from .linalg import khatri_rao
 from .normalform import (multiplication_matrices, pencil_prenormal,
                          prenormal_general, simultaneous_diagonalize)
-from .polysys import (build_resultant, evaluate, jacobian, kernel_flattening,
-                      left_nullspace)
+from .polysys import (build_resultant, check_dense_fits, evaluate, jacobian,
+                      kernel_flattening, left_nullspace)
 from .tensors import (REAL, CPDecomposition, DenseTensor, add_noise,
                       backward_error, choose_grouping, flatten_mode1,
                       rank1_factorization, reshape_group, st_hosvd)
@@ -210,6 +210,10 @@ def _decompose_order3(t, r, options, rng, timings, info, tracker):
         with _stage(timings, "multiplication", tracker):
             pnf = pencil_prenormal(flat, r, (mc, nc), rng=rng)
     else:
+        # the cokernel needs a dense rows x rows buffer; when that cannot
+        # fit, fail before the shift matrix is built
+        tracker["current"] = "cokernel"
+        check_dense_fits(hilbert_dim(system.m, system.n, *degree), system.coeffs.dtype)
         with _stage(timings, "resultant", tracker):
             res = build_resultant(system, degree)
         with _stage(timings, "cokernel", tracker):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from cpdhnf import polysys
 from cpdhnf.cli import main
 
 
@@ -110,6 +111,16 @@ class TestDecompose:
 
         monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", no_memory)
         monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", no_memory)
+        assert run(["decompose", "--input", str(tensor), "--rank", "12"]) == 1
+        err = capsys.readouterr().err
+        assert "error[cokernel]: InsufficientMemory" in err
+        assert "Traceback" not in err
+
+    def test_cokernel_plan_check_exit_code(self, tmp_path, capsys, monkeypatch):
+        tensor = tmp_path / "t.txt"
+        run(["generate", "--dims", "12,7,3", "--rank", "12", "--seed", "3",
+             "--output", str(tensor)])
+        monkeypatch.setattr(polysys, "_physical_memory", lambda: 1)
         assert run(["decompose", "--input", str(tensor), "--rank", "12"]) == 1
         err = capsys.readouterr().err
         assert "error[cokernel]: InsufficientMemory" in err

@@ -167,6 +167,24 @@ class TestLeftNullspace:
         assert len(calls) == 1
         assert subspace_distance(n_eigs, left_nullspace(res, 24, method="svd")) <= 1e-8
 
+    def test_block_iteration_steps(self, monkeypatch):
+        """(20, 8, 4) r=20 at (4, 1), exact: the iteration stops once the
+        pairs the result reads have converged.  Testing all r+3 pairs took
+        5 solves here; the cap is this instance's measured count."""
+        t, _ = random_cpd((20, 8, 4), 20, seed=7)
+        system = kernel_flattening(flatten_mode1(t), 20, (8, 4))
+        res = build_resultant(system, (4, 1))
+        calls = []
+        cho_solve = scipy.linalg.cho_solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cho_solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", counting)
+        polysys._nullspace_eigs(res, 20)
+        assert len(calls) <= 4
+
     def test_rejects_empty(self):
         empty = BilinearSystem(np.empty((0, 2, 2)))
         with pytest.raises(ValueError):
@@ -218,7 +236,8 @@ class TestBlockIterationAgainstShiftInvert:
         ((50, 10, 5), 30, (3, 1), COMPLEX, None),
         ((50, 10, 5), 30, (3, 1), REAL, -5),
     ])
-    def test_same_subspace_and_gap_decision(self, shape, r, degree, scalars, e):
+    def test_same_subspace_and_gap_decision(self, shape, r, degree, scalars, e,
+                                            monkeypatch):
         t, _ = random_cpd(shape, r, seed=7, scalars=scalars)
         t = add_noise(t, e, seed=8)
         with warnings.catch_warnings():
@@ -227,11 +246,25 @@ class TestBlockIterationAgainstShiftInvert:
             system = kernel_flattening(flatten_mode1(t), r, shape[1:])
         res = build_resultant(system, degree)
         reference = shift_invert_reference(res, r)
+        thetas = []
+        rayleigh_ritz = polysys._rayleigh_ritz
+
+        def recording(RH, Y):
+            theta, X = rayleigh_ritz(RH, Y)
+            thetas.append(theta)
+            return theta, X
+
+        monkeypatch.setattr(polysys, "_rayleigh_ritz", recording)
         try:
             block = polysys._nullspace_eigs(res, r)
         except CorankMismatch:
             block = None
         assert (block is None) == (reference is None)
+        # theta_{r+1}, which the gap test reads, is tested only at
+        # EIGS_TOL ** 0.5; its error is quadratic in that residual
+        sv = np.linalg.svd(res.toarray(), compute_uv=False)
+        gram_eigs = np.sort(np.concatenate([sv ** 2, np.zeros(res.shape[0] - len(sv))]))
+        assert abs(thetas[-1][r] - gram_eigs[r]) <= 1e-6 * gram_eigs[r]
         if e is None:
             assert subspace_distance(block, reference) <= 1e-8
             for wrong in (r - 1, r + 1):

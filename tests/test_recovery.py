@@ -10,7 +10,7 @@ from cpdhnf import (AmbiguousKernel, BilinearSystem, CorankMismatch,
                     cpd_eval, decompose, decompose_with_info, evaluate,
                     flatten_mode1, hilbert_from_points, kernel_flattening,
                     newton_refine, polysys, random_config, random_cpd,
-                    rank_bound, solve_alpha, solve_gamma)
+                    rank_bound, recovery, solve_alpha, solve_gamma)
 from cpdhnf.linalg import factor_set_distance
 
 from conftest import GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_GAMMAS
@@ -314,6 +314,40 @@ class TestCokernelFallback:
         assert exc.value.stage == "cokernel"
         assert exc.value.nbytes == 252 * 252 * 8
         assert "252 x 252" in str(exc.value)
+
+
+class TestPlanMemoryCheck:
+    """(12, 7, 3) at rank 12 and degree (3, 1) has 252 shift-matrix rows, so
+    the cokernel needs a dense 252 x 252 float64 buffer."""
+
+    NBYTES = 252 * 252 * 8
+
+    def _decompose(self, monkeypatch, memory):
+        t, _ = random_cpd((12, 7, 3), 12, seed=52)
+        built = []
+
+        def recording(system, degree):
+            built.append(degree)
+            return build_resultant(system, degree)
+
+        monkeypatch.setattr(polysys, "_physical_memory", lambda: memory)
+        monkeypatch.setattr(recovery, "build_resultant", recording)
+        return lambda: decompose(t, 12, DecomposeOptions(seed=1)), built
+
+    def test_fails_before_the_shift_matrix(self, monkeypatch):
+        run, built = self._decompose(monkeypatch, self.NBYTES - 1)
+        with pytest.raises(InsufficientMemory) as exc:
+            run()
+        assert built == []
+        assert exc.value.stage == "cokernel"
+        assert exc.value.nbytes == self.NBYTES
+        assert "252 x 252" in str(exc.value)
+
+    @pytest.mark.parametrize("memory", [NBYTES, None])
+    def test_runs_when_it_fits_or_is_unknown(self, monkeypatch, memory):
+        run, built = self._decompose(monkeypatch, memory)
+        run()
+        assert built == [(3, 1)]
 
 
 class TestDegreeGuards:
