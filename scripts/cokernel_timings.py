@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Cold and warm timings of the cokernel stage on the nf-cokernel shapes.
+"""Cold and warm stage timings on the nf-cokernel shapes.
 
 Each shape runs in a fresh process with one BLAS thread.  The process
 decomposes the exact instances ``random_cpd(shape, r, seed)`` of every
 seed once (the first of these calls also fills lazy caches), then
 ``--repeats`` more times warm.  Prints one JSON object with, per shape,
 the shift-matrix size, the first calls, the warm medians of the whole
-``decompose_with_info`` call and of ``stage_timings_ms["cokernel"]``, the
-median number of ``scipy.linalg.cho_solve`` calls per decomposition (the
+``decompose_with_info`` call and of every stage in ``stage_timings_ms``,
+the median number of ``scipy.linalg.cho_solve`` calls per decomposition (the
 steps of the cokernel's block iteration, counting its start block), and
 the process's peak resident memory.  The package is imported from the
 ``src`` directory next to this script, so a copy of the script in another
@@ -45,7 +45,7 @@ def measure(shape, r, seeds, repeats):
 
     scipy.linalg.cho_solve = counting
     tensors = [random_cpd(shape, r, seed=s)[0] for s in seeds]
-    cold, warm_total, warm_cokernel, steps = [], [], [], []
+    cold, warm_total, warm_stages, steps = [], [], {}, []
     info = None
     for rep in range(repeats + 1):
         for t in tensors:
@@ -59,7 +59,8 @@ def measure(shape, r, seeds, repeats):
                              "cokernel_ms": info["stage_timings_ms"]["cokernel"]})
             else:
                 warm_total.append(total_ms)
-                warm_cokernel.append(info["stage_timings_ms"]["cokernel"])
+                for stage, ms in info["stage_timings_ms"].items():
+                    warm_stages.setdefault(stage, []).append(ms)
     m, n = shape[1] - 1, shape[2] - 1
     d, e = info["degree_used"]
     return {
@@ -70,7 +71,8 @@ def measure(shape, r, seeds, repeats):
         "cold_first_calls": cold,
         "warm_runs": len(warm_total),
         "warm_median_total_ms": round(statistics.median(warm_total), 1),
-        "warm_median_cokernel_ms": round(statistics.median(warm_cokernel), 1),
+        "warm_median_stage_ms": {stage: round(statistics.median(ms), 2)
+                                 for stage, ms in warm_stages.items()},
         "median_cho_solve_calls": statistics.median(steps),
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }

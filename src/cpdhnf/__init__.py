@@ -12,8 +12,7 @@ from .errors import (AmbiguousKernel, BasisDeficient, ConfigNotInW,
                      SingularJacobian)
 from .linalg import factor_set_distance, khatri_rao, match_columns
 from .polysys import (BilinearSystem, ResultantMatrix, build_resultant,
-                      dump_matrixmarket, evaluate, jacobian, kernel_flattening,
-                      left_nullspace)
+                      evaluate, jacobian, kernel_flattening, left_nullspace)
 from .normalform import (MultiplicationFamily, PreNormalForm, choose_basis,
                          make_h0, multiplication_matrices, pencil_prenormal,
                          prenormal_general, shifted_submatrix,

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
@@ -34,7 +33,15 @@ class BilinearSystem:
     coeffs: np.ndarray  # shape (s, m+1, n+1)
 
     def __post_init__(self):
-        self.coeffs = np.atleast_3d(np.asarray(self.coeffs))
+        coeffs = np.asarray(self.coeffs)
+        if coeffs.ndim == 2:
+            coeffs = coeffs[None]  # a single form
+        if coeffs.ndim != 3:
+            raise ValueError(
+                f"coefficients must have shape (s, m+1, n+1) or (m+1, n+1), "
+                f"got {coeffs.shape}"
+            )
+        self.coeffs = coeffs
 
     @property
     def s(self):
@@ -157,11 +164,6 @@ def build_resultant(system, degree):
         (vals, (row_idx, col_idx)), shape=(nrows, s * nshift)
     ).tocsc()
     return ResultantMatrix(Bidegree(d, e), m, n, s, mat)
-
-
-def dump_matrixmarket(res, path):
-    """Debug dump in MatrixMarket coordinate format."""
-    scipy.io.mmwrite(path, res.matrix.tocoo())
 
 
 def left_nullspace(res, r, method="auto"):
@@ -321,12 +323,7 @@ def _nullspace_eigs(res, r):
         )
     small, nxt = np.abs(theta[:r]).max(), abs(theta[r])
     if small == 0 or nxt / small >= SEP_RATIO ** 2:
-        N = X[:, :r].conj().T
-        if not np.iscomplexobj(R.data):
-            # real input: continue with the real part of the nullspace
-            N = np.real(N)
-            N = np.linalg.qr(N.T)[0].T
-        return N
+        return X[:, :r].conj().T
     raise CorankMismatch(
         f"Gram eigenvalues {nxt:.3e} / {small:.3e} not separated by "
         f"{SEP_RATIO ** 2:.0e}: corank differs from {r}"

@@ -64,32 +64,18 @@ def solve_gamma(system, beta):
     return vh[-1, :].conj()
 
 
-def _pinv_apply(J, res, rcond):
-    u, sv, vh = np.linalg.svd(J, full_matrices=False)
-    cutoff = rcond * sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > cutoff))
-    coeff = (u.conj().T @ res)[:rank] / sv[:rank]
-    return vh[:rank, :].conj().T @ coeff, rank
-
-
-def _orth_complement(v):
-    """Orthonormal basis of the hyperplane orthogonal to the unit vector v."""
-    dim = v.shape[0]
-    q = np.linalg.qr(np.column_stack([v, np.eye(dim)]))[0]
-    return q[:, 1:dim]
-
-
 def newton_refine(system, beta, gamma, iters=3):
     """Gauss-Newton refinement of an approximate simple zero.
 
-    The forms are bihomogeneous, so the raw Jacobian maps both scaling
-    directions onto the residual (Euler's relation) and a naive step merely
-    rescales the point.  Steps are therefore taken in the product of affine
-    charts: the Jacobian restricted to the directions orthogonal to the
-    current point, applied via its pseudo-inverse.  On that chart the
-    restricted Jacobian has full rank exactly when the zero is simple.  A
-    step is only accepted if the residual does not increase, keeping
-    refinement monotone.
+    The forms are bihomogeneous, so by Euler's relation the Jacobian J maps
+    both scaling directions (b, 0) and (0, g) onto the residual, and a
+    naive step merely rescales the point.  Each step therefore solves with
+    the projected Jacobian J - res [b; g]^H, which is J restricted to the
+    directions orthogonal to the current unit point, by least squares with
+    singular values below NEWTON_RCOND * sigma_1 cut off: the projective
+    Newton step.  The projected Jacobian has rank m + n exactly when the
+    zero is simple.  A step is only accepted if the residual does not
+    increase, keeping refinement monotone.
     """
     b = np.asarray(beta) / np.linalg.norm(beta)
     g = np.asarray(gamma) / np.linalg.norm(gamma)
@@ -102,19 +88,12 @@ def newton_refine(system, beta, gamma, iters=3):
     for _ in range(iters):
         if rnorm <= floor:
             break
-        J = jacobian(system, b, g)
-        ub = _orth_complement(b)
-        ug = _orth_complement(g)
-        chart = np.block([
-            [ub, np.zeros((system.m + 1, system.n), dtype=ug.dtype)],
-            [np.zeros((system.n + 1, system.m), dtype=ub.dtype), ug],
-        ])
-        step, rank = _pinv_apply(J @ chart, res, NEWTON_RCOND)
+        J = jacobian(system, b, g) - np.outer(res, np.concatenate([b, g]).conj())
+        delta, _, rank, _ = np.linalg.lstsq(J, res, rcond=NEWTON_RCOND)
         if rank < needed:
             raise SingularJacobian(
                 f"chart Jacobian rank {rank} < {needed}: zero is not simple"
             )
-        delta = chart @ step
         nb = b - delta[: system.m + 1]
         ng = g - delta[system.m + 1:]
         nb /= np.linalg.norm(nb)

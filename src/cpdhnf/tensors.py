@@ -241,8 +241,6 @@ def choose_grouping(shape, r):
             continue
         seen.add(ordered)
         l1, m1, n1 = (math.prod(shape[i - 1] for i in p) for p in ordered)
-        if r > min(l1, (m1 - 1) * (n1 - 1)):
-            continue
         try:
             plan = select_degree(m1 - 1, n1 - 1, r, l1 - 1)
         except RankOutOfRange:

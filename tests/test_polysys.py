@@ -2,15 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.linalg
 import scipy.sparse.linalg
 
 from cpdhnf import (COMPLEX, REAL, BilinearSystem, CorankMismatch,
-                    FlatteningRankMismatch, build_resultant,
-                    dump_matrixmarket, evaluate, flatten_mode1, jacobian,
-                    kernel_flattening, left_nullspace, monomial_basis, polysys,
-                    random_cpd)
+                    FlatteningRankMismatch, build_resultant, evaluate,
+                    flatten_mode1, jacobian, kernel_flattening, left_nullspace,
+                    monomial_basis, polysys, random_cpd)
 from cpdhnf.config import EIGS_MAXITER, EIGS_TOL, SEP_RATIO
 from cpdhnf.linalg import subspace_distance
 from cpdhnf.tensors import add_noise
@@ -27,6 +25,19 @@ def system_from_points(m, n, r, seed=0):
     w = (betas.T[:, :, None] * gammas.T[:, None, :]).reshape(r, -1)
     kernel = np.linalg.svd(w, full_matrices=True)[2][r:].conj()
     return BilinearSystem(kernel.reshape(-1, m + 1, n + 1)), betas, gammas
+
+
+class TestBilinearSystem:
+    def test_single_form_gets_a_leading_axis(self):
+        f = np.arange(12.0).reshape(3, 4)
+        system = BilinearSystem(f)
+        assert (system.s, system.m, system.n) == (1, 2, 3)
+        assert np.array_equal(system.coeffs[0], f)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4, 5)])
+    def test_other_ndim_rejected(self, shape):
+        with pytest.raises(ValueError):
+            BilinearSystem(np.zeros(shape))
 
 
 class TestKernelFlattening:
@@ -260,6 +271,10 @@ class TestBlockIterationAgainstShiftInvert:
         except CorankMismatch:
             block = None
         assert (block is None) == (reference is None)
+        if block is not None:
+            # orthonormal rows, real for real input
+            assert np.linalg.norm(block @ block.conj().T - np.eye(r)) <= 1e-12
+            assert np.isrealobj(block) == np.isrealobj(res.matrix.data)
         # theta_{r+1}, which the gap test reads, is tested only at
         # EIGS_TOL ** 0.5; its error is quadratic in that residual
         sv = np.linalg.svd(res.toarray(), compute_uv=False)
@@ -303,12 +318,3 @@ class TestEvaluateJacobian:
         direct = evaluate(golden_system, beta, gamma)
         swapped = evaluate(golden_system.transposed(), gamma, beta)
         assert np.allclose(direct, swapped)
-
-
-class TestMatrixMarketDump:
-    def test_round_trip(self, golden_system, tmp_path):
-        res = build_resultant(golden_system, (2, 1))
-        path = tmp_path / "resultant.mtx"
-        dump_matrixmarket(res, path)
-        back = scipy.io.mmread(path)
-        assert np.array_equal(back.toarray(), res.toarray())

@@ -3,14 +3,15 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from cpdhnf import (AmbiguousKernel, BilinearSystem, CorankMismatch,
-                    CPDecomposition, DecomposeOptions, Grouping,
+from cpdhnf import (COMPLEX, REAL, AmbiguousKernel, BilinearSystem,
+                    CorankMismatch, CPDecomposition, DecomposeOptions, Grouping,
                     InsufficientMemory, RankDeficientKR, RankOutOfRange,
                     SingularJacobian, backward_error, build_resultant,
                     cpd_eval, decompose, decompose_with_info, evaluate,
-                    flatten_mode1, hilbert_from_points, kernel_flattening,
-                    newton_refine, polysys, random_config, random_cpd,
-                    rank_bound, recovery, solve_alpha, solve_gamma)
+                    flatten_mode1, hilbert_from_points, jacobian,
+                    kernel_flattening, newton_refine, polysys, random_config,
+                    random_cpd, rank_bound, recovery, solve_alpha, solve_gamma)
+from cpdhnf.config import NEWTON_RCOND
 from cpdhnf.linalg import factor_set_distance
 
 from conftest import GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_GAMMAS
@@ -87,6 +88,51 @@ class TestNewtonRefine:
         rng = np.random.default_rng(2)
         with pytest.raises(SingularJacobian):
             newton_refine(system, rng.standard_normal(4), rng.standard_normal(4))
+
+
+def chart_step_reference(system, beta, gamma):
+    """One refinement step in product-of-charts coordinates: the Jacobian
+    restricted to QR bases of the hyperplanes orthogonal to the unit point,
+    applied through an SVD pseudo-inverse cut at NEWTON_RCOND * sigma_1."""
+    def complement(v):
+        return np.linalg.qr(np.column_stack([v, np.eye(v.shape[0])]))[0][:, 1:]
+
+    b = beta / np.linalg.norm(beta)
+    g = gamma / np.linalg.norm(gamma)
+    res = evaluate(system, b, g)
+    chart = scipy.linalg.block_diag(complement(b), complement(g))
+    u, sv, vh = np.linalg.svd(jacobian(system, b, g) @ chart, full_matrices=False)
+    rank = int(np.sum(sv > NEWTON_RCOND * sv[0]))
+    delta = chart @ (vh[:rank].conj().T @ ((u.conj().T @ res)[:rank] / sv[:rank]))
+    nb, ng = b - delta[:system.m + 1], g - delta[system.m + 1:]
+    return nb / np.linalg.norm(nb), ng / np.linalg.norm(ng)
+
+
+class TestNewtonStepAgainstCharts:
+    """The projected-Jacobian step against the product-of-charts step."""
+
+    @pytest.mark.parametrize("shape, r", [((10, 6, 4), 8), ((12, 7, 3), 12),
+                                          ((8, 5, 5), 8)])
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    def test_one_step_matches(self, shape, r, scalars):
+        t, dec = random_cpd(shape, r, seed=40, scalars=scalars)
+        system = kernel_flattening(flatten_mode1(t), r, shape[1:])
+        rng = np.random.default_rng(41)
+        for i in range(r):
+            for scale in (1e-2, 1e-4, 1e-6):
+                b, g = (f[:, i] + scale * rng.standard_normal(f.shape[0])
+                        for f in dec.factors[1:])
+                if scalars == COMPLEX:
+                    b = b + 1j * scale * rng.standard_normal(b.shape)
+                    g = g + 1j * scale * rng.standard_normal(g.shape)
+                pre = np.linalg.norm(evaluate(system, b / np.linalg.norm(b),
+                                              g / np.linalg.norm(g)))
+                nb, ng = newton_refine(system, b, g, iters=1)
+                rb, rg = chart_step_reference(system, b, g)
+                # the step was taken, not rejected by the monotone rule
+                assert np.linalg.norm(evaluate(system, nb, ng)) < pre
+                assert np.linalg.norm(nb - rb) <= 1e-13
+                assert np.linalg.norm(ng - rg) <= 1e-13
 
 
 class TestSolveAlpha:
