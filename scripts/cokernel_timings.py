@@ -13,11 +13,20 @@ the process's peak resident memory.  The package is imported from the
 ``src`` directory next to this script, so a copy of the script in another
 checkout measures that checkout.
 
+``--crossover`` instead times ``left_nullspace`` by ``svd`` and by ``eigs``
+on the shift matrix of every normal-form instance of the perfbench
+``nf-small`` workload, plus (12,7,3) r=12 and (50,10,5) r=20, drawn with
+the first seed: the warm median of ``--repeats`` calls after one cold call,
+in one fresh process with one BLAS thread.  The entry count where ``eigs``
+becomes the faster method sets ``EIGS_ENTRY_THRESHOLD``.
+
     python3 scripts/cokernel_timings.py --seeds 101,102,103,104,105 --repeats 3
+    python3 scripts/cokernel_timings.py --crossover --seeds 101 --repeats 7
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import resource
@@ -78,14 +87,58 @@ def measure(shape, r, seeds, repeats):
     }
 
 
+def crossover(seed, repeats):
+    sys.path.insert(0, str(ROOT / "src"))
+    from cpdhnf import (DecomposeOptions, decompose_with_info, left_nullspace,
+                        random_cpd, rank_bound, recovery)
+
+    cases = []
+    for m1 in range(2, 9):
+        for n1 in range(2, m1 + 1):
+            r = math.floor(min(rank_bound(m1 - 1, n1 - 1, 2, 1), (m1 - 1) * (n1 - 1)))
+            if r > m1:
+                cases.append(((r, m1, n1), r))
+    cases += [((12, 7, 3), 12), ((50, 10, 5), 20)]
+    built = []
+    build = recovery.build_resultant
+
+    def recording(system, degree):
+        built.append(build(system, degree))
+        return built[-1]
+
+    recovery.build_resultant = recording
+    rows = []
+    for shape, r in cases:
+        built.clear()
+        decompose_with_info(random_cpd(shape, r, seed=seed)[0], r, DecomposeOptions(kernel="svd"))
+        res = built[0]
+        row = {"shape": list(shape), "rank": r, "shift_matrix": list(res.shape),
+               "entries": res.shape[0] * res.shape[1]}
+        for method in ("svd", "eigs"):
+            times = []
+            for _ in range(repeats + 1):
+                t0 = time.perf_counter()
+                left_nullspace(res, r, method)
+                times.append(1e3 * (time.perf_counter() - t0))
+            row[f"{method}_ms"] = round(statistics.median(times[1:]), 2)
+        rows.append(row)
+    return sorted(rows, key=lambda row: row["entries"])
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", default="101,102,103,104,105")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--shape", default=None, help="measure one shape in this process")
+    parser.add_argument("--crossover", action="store_true",
+                        help="time svd against eigs on the nf-small shift matrices")
+    parser.add_argument("--in-process", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     seeds = [int(tok) for tok in args.seeds.split(",")]
 
+    if args.crossover and args.in_process:
+        print(json.dumps(crossover(seeds[0], args.repeats)))
+        return 0
     if args.shape:
         shape = tuple(int(tok) for tok in args.shape.split(","))
         print(json.dumps(measure(shape, SHAPES[args.shape], seeds, args.repeats)))
@@ -93,6 +146,17 @@ def main():
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
+    if args.crossover:
+        proc = subprocess.run(
+            [sys.executable, __file__, "--crossover", "--in-process", "--seeds",
+             args.seeds, "--repeats", str(args.repeats)],
+            env=env, stdout=subprocess.PIPE, text=True, check=True,
+        )
+        print(json.dumps({"seed": seeds[0], "repeats": args.repeats, "blas_threads": 1,
+                          "machine": platform.machine(),
+                          "python": platform.python_version(),
+                          "cases": json.loads(proc.stdout)}, indent=1))
+        return 0
     shapes = {}
     for name in SHAPES:
         proc = subprocess.run(

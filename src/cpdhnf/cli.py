@@ -80,6 +80,8 @@ def cmd_decompose(args):
         "degree_used": list(info["degree_used"]),
         "path": info["path"],
         "backward_error": info["backward_error"],
+        "alpha_residual": info["alpha_residual"],
+        "basis_cond": info.get("basis_cond"),
         "stage_timings_ms": info["stage_timings_ms"],
         "factors": _factor_payload(dec.factors),
         "seed": args.seed,

@@ -1,8 +1,8 @@
 """Exception hierarchy for the decomposition pipeline.
 
 Every error raised by the pipeline derives from :class:`CpdError`.  The
-``stage`` attribute is filled in by the top-level driver so that callers
-(and the CLI) can report where a failure happened.
+``stage`` attribute is filled in by the driver's stage that raised it so
+that callers (and the CLI) can report where a failure happened.
 """
 
 

@@ -20,49 +20,44 @@ def khatri_rao(factors):
     return out
 
 
+def _column_scales(M, rel=1e-12):
+    """Per-column scale of the output normalization convention.
+
+    The scale of a column is its 2-norm times the phase of its leading
+    entry, the first entry above ``rel`` times the column's largest
+    magnitude; dividing by it leaves unit norm and a real positive leading
+    entry.  A zero column has scale 1.
+    """
+    M = np.asarray(M)
+    mag = np.abs(M)
+    cols = np.arange(M.shape[1])
+    rows = np.argmax(mag > rel * mag.max(axis=0), axis=0)
+    lead, lead_mag = M[rows, cols], mag[rows, cols]
+    scale = np.linalg.norm(M, axis=0) * lead / np.where(lead_mag > 0, lead_mag, 1)
+    return np.where(scale == 0, 1, scale)
+
+
 def normalize_columns(factors):
     """Apply the output normalization convention to a CPD factor list.
 
-    Columns of every factor except the first get unit 2-norm and a real
-    nonnegative leading (first non-negligible) entry; all scales and phases
-    are absorbed into the first factor's columns.
+    Columns of every factor except the first are divided by their
+    :func:`_column_scales`, and the scales are absorbed into the first
+    factor's columns.
     """
-    factors = [np.array(f) for f in factors]
-    r = factors[0].shape[1]
+    factors = [np.asarray(f) for f in factors]
     for k in range(1, len(factors)):
-        for i in range(r):
-            col = factors[k][:, i]
-            nrm = np.linalg.norm(col)
-            if nrm == 0:
-                continue
-            col /= nrm
-            lead = _leading_entry(col)
-            phase = lead / abs(lead) if lead != 0 else 1.0
-            col /= phase
-            factors[k][:, i] = col
-            factors[0][:, i] *= nrm * phase
+        scale = _column_scales(factors[k])
+        factors[k] = factors[k] / scale
+        factors[0] = factors[0] * scale
     return factors
-
-
-def _leading_entry(v, rel=1e-12):
-    cutoff = rel * np.max(np.abs(v))
-    for x in v:
-        if abs(x) > cutoff:
-            return x
-    return v[0]
 
 
 def unitize(v):
     """Unit 2-norm copy of v with real nonnegative leading entry."""
     v = np.asarray(v, dtype=complex if np.iscomplexobj(v) else float)
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
+    if not np.any(v):
         raise ValueError("zero vector")
-    v = v / nrm
-    lead = _leading_entry(v)
-    if lead != 0:
-        v = v / (lead / abs(lead))
-    return v
+    return v / _column_scales(v[:, None])[0]
 
 
 def subspace_distance(A, B):

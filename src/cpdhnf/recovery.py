@@ -125,11 +125,16 @@ def solve_alpha(flat, betas, gammas):
 
 
 @contextmanager
-def _stage(timings, name, tracker=None):
-    if tracker is not None:
-        tracker["current"] = name
+def _stage(timings, name):
+    """Time the block under ``name``; a CpdError raised in it without a
+    stage is tagged with ``name`` (an inner stage tags first)."""
     start = time.perf_counter()
-    yield
+    try:
+        yield
+    except CpdError as exc:
+        if exc.stage is None:
+            exc.stage = name
+        raise
     timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start) * 1e3
 
 
@@ -154,27 +159,29 @@ def _resolve_degree(options, r, mc, nc, lc):
     return (d, e), "normal-form", False
 
 
-def _decompose_order3(t, r, options, rng, timings, info, tracker):
+def _decompose_order3(t, r, options, rng, timings, info):
+    """Rank-r candidates for an order-3 tensor, as (factors, alpha residual)
+    pairs; the residual is None on the rank-1 path, which fits no alphas."""
     l1, m1, n1 = t.shape
-    tracker["current"] = "validation"
-    if r > min(l1, (m1 - 1) * (n1 - 1)):
-        raise RankOutOfRange(
-            f"rank {r} exceeds min(l+1, m*n) = {min(l1, (m1 - 1) * (n1 - 1))} "
-            f"for shape {t.shape}"
-        )
+    with _stage(timings, "validation"):
+        if r > min(l1, (m1 - 1) * (n1 - 1)):
+            raise RankOutOfRange(
+                f"rank {r} exceeds min(l+1, m*n) = {min(l1, (m1 - 1) * (n1 - 1))} "
+                f"for shape {t.shape}"
+            )
 
-    with _stage(timings, "compression", tracker):
+    with _stage(timings, "compression"):
         targets = (min(l1, r), min(m1, r), min(n1, r))
         core, us = st_hosvd(t, targets)
     if r == 1:
         info["degree_used"] = (1, 1)
         info["path"] = "rank-1"
         scale = core.data.reshape(())
-        return [[us[0] * scale, us[1].copy(), us[2].copy()]]
+        return [([us[0] * scale, us[1].copy(), us[2].copy()], None)]
 
     lc, mc, nc = core.shape
-    tracker["current"] = "degree"
-    degree, path, swap = _resolve_degree(options, r, mc, nc, lc)
+    with _stage(timings, "degree"):
+        degree, path, swap = _resolve_degree(options, r, mc, nc, lc)
     if swap:
         core = DenseTensor(core.data.transpose(0, 2, 1), core.scalars)
         mc, nc = nc, mc
@@ -182,27 +189,27 @@ def _decompose_order3(t, r, options, rng, timings, info, tracker):
     info["path"] = path
 
     flat = flatten_mode1(core)
-    with _stage(timings, "kernel", tracker):
+    with _stage(timings, "kernel"):
         system = kernel_flattening(flat, r, (mc, nc))
 
     if path == "pencil":
-        with _stage(timings, "multiplication", tracker):
+        with _stage(timings, "multiplication"):
             pnf = pencil_prenormal(flat, r, (mc, nc), rng=rng)
     else:
-        # the cokernel needs a dense rows x rows buffer; when that cannot
-        # fit, fail before the shift matrix is built
-        tracker["current"] = "cokernel"
-        check_dense_fits(hilbert_dim(system.m, system.n, *degree), system.coeffs.dtype)
-        with _stage(timings, "resultant", tracker):
+        with _stage(timings, "cokernel"):
+            # the cokernel needs a dense rows x rows buffer; when that cannot
+            # fit, fail before the shift matrix is built
+            check_dense_fits(hilbert_dim(system.m, system.n, *degree), system.coeffs.dtype)
+        with _stage(timings, "resultant"):
             res = build_resultant(system, degree)
-        with _stage(timings, "cokernel", tracker):
+        with _stage(timings, "cokernel"):
             N = left_nullspace(res, r, options.kernel)
-        with _stage(timings, "multiplication", tracker):
+        with _stage(timings, "multiplication"):
             pnf = prenormal_general(N, mc - 1, nc - 1, degree, rng=rng)
-    with _stage(timings, "multiplication", tracker):
+    with _stage(timings, "multiplication"):
         info["basis_cond"] = pnf.cond
         family = multiplication_matrices(pnf)
-    with _stage(timings, "diagonalization", tracker):
+    with _stage(timings, "diagonalization"):
         coords = simultaneous_diagonalize(family, rng=rng)
     if t.scalars == REAL:
         coords = coords.real
@@ -210,41 +217,37 @@ def _decompose_order3(t, r, options, rng, timings, info, tracker):
     # the eigenvalues give the points on the family's side; the forms
     # restricted to each point give the other side
     other = system if family.axis == "x" else system.transposed()
-    with _stage(timings, "recovery", tracker):
+    with _stage(timings, "recovery"):
         known = coords / [np.linalg.norm(c) for c in coords.T]
         solved = np.empty((other.n + 1, r), dtype=coords.dtype)
         for i in range(r):
             solved[:, i] = solve_gamma(other, known[:, i])
     betas, gammas = (known, solved) if family.axis == "x" else (solved, known)
 
+    # the unrefined points stay a candidate, so that refinement can never
+    # degrade the returned fit
     point_sets = [(betas, gammas)]
     if options.newton_iters > 0:
-        with _stage(timings, "refinement", tracker):
+        with _stage(timings, "refinement"):
             refined_b, refined_g = betas.copy(), gammas.copy()
             for i in range(r):
                 b, g = newton_refine(system, betas[:, i], gammas[:, i], options.newton_iters)
                 refined_b[:, i], refined_g[:, i] = b, g
-            if not (np.array_equal(refined_b, betas) and np.array_equal(refined_g, gammas)):
-                # keep the unrefined points as a fallback candidate so that
-                # refinement can never degrade the reported fit
-                point_sets = [(refined_b, refined_g), (betas, gammas)]
-            else:
-                point_sets = [(refined_b, refined_g)]
+        point_sets.insert(0, (refined_b, refined_g))
 
-    candidates = []
-    with _stage(timings, "recovery", tracker):
-        for idx, (bs, gs) in enumerate(point_sets):
+    candidates, error = [], None
+    with _stage(timings, "recovery"):
+        for bs, gs in point_sets:
             try:
                 alphas, resid = solve_alpha(flat, bs, gs)
-            except RankDeficientKR:
-                if idx == 0:
-                    raise
+            except RankDeficientKR as exc:
+                error = error or exc
                 continue
-            if idx == 0:
-                info["alpha_residual"] = resid
             if swap:
                 bs, gs = gs, bs
-            candidates.append([us[0] @ alphas, us[1] @ bs, us[2] @ gs])
+            candidates.append(([us[0] @ alphas, us[1] @ bs, us[2] @ gs], resid))
+        if not candidates:
+            raise error
     return candidates
 
 
@@ -270,45 +273,40 @@ def _ungroup_factors(factors3, grouping, r):
 def decompose_with_info(t, r, options=None):
     """Full decomposition pipeline; returns (CPDecomposition, info dict).
 
-    info carries the degree used, the path taken, per-stage timings in
-    milliseconds, and any warnings raised along the way.  Deterministic
-    for fixed options.seed.
+    info carries the degree used, the path taken, the backward error and
+    the alpha residual of the returned candidate (None on the rank-1 path),
+    the basis condition number, per-stage timings in milliseconds, and any
+    warnings raised along the way.  A CpdError carries the stage that
+    raised it.  Deterministic for fixed options.seed.
     """
     options = options or DecomposeOptions()
     rng = np.random.default_rng(options.seed)
     timings = {}
     info = {"seed": options.seed, "warnings": []}
-    tracker = {"current": "setup"}
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            if t.order < 3:
-                raise ValueError("decompose expects a tensor of order >= 3")
-            if t.order == 3:
-                candidates = _decompose_order3(t, r, options, rng, timings, info, tracker)
-            else:
-                with _stage(timings, "grouping", tracker):
-                    grouping = options.grouping or choose_grouping(t.shape, r)
-                    info["grouping"] = [list(p) for p in grouping.parts]
-                    t3 = reshape_group(t, grouping)
-                grouped = _decompose_order3(t3, r, options, rng, timings, info, tracker)
-                with _stage(timings, "recovery", tracker):
-                    candidates = [_ungroup_factors(fs, grouping, r) for fs in grouped]
-            # candidates beyond the first exist only when Newton moved the
-            # points; keep whichever fits the input best in the final metric
-            best = None
-            for fs in candidates:
-                dec = CPDecomposition(fs).normalize()
-                err = backward_error(t, dec)
-                if best is None or err < best[1]:
-                    best = (dec, err)
-            dec, err = best
-            info["backward_error"] = err
-        info["warnings"] = [str(w.message) for w in caught]
-    except CpdError as exc:
-        if exc.stage is None:
-            exc.stage = tracker["current"]
-        raise
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if t.order < 3:
+            raise ValueError("decompose expects a tensor of order >= 3")
+        if t.order == 3:
+            candidates = _decompose_order3(t, r, options, rng, timings, info)
+        else:
+            with _stage(timings, "grouping"):
+                grouping = options.grouping or choose_grouping(t.shape, r)
+                info["grouping"] = [list(p) for p in grouping.parts]
+                t3 = reshape_group(t, grouping)
+            grouped = _decompose_order3(t3, r, options, rng, timings, info)
+            with _stage(timings, "recovery"):
+                candidates = [(_ungroup_factors(fs, grouping, r), resid)
+                              for fs, resid in grouped]
+        # return whichever candidate fits the input best in the final metric
+        best = None
+        for factors, resid in candidates:
+            dec = CPDecomposition(factors).normalize()
+            err = backward_error(t, dec)
+            if best is None or err < best[1]:
+                best = (dec, err, resid)
+        dec, info["backward_error"], info["alpha_residual"] = best
+    info["warnings"] = [str(w.message) for w in caught]
     info["stage_timings_ms"] = {k: round(v, 3) for k, v in timings.items()}
     return dec, info
 

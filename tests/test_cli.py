@@ -71,6 +71,22 @@ class TestDecompose:
         b.pop("stage_timings_ms")
         assert a == b
 
+    @pytest.mark.parametrize("rank, path", [(12, "normal-form"), (1, "rank-1")])
+    def test_certificates_in_result(self, tmp_path, rank, path):
+        tensor = tmp_path / "t.txt"
+        result = tmp_path / "res.json"
+        run(["generate", "--dims", "12,7,3", "--rank", str(rank), "--seed", "3",
+             "--output", str(tensor)])
+        assert run(["decompose", "--input", str(tensor), "--rank", str(rank),
+                    "--output", str(result)]) == 0
+        res = json.loads(result.read_text())
+        assert res["path"] == path
+        if path == "rank-1":
+            assert res["alpha_residual"] is None and res["basis_cond"] is None
+        else:
+            assert 0 <= res["alpha_residual"] <= 1e-12
+            assert res["basis_cond"] >= 1
+
     def test_kernel_paths_agree(self, tmp_path):
         tensor = tmp_path / "t.txt"
         run(["generate", "--dims", "12,7,3", "--rank", "12", "--seed", "5",

@@ -227,8 +227,9 @@ class TestDecompose:
 
     def test_stage_timings_reported(self, golden_tensor):
         _, info = decompose_with_info(golden_tensor, 4)
-        for stage in ("compression", "kernel", "resultant", "cokernel",
-                      "multiplication", "diagonalization", "refinement", "recovery"):
+        for stage in ("validation", "compression", "degree", "kernel", "resultant",
+                      "cokernel", "multiplication", "diagonalization", "refinement",
+                      "recovery"):
             assert stage in info["stage_timings_ms"]
 
     def test_normalization_convention(self):
@@ -304,6 +305,92 @@ class TestNoise:
         _, pre = decompose_with_info(noisy, 10, DecomposeOptions(newton_iters=0))
         _, post = decompose_with_info(noisy, 10, DecomposeOptions(newton_iters=3))
         assert post["backward_error"] <= pre["backward_error"]
+
+
+    def test_refinement_gain_at_the_driver(self):
+        from cpdhnf.recovery import add_noise
+        t, _ = random_cpd((50, 10, 5), 30, seed=0)
+        noisy = add_noise(t, -12, seed=1)
+        _, pre = decompose_with_info(noisy, 30, DecomposeOptions(newton_iters=0))
+        _, post = decompose_with_info(noisy, 30, DecomposeOptions(newton_iters=3))
+        assert post["backward_error"] <= 0.1 * pre["backward_error"]
+
+
+class TestCandidates:
+    """The driver fits every candidate point set, refined first, and returns
+    the one with the smallest backward error together with its own alpha
+    residual."""
+
+    def _run(self, newton_iters=3):
+        t, _ = random_cpd((12, 7, 3), 12, seed=53)
+        return decompose_with_info(t, 12, DecomposeOptions(seed=2, newton_iters=newton_iters))
+
+    def test_alpha_residual_describes_the_returned_factors(self, monkeypatch):
+        unrefined, plain = self._run(newton_iters=0)
+        refine = recovery.newton_refine
+
+        def worse(system, beta, gamma, iters=3):
+            b, g = refine(system, beta, gamma, iters)
+            return b + 1e-3, g
+        monkeypatch.setattr(recovery, "newton_refine", worse)
+        dec, info = self._run()
+        assert all(np.array_equal(a, b) for a, b in zip(dec.factors, unrefined.factors))
+        assert info["backward_error"] == plain["backward_error"]
+        assert info["alpha_residual"] == plain["alpha_residual"]
+
+    def test_candidate_that_cannot_be_fitted_is_skipped(self, monkeypatch):
+        unrefined, plain = self._run(newton_iters=0)
+        fit = recovery.solve_alpha
+        calls = []
+
+        def first_fails(flat, betas, gammas):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RankDeficientKR("injected")
+            return fit(flat, betas, gammas)
+        monkeypatch.setattr(recovery, "solve_alpha", first_fails)
+        dec, info = self._run()
+        assert len(calls) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(dec.factors, unrefined.factors))
+        assert info["alpha_residual"] == plain["alpha_residual"]
+
+    def test_error_when_no_candidate_fits(self, monkeypatch):
+        messages = iter(["refined", "unrefined"])
+
+        def never_fits(flat, betas, gammas):
+            raise RankDeficientKR(next(messages))
+        monkeypatch.setattr(recovery, "solve_alpha", never_fits)
+        with pytest.raises(RankDeficientKR) as exc:
+            self._run()
+        assert exc.value.stage == "recovery"
+        assert "refined" in str(exc.value) and "unrefined" not in str(exc.value)
+
+    def test_rank_one_has_no_alpha_residual(self):
+        t, _ = random_cpd((6, 5, 4), 1, seed=40)
+        _, info = decompose_with_info(t, 1)
+        assert info["alpha_residual"] is None
+
+
+class TestStageTags:
+    def test_forced_pencil_above_its_rank_is_tagged_degree(self):
+        t, _ = random_cpd((9, 6, 5), 8, seed=54)
+        with pytest.raises(RankOutOfRange) as exc:
+            decompose(t, 8, DecomposeOptions(path="pencil"))
+        assert exc.value.stage == "degree"
+        assert str(exc.value) == "[degree] pencil degree (1, 1) needs rank <= 6, got 8"
+
+    def test_inner_stage_tags_first(self):
+        timings = {}
+        with pytest.raises(CorankMismatch) as exc:
+            with recovery._stage(timings, "outer"):
+                with recovery._stage(timings, "inner"):
+                    raise CorankMismatch("injected")
+        assert exc.value.stage == "inner"
+        with pytest.raises(CorankMismatch) as exc:
+            with recovery._stage(timings, "outer"):
+                raise CorankMismatch("injected", stage="given")
+        assert exc.value.stage == "given"
+        assert timings == {}
 
 
 class TestCokernelFallback:
