@@ -7,14 +7,17 @@ the timings dropped (only the names of the timed stages are kept), or the
 type, stage and message of the ``CpdError`` it raised.  The set covers the
 automatic degrees, forced degrees, both nullspace methods, the pencil path,
 noisy inputs, Newton off, orders 4 and 5, rank 1 and every typed failure
-the driver tags with a stage.  The package is imported from the ``src``
-directory next to this script, so a copy of the script in another checkout
-records that checkout.
+the driver tags with a stage.  It also saves a fixed set of certifier
+outcomes, which are exact: the 81 degree-2 certificates of acceptance
+criterion 5 and the Hilbert values of (m, n, r) = (6, 4, 20) at degree
+(3, 2) (seeds 0-2) and of criterion 11's (5, 5, 3) cell at degree (3, 3).
+The package is imported from the ``src`` directory next to this script, so
+a copy of the script in another checkout records that checkout.
 
 ``compare`` reads two recordings and prints which runs are identical, the
 largest relative factor difference, the backward errors of the runs that
-differ, the info keys that differ, and any error run whose type, stage or
-message changed.
+differ, the info keys that differ, any error run whose type, stage or
+message changed, and every certifier outcome that changed.
 
     python3 scripts/fingerprint.py record --output before.npz
     python3 scripts/fingerprint.py compare before.npz after.npz
@@ -22,6 +25,7 @@ message changed.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +62,9 @@ RUNS = {
 }
 SEEDS = (0, 1, 2)
 FIELDS = ("real", "complex")
+# (m, n, r, degree, configuration seed); the last is the largest Hilbert
+# value of acceptance criterion 11, a 3136 x 14553 shift matrix
+HILBERT_VALUES = [(6, 4, 20, (3, 2), seed) for seed in SEEDS] + [(5, 5, 3, (3, 3), 749800425)]
 
 
 def run_one(shape, r, fields, e, seed, scalars):
@@ -78,6 +85,22 @@ def run_one(shape, r, fields, e, seed, scalars):
     return dec.factors, info
 
 
+def certifier_outcomes():
+    from cpdhnf import certify_regularity, hilbert_from_points, random_config, rank_bound
+
+    outcomes = {}
+    for m1 in range(2, 11):
+        for n1 in range(2, 11):
+            m, n = m1 - 1, n1 - 1
+            r = math.floor(min(rank_bound(m, n, 2, 1), m * n))
+            outcomes[f"certificate/{m},{n},2,{r}"] = certify_regularity(
+                m, n, 2, r, p=8191, trials=3, seed=0)
+    for m, n, r, degree, seed in HILBERT_VALUES:
+        value = hilbert_from_points(random_config(m, n, r, seed=seed), degree)
+        outcomes[f"hilbert/{m},{n},{r}/{degree[0]},{degree[1]}/{seed}"] = int(value)
+    return outcomes
+
+
 def record(output):
     sys.path.insert(0, str(ROOT / "src"))
     arrays, meta = {}, {}
@@ -89,25 +112,37 @@ def record(output):
                 meta[key] = info
                 for k, f in enumerate(factors or []):
                     arrays[f"{key}/{k}"] = f
-    np.savez(output, meta=json.dumps(meta), **arrays)
-    print(f"{len(meta)} runs recorded in {output}")
+    certifier = certifier_outcomes()
+    np.savez(output, meta=json.dumps(meta), certifier=json.dumps(certifier), **arrays)
+    print(f"{len(meta)} runs and {len(certifier)} certifier outcomes recorded in {output}")
 
 
 def load(path):
     data = np.load(path)
     meta = json.loads(str(data["meta"]))
+    certifier = json.loads(str(data["certifier"])) if "certifier" in data.files else {}
     factors = {key: [] for key in meta}
     for name in data.files:
-        if name != "meta":
+        if name not in ("meta", "certifier"):
             key, _, k = name.rpartition("/")
             factors[key].append((int(k), data[name]))
-    return meta, {key: [f for _, f in sorted(fs, key=lambda p: p[0])]
-                  for key, fs in factors.items()}
+    return meta, certifier, {key: [f for _, f in sorted(fs, key=lambda p: p[0])]
+                             for key, fs in factors.items()}
+
+
+def compare_certifier(cert_a, cert_b):
+    """Prints every certifier outcome that differs; returns their count."""
+    keys = sorted(set(cert_a) | set(cert_b))
+    changed = [k for k in keys if cert_a.get(k) != cert_b.get(k)]
+    print(f"{len(keys)} certifier outcomes compared, {len(changed)} changed")
+    for key in changed:
+        print(f"  certifier changed {key}: {cert_a.get(key)} -> {cert_b.get(key)}")
+    return len(changed)
 
 
 def compare(path_a, path_b):
-    meta_a, fac_a = load(path_a)
-    meta_b, fac_b = load(path_b)
+    meta_a, cert_a, fac_a = load(path_a)
+    meta_b, cert_b, fac_b = load(path_b)
     keys = [k for k in meta_a if k in meta_b]
     missing = sorted(set(meta_a) ^ set(meta_b))
     identical, differ, errors_changed = [], [], []
@@ -152,7 +187,8 @@ def compare(path_a, path_b):
                   f"{berr_a:.4e} -> {berr_b:.4e}")
     for key, ea, eb in errors_changed:
         print(f"  error changed {key}: {ea} -> {eb}")
-    return 1 if errors_changed or missing else 0
+    certifier_changed = compare_certifier(cert_a, cert_b)
+    return 1 if errors_changed or missing or certifier_changed else 0
 
 
 def main():

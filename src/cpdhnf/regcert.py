@@ -20,10 +20,10 @@ DEFAULT_PRIME = 8191
 
 
 # Columns factored per panel of the blocked elimination.  Wider panels put
-# more of the work into each GEMM but make the per-pivot panel factorization
-# slower.  On one core, widths 16-32 were fastest on the 243 small ranks of
-# the certification sweep and 32-64 on a 1260 x 2100 Hilbert value; 48 and
-# above made the sweep 10-30% slower.
+# more of the work into each GEMM but make the one per-pivot pass per panel
+# slower.  On one core, widths 16-48 tied on the certification sweep and 64
+# made it 15% slower; 24-64 tied on a 1260 x 2100 Hilbert value.  48 cut the
+# 3136 x 14553 one of criterion 11 from 10 to 8 s but raised peak memory.
 _PANEL = 32
 
 # The Schur update runs over blocks of this many trailing rows, so that each
@@ -48,40 +48,50 @@ def _check_prime(p):
 
 
 def _row_echelon(M, p, reduced=False):
-    """Modular elimination, one pivot per step.
+    """Modular elimination, one pivot per step, recording the multipliers.
 
-    Returns (rank, echelon matrix, pivot columns, row swaps), the swaps as
-    (row, pivot row) pairs in the order they were made.  Entries are kept in
-    [0, p) with p < 2^15, so every rank-1 update stays below p^2 < 2^30 and
-    int64 arithmetic is exact.
+    Returns (rank, echelon matrix, pivot columns, row swaps, L), the swaps as
+    (row, pivot row) pairs in the order they were made.  A side block of
+    min(rows, cols) columns takes the same row operations and gets a 1 in
+    column t when a row becomes pivot t, so it ends as L: after the swaps,
+    every row i >= rank of M satisfies M[i] = -L[i] M[:rank] mod p.
+
+    Entries start as residues of p < 2^15, and only the pivot column (for
+    the nonzero test) and the pivot row are reduced before use.  Each update
+    subtracts at most (p-1)^2, so after t pivots every entry is below
+    p + t (p-1)^2 < 2^63 in magnitude and int64 arithmetic is exact; one
+    reduction at the end makes every entry a residue again.
     """
-    M = np.array(M, dtype=np.int64) % p
-    rows, cols = M.shape
-    pivots = []
-    swaps = []
+    rows, w = np.shape(M)
+    E = np.zeros((rows, w + min(rows, w)), dtype=np.int64)
+    E[:, :w] = np.asarray(M, dtype=np.int64) % p
+    pivots, swaps = [], []
     row = 0
-    for col in range(cols):
+    for col in range(w):
         if row >= rows:
             break
-        nz = np.nonzero(M[row:, col])[0]
+        column = E[row:, col]
+        column %= p
+        nz = np.flatnonzero(column)
         if nz.size == 0:
             continue
         piv = row + nz[0]
         if piv != row:
-            M[[row, piv]] = M[[piv, row]]
+            E[[row, piv]] = E[[piv, row]]
             swaps.append((row, piv))
-        inv = pow(int(M[row, col]), p - 2, p)
-        M[row] = (M[row] * inv) % p
+        hi = w + row + 1
+        E[row, hi - 1] = 1
+        prow = E[row, col:hi]
+        prow[...] = prow % p * pow(int(prow[0]), p - 2, p) % p
+        last = row + nz[-1] + 1
+        E[row + 1:last, col:hi] -= E[row + 1:last, col, None] * prow
         if reduced:
-            targets = np.nonzero(M[:, col])[0]
-            targets = targets[targets != row]
-        else:
-            targets = row + 1 + np.nonzero(M[row + 1:, col])[0]
-        if len(targets):
-            M[targets] = (M[targets] - M[targets, col, None] * M[row]) % p
+            E[:row, col] %= p
+            E[:row, col:hi] -= E[:row, col, None] * prow
         pivots.append(col)
         row += 1
-    return row, M, pivots, swaps
+    E %= p
+    return row, E[:, :w], pivots, swaps, E[:, w:w + row]
 
 
 def _reduce(X, p):
@@ -102,9 +112,9 @@ def _grow_bound(bound, k, p):
     """Bound on the trailing entries after a rank-k Schur update.
 
     ``bound`` bounds the magnitude of every unreduced trailing entry.  The
-    update subtracts sums of k products of residues at most p in magnitude,
-    so it adds at most k p^2.  Returns the new bound and whether the block
-    must first be reduced mod p to stay below ``_LAZY_LIMIT``.
+    update adds sums of k products of entries at most p in magnitude, so it
+    adds at most k p^2.  Returns the new bound and whether the block must
+    first be reduced mod p to stay below ``_LAZY_LIMIT``.
     """
     step = k * p * p
     if bound + step < _LAZY_LIMIT:
@@ -116,10 +126,13 @@ def _rank(A, p):
     """Rank over Z_p of a float64 matrix of integers, by blocked elimination.
 
     ``A`` must be C-contiguous with no more rows than columns and entries
-    at most p in magnitude; it is overwritten.  Each panel of columns is
-    factored by ``_row_echelon``; its k pivot rows are swapped to the top and
-    the trailing block takes the Schur complement update
-    ``S -= A[rest, J] @ (A[I, J]^-1 A[I, trail] mod p)`` by GEMM.
+    at most p in magnitude; it is overwritten.  One ``_row_echelon`` pass
+    factors each panel of columns and returns its k pivots and multipliers
+    L; the pivot rows are swapped to the top, and since every other row of
+    the panel is -L times the pivot rows mod p, the trailing block takes the
+    Schur complement update ``S += L[k:] @ (A[I, trail] mod p)`` by GEMM.
+    The products of L < p and reduced entries of at most p/2 + 1 are below
+    p^2, so ``_grow_bound`` keeps every sum an exact float64 integer.
     Trailing entries are reduced only when they enter a panel or a pivot
     row, or when ``_grow_bound`` says the next update could reach 2^52.
     """
@@ -128,22 +141,19 @@ def _rank(A, p):
     bound = p
     while rank < rows and c0 < cols:
         c1 = min(c0 + _PANEL, cols)
-        k, _, J, swaps = _row_echelon(A[rank:, c0:c1], p)
+        k, _, _, swaps, L = _row_echelon(A[rank:, c0:c1], p)
         if k and c1 < cols and rank + k < rows:
-            active = A[rank:, c0:]
+            active = A[rank:, c1:]
             for i, j in swaps:
                 active[[i, j]] = active[[j, i]]
-            AJ = _reduce(A[rank:, c0 + np.asarray(J)], p)
-            pivot_inv = _row_echelon(np.hstack([AJ[:k], np.eye(k)]), p,
-                                     reduced=True)[1][:, k:]
-            X = _reduce(pivot_inv @ _reduce(A[rank:rank + k, c1:], p), p)
-            trailing = A[rank + k:, c1:]
+            X = _reduce(active[:k], p)
+            trailing = active[k:]
             bound, reduce_first = _grow_bound(bound, k, p)
             if reduce_first:
                 trailing[...] = _reduce(trailing, p)
-            rest = AJ[k:]
+            rest = L[k:].astype(np.float64)
             for i in range(0, len(rest), _ROW_BLOCK):
-                trailing[i:i + _ROW_BLOCK] -= rest[i:i + _ROW_BLOCK] @ X
+                trailing[i:i + _ROW_BLOCK] += rest[i:i + _ROW_BLOCK] @ X
         rank += k
         c0 = c1
     return rank
@@ -165,7 +175,7 @@ def fp_rank(M, p=DEFAULT_PRIME):
 
 def _fp_kernel(M, p):
     """Basis of the right nullspace over Z_p, one vector per free column."""
-    rank, rref, pivots, _ = _row_echelon(M, p, reduced=True)
+    rank, rref, pivots, _, _ = _row_echelon(M, p, reduced=True)
     cols = M.shape[1]
     free = np.delete(np.arange(cols), pivots)
     basis = np.zeros((free.size, cols), dtype=np.int64)
@@ -289,7 +299,7 @@ def catalecticant_corank(config):
             A[band, q2 * r:(q2 + 1) * r] = -(gamma * beta[q])
             row += 1
     if exact:
-        rank = fp_rank(A % p, p)
+        rank = fp_rank(A, p)
     else:
         sv = np.linalg.svd(A, compute_uv=False)
         rank = int(np.sum(sv > 1e-10 * sv[0])) if sv.size and sv[0] > 0 else 0

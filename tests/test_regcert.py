@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cpdhnf import (ConfigNotInW, PointConfigFp, RankOutOfRange,
                     catalecticant_corank, certify_regularity, fp_rank,
                     hilbert_from_points, random_config, rank_bound, regcert)
-from cpdhnf.regcert import _fp_kernel, _grow_bound, _row_echelon
+from cpdhnf.regcert import _PANEL, _fp_kernel, _grow_bound, _row_echelon
 
 
 def rational_rank(M):
@@ -30,6 +30,26 @@ def rational_rank(M):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[row])]
         rank += 1
         row += 1
+    return rank
+
+
+def modular_rank(M, p):
+    """Independent oracle: Gaussian elimination mod p in Python integers,
+    one pivot at a time, with every entry kept a residue."""
+    rows = [[int(x) % p for x in row] for row in np.atleast_2d(M).tolist()]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        pivot = [x * inv % p for x in rows[rank][col:]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i][col:] = [(a - f * b) % p for a, b in zip(rows[i][col:], pivot)]
+        rank += 1
     return rank
 
 
@@ -71,6 +91,7 @@ class TestFpRank:
             M[0] = -2 ** 63
             assert fp_rank(M, p) == _row_echelon(M, p)[0]
             assert fp_rank(M.T, p) == _row_echelon(M, p)[0]
+            assert fp_rank(M, p) == modular_rank(M, p)
 
 
 def _blocked_rank_cases(rng):
@@ -95,11 +116,13 @@ def _blocked_rank_cases(rng):
 
 class TestBlockedRank:
     """fp_rank factors panels of columns and updates the rest by GEMM; the
-    per-pivot elimination it replaces is the reference."""
+    per-pivot elimination over the whole matrix and the pure-Python oracle
+    are the references."""
 
     def test_matches_per_pivot_elimination(self):
         for p, M in _blocked_rank_cases(np.random.default_rng(14)):
             assert fp_rank(M, p) == _row_echelon(M, p)[0]
+            assert fp_rank(M, p) == modular_rank(M, p)
 
     def test_full_reduction_path(self, monkeypatch):
         # below any bound, the trailing block is reduced in full before
@@ -108,6 +131,23 @@ class TestBlockedRank:
         monkeypatch.setattr(regcert, "_LAZY_LIMIT", 1)
         for p, M in _blocked_rank_cases(rng):
             assert fp_rank(M, p) == _row_echelon(M, p)[0]
+            assert fp_rank(M, p) == modular_rank(M, p)
+
+    def test_one_elimination_per_panel(self, monkeypatch):
+        # the multipliers of the panel pass give the Schur update, so no
+        # second elimination inverts the pivot block
+        calls = []
+        row_echelon = regcert._row_echelon
+
+        def counted(M, p, reduced=False):
+            calls.append(np.shape(M))
+            return row_echelon(M, p, reduced)
+
+        monkeypatch.setattr(regcert, "_row_echelon", counted)
+        M = np.random.default_rng(16).integers(0, 8191, size=(3 * _PANEL + 5, 4 * _PANEL))
+        assert fp_rank(M, 8191) == modular_rank(M, 8191) == 3 * _PANEL + 5
+        assert len(calls) == 4
+        assert all(cols == _PANEL for _, cols in calls)
 
     def test_lazy_bound_stays_exact(self):
         # 300,000 full panels, 9.6 million columns, never allocated: only
@@ -122,6 +162,56 @@ class TestBlockedRank:
         assert _grow_bound(8191, 32, 8191) == (8191 + 32 * 8191 ** 2, False)
         assert _grow_bound(2 ** 52 - 10, 1, 3) == (2 ** 52 - 1, False)
         assert _grow_bound(2 ** 52 - 9, 1, 3) == (3 + 9, True)
+
+
+def _panels(rng):
+    """Tall, wide and square panels, full-rank, rank-deficient and with zero
+    columns."""
+    for p in (2, 3, 8191, 32749):
+        for rows, cols in ((150, 32), (20, 60), (48, 48)):
+            yield p, rng.integers(0, p, size=(rows, cols))
+            k = int(rng.integers(1, min(rows, cols)))
+            yield p, rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))
+            M = rng.integers(0, p, size=(rows, cols))
+            M[:, rng.integers(0, cols, size=cols // 2)] = 0
+            yield p, M
+
+
+def _check_multipliers(M, p, reduced=False):
+    """Checks the relations _row_echelon promises for M and returns its rank."""
+    rank, E, pivots, swaps, L = _row_echelon(M, p, reduced)
+    A = np.asarray(M, dtype=np.int64) % p
+    for i, j in swaps:
+        A[[i, j]] = A[[j, i]]
+    assert L.shape == (A.shape[0], rank) and L.min() >= 0 and L.max() < p
+    # rows at and beyond the rank are -L times the pivot rows ...
+    assert np.all((A[rank:] + L[rank:] @ A[:rank]) % p == 0)
+    # ... and the echelon rows are L times them, with unit pivots
+    assert np.array_equal(E[:rank], (L[:rank] @ A[:rank]) % p)
+    assert np.all(E[np.arange(rank), pivots] == 1) and np.all(E[rank:] == 0)
+    if reduced:
+        assert np.array_equal(E[:rank, pivots], np.eye(rank, dtype=np.int64))
+    return rank
+
+
+class TestRowEchelon:
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_multipliers_reproduce_the_panel(self, reduced):
+        for p, M in _panels(np.random.default_rng(17)):
+            assert _check_multipliers(M, p, reduced) == modular_rank(M, p)
+
+    def test_worst_growth_stays_exact(self):
+        # M = L U with every multiplier and every entry right of the pivot
+        # in every normalized pivot row equal to p - 1, so no update cancels
+        # another: after t pivots the unreduced entries come near t (p-1)^2
+        p, rank = 32749, 80
+        lower = np.tril(np.full((100, rank), p - 1), -1)
+        lower[np.arange(rank), np.arange(rank)] = 1
+        upper = np.triu(np.full((rank, 120), p - 1), 1)
+        upper[np.arange(rank), np.arange(rank)] = 1
+        M = (lower @ upper) % p
+        assert _check_multipliers(M, p) == modular_rank(M, p) == rank
+        assert fp_rank(M, p) == rank
 
 
 class TestFpKernel:
