@@ -5,12 +5,13 @@
 real/complex) and saves, per run, the returned factors and ``info`` with
 the timings dropped (only the names of the timed stages are kept), or the
 type, stage and message of the ``CpdError`` it raised.  The set covers the
-automatic degrees, forced degrees, both nullspace methods, the pencil path,
-noisy inputs, Newton off, orders 4 and 5, rank 1 and every typed failure
-the driver tags with a stage.  It also saves a fixed set of certifier
-outcomes, which are exact: the 81 degree-2 certificates of acceptance
-criterion 5 and the Hilbert values of (m, n, r) = (6, 4, 20) at degree
-(3, 2) (seeds 0-2) and of criterion 11's (5, 5, 3) cell at degree (3, 3).
+automatic degrees, forced degrees, both nullspace methods (on the normal
+form and on the pencil), noisy inputs, Newton off, orders 4 and 5, rank 1
+and every typed failure the driver tags with a stage.  It also saves a
+fixed set of certifier outcomes, which are exact: the 81 degree-2
+certificates of acceptance criterion 5 and the Hilbert values of
+(m, n, r) = (6, 4, 20) at degree (3, 2) (seeds 0-2) and of criterion 11's
+(5, 5, 3) cell at degree (3, 3).
 The package is imported from the ``src`` directory next to this script, so
 a copy of the script in another checkout records that checkout.
 
@@ -48,6 +49,7 @@ RUNS = {
     "degree-4x1": ((12, 7, 3), 12, {"degree": (4, 1)}, None),
     "kernel-svd": ((20, 8, 4), 20, {"kernel": "svd"}, None),
     "kernel-eigs": ((12, 7, 3), 12, {"kernel": "eigs"}, None),
+    "pencil-kernel-eigs": ((9, 6, 5), 5, {"kernel": "eigs"}, None),
     "newton-0": ((12, 7, 3), 12, {"newton_iters": 0}, None),
     "order4": ((4, 4, 3, 3), 6, {}, None),
     "order5": ((5, 5, 4, 4, 4), 20, {}, None),

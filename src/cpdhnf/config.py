@@ -51,6 +51,9 @@ class DecomposeOptions:
     newton_iters  Gauss-Newton steps per recovered point; 0 turns them off
     seed          seed of the random combinations; fixes the result
     grouping      forced mode partition for tensors of order > 3
+
+    An unknown path or kernel, or a degree below (1, 1), raises ValueError
+    when the options are built.
     """
 
     degree: tuple | None = None
@@ -59,3 +62,13 @@ class DecomposeOptions:
     newton_iters: int = 3
     seed: int = 0
     grouping: object = None
+
+    def __post_init__(self):
+        if self.path not in ("auto", "pencil", "normal-form"):
+            raise ValueError(f"unknown path {self.path!r}")
+        if self.kernel not in ("auto", "svd", "eigs"):
+            raise ValueError(f"unknown nullspace method {self.kernel!r}")
+        if self.degree is not None:
+            self.degree = tuple(int(x) for x in self.degree)
+            if len(self.degree) != 2 or min(self.degree) < 1:
+                raise ValueError("forced degree must be at least (1, 1) componentwise")

@@ -15,9 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .bigraded import Bidegree, monomial_basis, monomial_index, shift_table
-from .config import (COMM_REL, DIAG_FAIL, DIAG_REL, DIAG_RETRIES, PIV_REL,
-                     RANK_REL)
-from .errors import BasisDeficient, DefectiveEigenvectors, FlatteningRankMismatch
+from .config import COMM_REL, DIAG_FAIL, DIAG_REL, DIAG_RETRIES, PIV_REL
+from .errors import BasisDeficient, DefectiveEigenvectors
 
 
 def shifted_submatrix(N, m, n, degree, shift):
@@ -57,18 +56,17 @@ def make_h0(N, m, n, degree, rng=None, coeffs=None):
 class PreNormalForm:
     """Pre-normal form with a chosen pivot basis.
 
-    ``axis`` records which side's coordinates the multiplication family
-    produces: "x" for the general degree-(d, e) path, "y" for the pencil
-    shortcut on the flattening row space.  ``tri`` holds the full
-    triangular QR factor; the leading r columns are the invertible
-    restriction to the pivot basis.
+    Its multiplication family acts by the x-variables, so the joint
+    eigenvalues are x-coordinates of the points.  ``h`` is the auxiliary
+    polynomial of the general degree-(d, e) form and None for the pencil
+    form at (1, 1).  ``tri`` holds the full triangular QR factor; the
+    leading r columns are the invertible restriction to the pivot basis.
     """
 
     N: np.ndarray
     m: int
     n: int
     degree: Bidegree
-    axis: str
     h0: np.ndarray
     h: np.ndarray | None
     q: np.ndarray
@@ -110,8 +108,8 @@ def choose_basis(n_h0):
 def prenormal_general(N, m, n, degree, rng=None, h0_coeffs=None, h_coeffs=None):
     """Assemble the degree-(d, e) pre-normal form from a left nullspace.
 
-    Requires d >= 2 (callers handle (1, e) by transposing the two small
-    modes).  The auxiliary polynomial h lives one x-degree below the shift
+    Requires d >= 2 (callers solve (1, e) on the transposed system at
+    (e, 1)).  The auxiliary polynomial h lives one x-degree below the shift
     degree and degenerates to the constant 1 when (d, e) = (2, 1).
     """
     d, e = degree
@@ -130,45 +128,36 @@ def prenormal_general(N, m, n, degree, rng=None, h0_coeffs=None, h_coeffs=None):
         h = np.asarray(h_coeffs)
     if len(h) != nh:
         raise ValueError("h must have one coefficient per degree-(d-2, e-1) monomial")
-    return PreNormalForm(N, m, n, Bidegree(d, e), "x", h0, h, q, tri, np.asarray(piv), cond)
+    return PreNormalForm(N, m, n, Bidegree(d, e), h0, h, q, tri, np.asarray(piv), cond)
 
 
-def pencil_prenormal(flattening, r, dims, rng=None, h0_coeffs=None):
-    """Pencil-path pre-normal form for ranks r <= m+1.
+def pencil_prenormal(N, m, n, rng=None, h0_coeffs=None):
+    """Pre-normal form on the bilinear piece, for ranks r <= n+1.
 
-    The top-r right-singular rows of the flattening represent its row
-    space and already form a pre-normal form on the bilinear piece.  The
-    combination polynomial is linear in the y-variables, the pivot basis
-    lives among the x-variables, and the multiplication family produces
-    the y-side coordinates; this needs the second-mode factor vectors to
-    be linearly independent, which a pivot failure reports a posteriori.
+    N is the degree-(1, 1) cokernel, which spans the flattening row space.
+    The combination polynomial h0 is linear in the x-variables and the
+    pivot basis lies among the y-variables, so the restricted maps are
+    the slices N[:, k, :] of N as an r x (m+1) x (n+1) array.  This needs
+    the y-side points to be linearly independent, which a pivot failure
+    reports a posteriori.
     """
-    M = np.asarray(flattening)
-    m1, n1 = (int(x) for x in dims)
-    if r > m1:
-        raise ValueError(f"pencil path needs rank <= {m1}")
-    u, sv, vh = np.linalg.svd(M, full_matrices=False)
-    if sv[0] == 0 or (r < len(sv) and sv[r - 1] / sv[0] < RANK_REL):
-        raise FlatteningRankMismatch("flattening rank below the requested rank")
-    N = vh[:r, :]
+    r = N.shape[0]
     if h0_coeffs is None:
         if rng is None:
             raise ValueError("need rng when no coefficients are supplied")
-        h0 = rng.standard_normal(n1)
+        h0 = rng.standard_normal(m + 1)
     else:
         h0 = np.asarray(h0_coeffs)
-    n_h0 = sum(h0[j] * N[:, j::n1] for j in range(n1))
+    n_h0 = np.tensordot(h0, N.reshape(r, m + 1, n + 1), axes=([0], [1]))
     q, tri, piv, cond = choose_basis(n_h0)
-    return PreNormalForm(N, m1 - 1, n1 - 1, Bidegree(1, 1), "y", h0, None,
-                         q, tri, np.asarray(piv), cond)
+    return PreNormalForm(N, m, n, Bidegree(1, 1), h0, None, q, tri, np.asarray(piv), cond)
 
 
 @dataclass
 class MultiplicationFamily:
-    """Commuting r x r matrices, one per coordinate of the tagged side."""
+    """Commuting r x r matrices, one per x-variable."""
 
     matrices: np.ndarray  # shape (count, r, r)
-    axis: str
 
     def __len__(self):
         return self.matrices.shape[0]
@@ -190,21 +179,16 @@ class MultiplicationFamily:
 def multiplication_matrices(pnf):
     """Form the family M_k = (restricted h0-map)^{-1} (restricted g_k-map).
 
-    On the general path g_k = h * x_k for k = 0..m; on the pencil path
-    g_j = y_j.  The triangular factor is never inverted explicitly; each
-    matrix comes from a back-substitution.
+    On the general path g_k = h * x_k; on the pencil path g_k = x_k; k
+    runs over the m+1 x-variables either way.  The triangular factor is
+    never inverted explicitly; each matrix comes from a back-substitution.
     """
-    r = pnf.r
-    sel = pnf.pivots[:r]
-    tri_r = pnf.tri[:, :r]
-    mats = []
-    if pnf.axis == "y":
-        n1 = pnf.n + 1
-        for j in range(n1):
-            nj = pnf.N[:, j::n1]
-            mats.append(scipy.linalg.solve_triangular(tri_r, pnf.q.conj().T @ nj[:, sel]))
+    r, m, n = pnf.r, pnf.m, pnf.n
+    sel = pnf.basis
+    if pnf.h is None:
+        # the columns x_k y_l of the bilinear piece, l in the basis, per k
+        maps = np.moveaxis(pnf.N.reshape(r, m + 1, n + 1)[:, :, sel], 1, 0)
     else:
-        m, n = pnf.m, pnf.n
         d, e = pnf.degree
         h_rows = monomial_basis(m, n, (d - 2, e - 1)).rows
         x_rows = monomial_basis(m, n, (1, 0)).rows
@@ -212,10 +196,11 @@ def multiplication_matrices(pnf):
         shifts = monomial_index(m, n, (d - 1, e - 1), x_rows[:, None, :] + h_rows)
         # one (h-monomial, basis column) block of N per k; gathering all k
         # at once would hold (m+1) times as much
-        for cols in shift_table(m, n, (d, e))[shifts][..., sel]:
-            nk = np.tensordot(pnf.h, pnf.N[:, cols], axes=([0], [1]))
-            mats.append(scipy.linalg.solve_triangular(tri_r, pnf.q.conj().T @ nk))
-    family = MultiplicationFamily(np.array(mats), pnf.axis)
+        maps = (np.tensordot(pnf.h, pnf.N[:, cols], axes=([0], [1]))
+                for cols in shift_table(m, n, (d, e))[shifts][..., sel])
+    tri_r = pnf.tri[:, :r]
+    family = MultiplicationFamily(np.array(
+        [scipy.linalg.solve_triangular(tri_r, pnf.q.conj().T @ nk) for nk in maps]))
     resid = family.commutation_residual()
     if resid > COMM_REL:
         warnings.warn(f"multiplication family commutes only to {resid:.2e}", stacklevel=2)
@@ -228,7 +213,7 @@ def simultaneous_diagonalize(family, seed=0, rng=None):
     Eigen-decomposes a random combination and reads each matrix's
     eigenvalues off its (approximately) diagonalized conjugate.  Returns
     the raw coordinate matrix with one column per solution point; column i
-    is a set of homogeneous coordinates for point i on the family's side.
+    is a set of homogeneous x-coordinates for point i.
     Retries with fresh combinations before giving up.
     """
     if rng is None:

@@ -7,7 +7,8 @@ positions come from ``bigraded.shift_table``, where the monomial order
 lives.  The nullspace comes from a dense SVD or from the Gram matrix
 R R^H: one in-place Cholesky factorization of its shifted dense form and
 blocked inverse subspace iteration, which applies the Gram through the
-sparse R.
+sparse R.  At degree (1, 1) it is the flattening row space, which the
+kernel's SVD already holds.
 """
 
 import os
@@ -28,9 +29,12 @@ from .errors import CorankMismatch, FlatteningRankMismatch, InsufficientMemory
 @dataclass
 class BilinearSystem:
     """s bilinear forms on P^m x P^n given by (m+1) x (n+1) coefficient
-    matrices; f_j(x, y) = x^T F_j y."""
+    matrices; f_j(x, y) = x^T F_j y.  ``cokernel``, when known, holds
+    orthonormal rows C with sum_kl C[k, l] F_j[k, l] = 0 for every j; from
+    ``kernel_flattening`` it is the flattening row space."""
 
     coeffs: np.ndarray  # shape (s, m+1, n+1)
+    cokernel: np.ndarray | None = None  # shape (r, m+1, n+1)
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs)
@@ -57,7 +61,8 @@ class BilinearSystem:
 
     def transposed(self):
         """The same system with the roles of the two factors swapped."""
-        return BilinearSystem(np.ascontiguousarray(self.coeffs.transpose(0, 2, 1)))
+        cokernel = None if self.cokernel is None else self.cokernel.transpose(0, 2, 1)
+        return BilinearSystem(np.ascontiguousarray(self.coeffs.transpose(0, 2, 1)), cokernel)
 
 
 def kernel_flattening(M, r, dims):
@@ -67,7 +72,8 @@ def kernel_flattening(M, r, dims):
     two factor modes.  Takes the s = (m+1)(n+1) - r right singular vectors
     attached to the smallest singular values.  The spectrum must be
     compatible with the supplied rank: sigma_r clearly nonzero and well
-    separated from sigma_{r+1}.
+    separated from sigma_{r+1}.  The top r, the row space, become the
+    system's ``cokernel``.
     """
     M = np.asarray(M)
     m1, n1 = (int(x) for x in dims)
@@ -100,7 +106,7 @@ def kernel_flattening(M, r, dims):
         return BilinearSystem(np.empty((0, m1, n1), dtype=M.dtype))
     # right singular vectors for the smallest singular values
     kernel = vh[r:, :].conj()
-    return BilinearSystem(kernel.reshape(s, m1, n1))
+    return BilinearSystem(kernel.reshape(s, m1, n1), vh[:r, :].reshape(r, m1, n1))
 
 
 def evaluate(system, beta, gamma):
@@ -126,7 +132,9 @@ class ResultantMatrix:
 
     Rows are indexed by the monomial basis of the (d, e) piece; columns by
     (form j, shift monomial) with the form index major.  Each column is a
-    copy of vec(F_j) placed at the shifted row positions.
+    copy of vec(F_j) placed at the shifted row positions.  At (1, 1) the
+    columns are the forms, so the system's ``cokernel`` is the left
+    nullspace; it is None elsewhere.
     """
 
     degree: Bidegree
@@ -134,6 +142,7 @@ class ResultantMatrix:
     n: int
     s: int
     matrix: scipy.sparse.csc_matrix
+    cokernel: np.ndarray | None = None
 
     @property
     def shape(self):
@@ -146,7 +155,9 @@ class ResultantMatrix:
 def build_resultant(system, degree):
     """Assemble the shift matrix column by column, without polynomial
     multiplication: each column copies the coefficients of one form into
-    the rows of the shifted monomials."""
+    the rows of the shifted monomials.  The matrix is written in CSC form
+    directly; every column holds (m+1)(n+1) entries, and their rows ascend
+    because the shift table's rows follow a monomial order."""
     d, e = degree
     if min(d, e) < 1:
         raise ValueError("degree must be at least (1, 1)")
@@ -157,13 +168,16 @@ def build_resultant(system, degree):
     nshift, block = table.shape
     nrows = hilbert_dim(m, n, d, e)
 
-    row_idx = np.tile(table.ravel(), s)
-    col_idx = np.repeat(np.arange(s * nshift), block)
     vals = np.tile(system.coeffs.reshape(s, 1, block), (1, nshift, 1)).ravel()
-    mat = scipy.sparse.coo_matrix(
-        (vals, (row_idx, col_idx)), shape=(nrows, s * nshift)
-    ).tocsc()
-    return ResultantMatrix(Bidegree(d, e), m, n, s, mat)
+    indptr = np.arange(0, s * nshift * block + 1, block)
+    mat = scipy.sparse.csc_matrix(
+        (vals, np.tile(table.ravel(), s), indptr), shape=(nrows, s * nshift)
+    )
+    cokernel = None
+    if (d, e) == (1, 1) and system.cokernel is not None:
+        # the (1, 1) rows are the pairs (k, l) in row-major order
+        cokernel = system.cokernel.reshape(-1, block)
+    return ResultantMatrix(Bidegree(d, e), m, n, s, mat, cokernel)
 
 
 def left_nullspace(res, r, method="auto"):
@@ -175,9 +189,11 @@ def left_nullspace(res, r, method="auto"):
     runs inverse subspace iteration on a block of 2k columns (k = r + 3)
     with Rayleigh-Ritz through the sparse R, until the r smallest Ritz
     pairs have relative residual EIGS_TOL and pair r + 1, whose Ritz value
-    the gap test reads, has EIGS_TOL ** 0.5.  ``auto`` uses ``eigs`` at or
-    above ``EIGS_ENTRY_THRESHOLD`` (in ``config``) matrix entries and
-    ``svd`` below; when the eigensolver cannot certify the corank (no gap,
+    the gap test reads, has EIGS_TOL ** 0.5.  ``auto`` returns a known
+    ``cokernel`` of r rows (at (1, 1), the row space ``kernel_flattening``
+    computed and certified), else uses ``eigs`` at or above
+    ``EIGS_ENTRY_THRESHOLD`` (in ``config``) matrix entries and ``svd``
+    below; when the eigensolver cannot certify the corank (no gap,
     a failed factorization, or no convergence in EIGS_MAXITER steps) it
     falls back to the dense SVD and warns with the eigensolver's detail.
     Raises CorankMismatch when the spectrum does not show a corank-r gap,
@@ -199,7 +215,9 @@ def left_nullspace(res, r, method="auto"):
         )
     if method not in ("auto", "svd", "eigs"):
         raise ValueError(f"unknown nullspace method {method!r}")
-    if method == "svd" or (method == "auto" and nrows * ncols < EIGS_ENTRY_THRESHOLD):
+    if method == "auto" and res.cokernel is not None and len(res.cokernel) == r:
+        N = res.cokernel
+    elif method == "svd" or (method == "auto" and nrows * ncols < EIGS_ENTRY_THRESHOLD):
         N = _nullspace_svd(res, r)
     else:
         try:

@@ -16,7 +16,7 @@ from .normalform import (multiplication_matrices, pencil_prenormal,
                          prenormal_general, simultaneous_diagonalize)
 from .polysys import (build_resultant, check_dense_fits, evaluate, jacobian,
                       kernel_flattening, left_nullspace)
-from .tensors import (REAL, CPDecomposition, DenseTensor, add_noise,
+from .tensors import (REAL, CPDecomposition, add_noise,
                       backward_error, choose_grouping, flatten_mode1,
                       rank1_factorization, reshape_group, st_hosvd)
 
@@ -139,24 +139,18 @@ def _stage(timings, name):
 
 
 def _resolve_degree(options, r, mc, nc, lc):
-    """Degree plan for the compressed core; returns (degree, path, swap)."""
-    if options.path not in ("auto", "pencil", "normal-form"):
-        raise ValueError(f"unknown path {options.path!r}")
+    """Degree plan for the compressed core; returns (degree, path)."""
     if options.degree is not None:
-        d, e = (int(x) for x in options.degree)
-        if min(d, e) < 1:
-            raise ValueError("forced degree must be at least (1, 1) componentwise")
+        degree = options.degree
     elif options.path == "pencil" or (options.path == "auto" and r <= mc):
-        d, e = 1, 1
+        degree = (1, 1)
     else:
-        d, e = select_degree(mc - 1, nc - 1, r, lc - 1, beta_independent=False).degree
-    if (d, e) == (1, 1):
-        if r > mc:
-            raise RankOutOfRange(f"pencil degree (1, 1) needs rank <= {mc}, got {r}")
-        return (1, 1), "pencil", False
-    if d == 1:
-        return (e, 1), "normal-form", True
-    return (d, e), "normal-form", False
+        degree = select_degree(mc - 1, nc - 1, r, lc - 1, beta_independent=False).degree
+    if degree != (1, 1):
+        return tuple(degree), "normal-form"
+    if r > mc:
+        raise RankOutOfRange(f"pencil degree (1, 1) needs rank <= {mc}, got {r}")
+    return (1, 1), "pencil"
 
 
 def _decompose_order3(t, r, options, rng, timings, info):
@@ -181,32 +175,30 @@ def _decompose_order3(t, r, options, rng, timings, info):
 
     lc, mc, nc = core.shape
     with _stage(timings, "degree"):
-        degree, path, swap = _resolve_degree(options, r, mc, nc, lc)
-    if swap:
-        core = DenseTensor(core.data.transpose(0, 2, 1), core.scalars)
-        mc, nc = nc, mc
-    info["degree_used"] = (degree[1], degree[0]) if swap else tuple(degree)
+        (d, e), path = _resolve_degree(options, r, mc, nc, lc)
+    info["degree_used"] = (d, e)
     info["path"] = path
 
     flat = flatten_mode1(core)
     with _stage(timings, "kernel"):
         system = kernel_flattening(flat, r, (mc, nc))
-
-    if path == "pencil":
-        with _stage(timings, "multiplication"):
-            pnf = pencil_prenormal(flat, r, (mc, nc), rng=rng)
-    else:
-        with _stage(timings, "cokernel"):
-            # the cokernel needs a dense rows x rows buffer; when that cannot
-            # fit, fail before the shift matrix is built
-            check_dense_fits(hilbert_dim(system.m, system.n, *degree), system.coeffs.dtype)
-        with _stage(timings, "resultant"):
-            res = build_resultant(system, degree)
-        with _stage(timings, "cokernel"):
-            N = left_nullspace(res, r, options.kernel)
-        with _stage(timings, "multiplication"):
-            pnf = prenormal_general(N, mc - 1, nc - 1, degree, rng=rng)
+    # the joint eigenvalues give the x side of the solved system; degrees
+    # (1, e), the pencil's (1, 1) among them, solve the transposed forms
+    # at (e, 1)
+    solved, degree = (system.transposed(), (e, d)) if d == 1 else (system, (d, e))
+    with _stage(timings, "cokernel"):
+        # the cokernel needs a dense rows x rows buffer; when that cannot
+        # fit, fail before the shift matrix is built
+        check_dense_fits(hilbert_dim(solved.m, solved.n, *degree), solved.coeffs.dtype)
+    with _stage(timings, "resultant"):
+        res = build_resultant(solved, degree)
+    with _stage(timings, "cokernel"):
+        N = left_nullspace(res, r, options.kernel)
     with _stage(timings, "multiplication"):
+        if path == "pencil":
+            pnf = pencil_prenormal(N, solved.m, solved.n, rng=rng)
+        else:
+            pnf = prenormal_general(N, solved.m, solved.n, degree, rng=rng)
         info["basis_cond"] = pnf.cond
         family = multiplication_matrices(pnf)
     with _stage(timings, "diagonalization"):
@@ -214,15 +206,13 @@ def _decompose_order3(t, r, options, rng, timings, info):
     if t.scalars == REAL:
         coords = coords.real
 
-    # the eigenvalues give the points on the family's side; the forms
-    # restricted to each point give the other side
-    other = system if family.axis == "x" else system.transposed()
+    # the forms restricted to each point give the other side
     with _stage(timings, "recovery"):
-        known = coords / [np.linalg.norm(c) for c in coords.T]
-        solved = np.empty((other.n + 1, r), dtype=coords.dtype)
+        xs = coords / [np.linalg.norm(c) for c in coords.T]
+        ys = np.empty((solved.n + 1, r), dtype=coords.dtype)
         for i in range(r):
-            solved[:, i] = solve_gamma(other, known[:, i])
-    betas, gammas = (known, solved) if family.axis == "x" else (solved, known)
+            ys[:, i] = solve_gamma(solved, xs[:, i])
+    betas, gammas = (xs, ys) if solved is system else (ys, xs)
 
     # the unrefined points stay a candidate, so that refinement can never
     # degrade the returned fit
@@ -243,8 +233,6 @@ def _decompose_order3(t, r, options, rng, timings, info):
             except RankDeficientKR as exc:
                 error = error or exc
                 continue
-            if swap:
-                bs, gs = gs, bs
             candidates.append(([us[0] @ alphas, us[1] @ bs, us[2] @ gs], resid))
         if not candidates:
             raise error

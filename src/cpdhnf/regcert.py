@@ -275,22 +275,15 @@ def catalecticant_corank(config):
     For each pair q < q' of first-factor coordinates the block row
     [Gamma H_{q'} | -Gamma H_q] (placed at block columns q and q')
     expresses the partial-symmetry conditions for membership in the
-    catalecticant image; the corank of the stack equals the degree-(2,1)
-    Hilbert value.  Accepts a finite-field configuration or a pair of
-    real/complex coordinate matrices (beta, gamma).
+    catalecticant image; the corank of the stack over Z_p equals the
+    degree-(2,1) Hilbert value of the finite-field configuration.
     """
-    if isinstance(config, PointConfigFp):
-        beta, gamma, p = config.beta, config.gamma, config.p
-        exact = True
-    else:
-        beta, gamma = (np.asarray(x) for x in config)
-        exact = False
+    beta, gamma = config.beta, config.gamma
     m1, r = beta.shape
     n1 = gamma.shape[0]
     m = m1 - 1
     npairs = (m1 * m) // 2
-    dtype = np.int64 if exact else np.result_type(beta, gamma)
-    A = np.zeros((npairs * n1, m1 * r), dtype=dtype)
+    A = np.zeros((npairs * n1, m1 * r), dtype=np.int64)
     row = 0
     for q in range(m1):
         for q2 in range(q + 1, m1):
@@ -298,12 +291,7 @@ def catalecticant_corank(config):
             A[band, q * r:(q + 1) * r] = gamma * beta[q2]
             A[band, q2 * r:(q2 + 1) * r] = -(gamma * beta[q])
             row += 1
-    if exact:
-        rank = fp_rank(A, p)
-    else:
-        sv = np.linalg.svd(A, compute_uv=False)
-        rank = int(np.sum(sv > 1e-10 * sv[0])) if sv.size and sv[0] > 0 else 0
-    return m1 * r - rank
+    return m1 * r - fp_rank(A, config.p)
 
 
 def certify_regularity(m, n, d, r, p=DEFAULT_PRIME, trials=3, seed=0):

@@ -122,7 +122,7 @@ class TestGatheredProducts:
         h = rng.standard_normal(len(h_shifts))
         pivots = rng.permutation((m + 1) * (n + 1))
         tri = np.hstack([np.eye(r), rng.standard_normal((r, len(pivots) - r))])
-        pnf = PreNormalForm(N, m, n, degree, "x", None, h, np.eye(r), tri, pivots, 1.0)
+        pnf = PreNormalForm(N, m, n, degree, None, h, np.eye(r), tri, pivots, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # random N: the family does not commute
             family = multiplication_matrices(pnf)
@@ -231,7 +231,7 @@ class TestMultiplicationMatrices:
 class TestSimultaneousDiagonalize:
     def test_diagonal_family_reads_off(self):
         d1, d2 = np.diag([1.0, 2.0, 3.0]), np.diag([4.0, 5.0, 6.0])
-        fam = MultiplicationFamily(np.array([d1, d2]), "x")
+        fam = MultiplicationFamily(np.array([d1, d2]))
         coords = simultaneous_diagonalize(fam, seed=0)
         order = np.argsort(coords[0].real)
         assert np.allclose(coords[:, order].real, [[1, 2, 3], [4, 5, 6]], atol=1e-12)
@@ -262,34 +262,41 @@ class TestSimultaneousDiagonalize:
     def test_non_commuting_family_rejected(self):
         rng = np.random.default_rng(30)
         m1, m2 = rng.standard_normal((2, 4, 4))
-        fam = MultiplicationFamily(np.array([m1, m2]), "x")
+        fam = MultiplicationFamily(np.array([m1, m2]))
         assert fam.commutation_residual() > 1e-2
         with pytest.raises(DefectiveEigenvectors):
             simultaneous_diagonalize(fam, seed=0)
+
+
+def pencil_cokernel(t, r):
+    """The degree-(1, 1) cokernel of the transposed kernel forms of t, with
+    the (m, n) of that transposed system."""
+    system = kernel_flattening(flatten_mode1(t), r, t.shape[1:]).transposed()
+    return left_nullspace(build_resultant(system, (1, 1)), r), system.m, system.n
 
 
 class TestPencilPrenormal:
     def test_row_space_and_contraction_consistency(self):
         from cpdhnf import random_cpd
         t, dec = random_cpd((5, 4, 3), 3, seed=18)
-        flat = flatten_mode1(t)
+        N, m, n = pencil_cokernel(t, 3)
         h0 = np.random.default_rng(19).standard_normal(3)
-        pnf = pencil_prenormal(flat, 3, (4, 3), h0_coeffs=h0)
-        assert pnf.axis == "y"
+        pnf = pencil_prenormal(N, m, n, h0_coeffs=h0)
         assert pnf.N.shape == (3, 12)
-        assert subspace_distance(pnf.N, flat) <= 1e-12
+        # the flattening row space, with its columns in (y, x) order
+        flat_yx = flatten_mode1(t).reshape(5, 4, 3).transpose(0, 2, 1).reshape(5, 12)
+        assert subspace_distance(pnf.N, flat_yx) <= 1e-12
         # the combined matrix spans the same rows as the third-mode
         # contraction of the tensor with the h0 coefficients
         contraction = np.einsum("jkl,l->jk", t.data, h0)
-        combined = sum(h0[j] * pnf.N[:, j::3] for j in range(3))
+        combined = np.tensordot(h0, pnf.N.reshape(3, 3, 4), axes=([0], [1]))
         assert subspace_distance(combined, contraction) <= 1e-12
 
     def test_family_recovers_second_point_coordinates(self):
         from cpdhnf import random_cpd
         t, dec = random_cpd((6, 5, 4), 4, seed=20)
-        flat = flatten_mode1(t)
         rng = np.random.default_rng(21)
-        pnf = pencil_prenormal(flat, 4, (5, 4), rng=rng)
+        pnf = pencil_prenormal(*pencil_cokernel(t, 4), rng=rng)
         family = multiplication_matrices(pnf)
         assert len(family) == 4
         coords = simultaneous_diagonalize(family, rng=rng).real
@@ -299,21 +306,20 @@ class TestPencilPrenormal:
         assert np.allclose(np.sort(corr.max(axis=0)), 1.0, atol=1e-8)
 
     def test_dependent_second_factors_rejected(self):
-        from cpdhnf import cpd_eval
         rng = np.random.default_rng(22)
         alphas = rng.standard_normal((6, 2))
         beta = rng.standard_normal(4)
         betas = np.column_stack([beta, beta])  # dependent
         gammas = rng.standard_normal((3, 2))
         t = cpd_eval(CPDecomposition([alphas, betas, gammas]))
-        flat = flatten_mode1(t)
+        N, m, n = pencil_cokernel(t, 2)
         with pytest.raises(BasisDeficient):
-            pencil_prenormal(flat, 2, (4, 3), rng=rng)
+            pencil_prenormal(N, m, n, rng=rng)
 
     def test_rank_one(self):
         from cpdhnf import random_cpd
         t, dec = random_cpd((4, 3, 2), 1, seed=23)
-        pnf = pencil_prenormal(flatten_mode1(t), 1, (3, 2), rng=np.random.default_rng(0))
+        pnf = pencil_prenormal(*pencil_cokernel(t, 1), rng=np.random.default_rng(0))
         family = multiplication_matrices(pnf)
         coords = simultaneous_diagonalize(family, seed=1).real
         found = coords[:, 0] / np.linalg.norm(coords[:, 0])

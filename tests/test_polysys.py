@@ -9,6 +9,7 @@ from cpdhnf import (COMPLEX, REAL, BilinearSystem, CorankMismatch,
                     FlatteningRankMismatch, build_resultant, evaluate,
                     flatten_mode1, jacobian, kernel_flattening, left_nullspace,
                     monomial_basis, polysys, random_cpd)
+from cpdhnf.bigraded import shift_table
 from cpdhnf.config import EIGS_MAXITER, EIGS_TOL, SEP_RATIO
 from cpdhnf.linalg import subspace_distance
 from cpdhnf.tensors import add_noise
@@ -125,6 +126,30 @@ class TestBuildResultant:
             rank = np.sum(sv > 1e-8 * sv[0])
             assert dense.shape[0] - rank >= r
 
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    def test_csc_arrays_match_coordinate_assembly(self, scalars):
+        """The CSC arrays written directly equal those of the coordinate
+        (row, column, value) assembly, dtypes included, so every product
+        taken with the matrix sums in the same order."""
+        for m, n, r, degree, seed in [(2, 2, 4, (1, 1), 0), (3, 2, 6, (2, 1), 1),
+                                      (4, 3, 8, (2, 2), 2), (3, 3, 7, (1, 2), 3),
+                                      (4, 2, 7, (3, 1), 4), (5, 4, 12, (3, 2), 5)]:
+            system, _, _ = system_from_points(m, n, r, seed=seed)
+            if scalars == COMPLEX:
+                system = BilinearSystem(system.coeffs * (1 + 2j))
+            mat = build_resultant(system, degree).matrix
+            table = shift_table(m, n, degree)
+            nshift, block = table.shape
+            ref = scipy.sparse.coo_matrix((
+                np.tile(system.coeffs.reshape(-1, 1, block), (1, nshift, 1)).ravel(),
+                (np.tile(table.ravel(), system.s),
+                 np.repeat(np.arange(system.s * nshift), block)),
+            ), shape=mat.shape).tocsc()
+            assert mat.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(mat, name), getattr(ref, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_rejects_empty_system(self):
         empty = BilinearSystem(np.empty((0, 3, 3)))
         with pytest.raises(ValueError):
@@ -195,6 +220,36 @@ class TestLeftNullspace:
         monkeypatch.setattr(scipy.linalg, "cho_solve", counting)
         polysys._nullspace_eigs(res, 20)
         assert len(calls) <= 4
+
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    def test_bilinear_degree_reads_flattening_row_space(self, scalars):
+        """At (1, 1), auto returns the flattening row space that the kernel's
+        SVD computed, on the system and on its transpose; it spans the
+        nullspace that svd and eigs compute."""
+        t, _ = random_cpd((30, 20, 20), 20, seed=25, scalars=scalars)
+        system = kernel_flattening(flatten_mode1(t), 20, (20, 20))
+        for solved in (system, system.transposed()):
+            res = build_resultant(solved, (1, 1))
+            assert res.cokernel is not None
+            N = left_nullspace(res, 20)
+            assert N is res.cokernel
+            assert np.allclose(N @ N.conj().T, np.eye(20), atol=1e-12)
+            assert np.linalg.norm(N @ res.toarray()) <= 1e-13
+            for method in ("svd", "eigs"):
+                assert subspace_distance(N, left_nullspace(res, 20, method)) <= 1e-8
+        assert build_resultant(system, (2, 1)).cokernel is None
+
+    def test_unknown_row_space_is_computed(self):
+        """A system without a known cokernel, or a rank that does not match
+        it, goes to the computed methods."""
+        system, _, _ = system_from_points(3, 2, 5, seed=6)
+        res = build_resultant(system, (1, 1))
+        assert res.cokernel is None
+        assert np.linalg.norm(left_nullspace(res, 5) @ res.toarray()) <= 1e-12
+        t, _ = random_cpd((9, 6, 5), 5, seed=26)
+        res = build_resultant(kernel_flattening(flatten_mode1(t), 5, (6, 5)), (1, 1))
+        with pytest.raises(CorankMismatch):
+            left_nullspace(res, 6)
 
     def test_rejects_empty(self):
         empty = BilinearSystem(np.empty((0, 2, 2)))
@@ -318,3 +373,11 @@ class TestEvaluateJacobian:
         direct = evaluate(golden_system, beta, gamma)
         swapped = evaluate(golden_system.transposed(), gamma, beta)
         assert np.allclose(direct, swapped)
+
+    def test_transposed_system_keeps_its_cokernel(self, golden_tensor):
+        system = kernel_flattening(flatten_mode1(golden_tensor), 4, (3, 3))
+        flipped = system.transposed()
+        assert np.array_equal(flipped.cokernel, system.cokernel.transpose(0, 2, 1))
+        # the cokernel annihilates every form, in either orientation
+        for s in (system, flipped):
+            assert np.abs(np.einsum("ikl,jkl->ij", s.cokernel, s.coeffs)).max() <= 1e-13

@@ -4,7 +4,8 @@ import scipy.linalg
 import scipy.sparse
 
 from cpdhnf import (COMPLEX, REAL, AmbiguousKernel, BilinearSystem,
-                    CorankMismatch, CPDecomposition, DecomposeOptions, Grouping,
+                    CorankMismatch, CPDecomposition, DecomposeOptions,
+                    DenseTensor, Grouping,
                     InsufficientMemory, RankDeficientKR, RankOutOfRange,
                     SingularJacobian, backward_error, build_resultant,
                     cpd_eval, decompose, decompose_with_info, evaluate,
@@ -261,6 +262,34 @@ class TestDecompose:
         assert info["backward_error"] <= 1e-10
 
 
+class TestOneOrientation:
+    """(1, e) and the pencil solve the transposed forms; the points come
+    back in the tensor's own mode order."""
+
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    @pytest.mark.parametrize("shape, r, e", [((12, 7, 3), 10, 2), ((10, 5, 4), 10, 2),
+                                             ((12, 7, 3), 12, 5)])
+    def test_degree_1e_matches_e1_on_swapped_modes(self, shape, r, e, scalars):
+        t, _ = random_cpd(shape, r, seed=61, scalars=scalars)
+        swapped = DenseTensor(t.data.transpose(0, 2, 1), t.scalars)
+        dec, info = decompose_with_info(t, r, DecomposeOptions(degree=(1, e), seed=2))
+        ref, ref_info = decompose_with_info(swapped, r, DecomposeOptions(degree=(e, 1), seed=2))
+        assert info["degree_used"] == (1, e) and ref_info["degree_used"] == (e, 1)
+        assert info["backward_error"] <= 1e-12
+        assert factor_set_distance(dec.factors[1], ref.factors[2]) <= 1e-9
+        assert factor_set_distance(dec.factors[2], ref.factors[1]) <= 1e-9
+
+    def test_pencil_svd_and_eigs_agree(self):
+        t, _ = random_cpd((9, 6, 5), 5, seed=39)
+        runs = [decompose_with_info(t, 5, DecomposeOptions(path="pencil", kernel=k, seed=3))
+                for k in ("svd", "eigs")]
+        for dec, info in runs:
+            assert info["path"] == "pencil" and info["backward_error"] <= 1e-12
+            assert {"resultant", "cokernel"} <= set(info["stage_timings_ms"])
+        for k in (1, 2):
+            assert factor_set_distance(runs[0][0].factors[k], runs[1][0].factors[k]) <= 1e-9
+
+
 class TestDecomposeHigherOrder:
     def test_order4_rank1(self):
         t, _ = random_cpd((3, 3, 2, 2), 1, seed=44)
@@ -497,3 +526,15 @@ class TestDegreeGuards:
         for call in calls:
             with pytest.raises(ValueError, match=r"\(1, 1\)"):
                 call()
+
+
+class TestOptionChecks:
+    """A bad path or nullspace method is rejected whichever route the input
+    would take: rank 1, the pencil or the normal form."""
+
+    @pytest.mark.parametrize("bad", [{"path": "bogus"}, {"kernel": "qr"}])
+    @pytest.mark.parametrize("shape, r", [((6, 5, 4), 1), ((9, 6, 5), 5), ((12, 7, 3), 12)])
+    def test_rejected_on_every_route(self, shape, r, bad):
+        t, _ = random_cpd(shape, r, seed=62)
+        with pytest.raises(ValueError, match="unknown"):
+            decompose_with_info(t, r, DecomposeOptions(**bad))

@@ -311,12 +311,6 @@ class TestCatalecticantCorank:
             config = random_config(int(m), int(n), r, seed=trial)
             assert catalecticant_corank(config) == hilbert_from_points(config, (2, 1))
 
-    def test_real_coordinates_variant(self):
-        rng = np.random.default_rng(12)
-        betas = rng.standard_normal((4, 6))
-        gammas = rng.standard_normal((3, 6))
-        assert catalecticant_corank((betas, gammas)) == 6
-
 
 class TestCertifyRegularity:
     def test_square_cell_success(self):
