@@ -8,10 +8,18 @@ seed once (the first of these calls also fills lazy caches), then
 the shift-matrix size, the first calls, the warm medians of the whole
 ``decompose_with_info`` call and of every stage in ``stage_timings_ms``,
 the median number of ``scipy.linalg.cho_solve`` calls per decomposition (the
-steps of the cokernel's block iteration, counting its start block), and
-the process's peak resident memory.  The package is imported from the
-``src`` directory next to this script, so a copy of the script in another
-checkout measures that checkout.
+steps of the cokernel's block iteration, counting its start block), the
+warm medians of the cokernel's parts, and the process's peak resident
+memory.  The parts are timed by wrapping the functions the cokernel calls
+through module attributes: ``cholesky`` (``cho_factor``), ``block_solves``
+(every ``cho_solve``), ``rayleigh_ritz`` (every ``_rayleigh_ritz``),
+``gram`` (the rest of ``_nullspace_eigs``: the Gram matrix, its norm for
+the shift and the start block) and ``residual_check`` (the rest of
+``left_nullspace``: the ||N R|| check), each a total per decomposition.
+The same wrapping works on older checkouts, whose Gram has no function
+of its own.  The package is imported from the ``src`` directory next to
+this script, so a copy of the script in another checkout measures that
+checkout.
 
 ``--crossover`` instead times ``left_nullspace`` by ``svd`` and by ``eigs``
 on the shift matrix of every normal-form instance of the perfbench
@@ -43,33 +51,59 @@ SHAPES = {"20,8,4": 20, "50,10,5": 30, "40,8,8": 39}
 def measure(shape, r, seeds, repeats):
     sys.path.insert(0, str(ROOT / "src"))
     import scipy.linalg
-    from cpdhnf import decompose_with_info, hilbert_dim, random_cpd
+    from cpdhnf import decompose_with_info, hilbert_dim, polysys, random_cpd, recovery
 
-    solves = [0]
-    cho_solve = scipy.linalg.cho_solve
+    spent, calls = {}, {}
 
-    def counting(*args, **kwargs):
-        solves[0] += 1
-        return cho_solve(*args, **kwargs)
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] = spent.get(name, 0.0) + 1e3 * (time.perf_counter() - t0)
+        return wrapper
 
-    scipy.linalg.cho_solve = counting
+    scipy.linalg.cho_factor = timed("cholesky", scipy.linalg.cho_factor)
+    scipy.linalg.cho_solve = timed("block_solves", scipy.linalg.cho_solve)
+    polysys._rayleigh_ritz = timed("rayleigh_ritz", polysys._rayleigh_ritz)
+    polysys._nullspace_eigs = timed("nullspace_eigs", polysys._nullspace_eigs)
+    recovery.left_nullspace = timed("left_nullspace", recovery.left_nullspace)
+
+    def split():
+        ms = {name: spent.get(name, 0.0) for name in
+              ("cholesky", "block_solves", "rayleigh_ritz", "nullspace_eigs", "left_nullspace")}
+        inner = ms["cholesky"] + ms["block_solves"] + ms["rayleigh_ritz"]
+        return {"gram": ms["nullspace_eigs"] - inner,
+                "cholesky": ms["cholesky"],
+                "block_solves": ms["block_solves"],
+                "rayleigh_ritz": ms["rayleigh_ritz"],
+                "residual_check": ms["left_nullspace"] - ms["nullspace_eigs"]}
+
     tensors = [random_cpd(shape, r, seed=s)[0] for s in seeds]
-    cold, warm_total, warm_stages, steps = [], [], {}, []
+    cold, warm_total, warm_stages, warm_parts, steps = [], [], {}, {}, []
     info = None
     for rep in range(repeats + 1):
         for t in tensors:
-            solves[0] = 0
+            spent.clear()
+            calls.clear()
             t0 = time.perf_counter()
             _, info = decompose_with_info(t, r)
             total_ms = 1e3 * (time.perf_counter() - t0)
-            steps.append(solves[0])
+            steps.append(calls.get("block_solves", 0))
+            parts = split()
             if rep == 0:
                 cold.append({"total_ms": round(total_ms, 1),
-                             "cokernel_ms": info["stage_timings_ms"]["cokernel"]})
+                             "cokernel_ms": info["stage_timings_ms"]["cokernel"],
+                             "cokernel_parts_ms": {part: round(ms, 2)
+                                                   for part, ms in parts.items()}})
             else:
                 warm_total.append(total_ms)
                 for stage, ms in info["stage_timings_ms"].items():
                     warm_stages.setdefault(stage, []).append(ms)
+                for part, ms in parts.items():
+                    warm_parts.setdefault(part, []).append(ms)
     m, n = shape[1] - 1, shape[2] - 1
     d, e = info["degree_used"]
     return {
@@ -82,6 +116,8 @@ def measure(shape, r, seeds, repeats):
         "warm_median_total_ms": round(statistics.median(warm_total), 1),
         "warm_median_stage_ms": {stage: round(statistics.median(ms), 2)
                                  for stage, ms in warm_stages.items()},
+        "warm_median_cokernel_parts_ms": {part: round(statistics.median(ms), 2)
+                                          for part, ms in warm_parts.items()},
         "median_cho_solve_calls": statistics.median(steps),
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }

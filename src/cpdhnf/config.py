@@ -3,9 +3,10 @@
 Every threshold the pipeline checks is a constant here.  The Gram
 eigensolver stops within 25 steps, once the r nullspace pairs reach
 relative residual 1e-6 and pair r+1, which the gap test reads, reaches
-1e-3; under ``kernel="auto"`` it takes over from the dense SVD at 30,000
-entries, where it becomes the faster of the two (measured at one BLAS
-thread, ``scripts/cokernel_timings.py --crossover``), and hands back to it,
+1e-3; under ``kernel="auto"`` it takes over from the dense SVD at 20,000
+entries (measured at one BLAS thread, ``scripts/cokernel_timings.py
+--crossover``: the SVD was faster up to 13,608 entries and the Gram
+eigensolver from 22,500, with 18,522 a near tie), and hands back to it,
 with a warning, when it cannot certify the corank.
 The remaining values are engineering defaults.
 """
@@ -27,7 +28,7 @@ EIGS_TOL = 1e-6        # relative residual ||F^-1 x - mu x|| / |mu| of the r
                        # returned Ritz pairs of the block inverse iteration;
                        # pair r+1 stops at its square root
 EIGS_MAXITER = 25      # step cap of the block iteration; then it gives up
-EIGS_ENTRY_THRESHOLD = 30_000   # auto uses the Gram eigensolver from here
+EIGS_ENTRY_THRESHOLD = 20_000   # auto uses the Gram eigensolver from here
 
 # basis choice and multiplication matrices
 PIV_REL = 1e-8         # smallest/largest pivot ratio in the QR

@@ -6,9 +6,11 @@ matrix whose left nullspace carries the normal-form data; its row
 positions come from ``bigraded.shift_table``, where the monomial order
 lives.  The nullspace comes from a dense SVD or from the Gram matrix
 R R^H: one in-place Cholesky factorization of its shifted dense form and
-blocked inverse subspace iteration, which applies the Gram through the
-sparse R.  At degree (1, 1) it is the flattening row space, which the
-kernel's SVD already holds.
+blocked inverse subspace iteration.  The Gram, its projections and the
+nullspace residual are formed from the shift table and the form
+coefficients, one block per shift, with no sparse product.  At degree
+(1, 1) the nullspace is the flattening row space, which the kernel's SVD
+already holds.
 """
 
 import os
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .bigraded import Bidegree, hilbert_dim, shift_table
 from .config import (EIGS_ENTRY_THRESHOLD, EIGS_MAXITER, EIGS_TOL, GAP_REL,
@@ -125,6 +126,12 @@ def jacobian(system, beta, gamma):
     return np.concatenate([dbeta, dgamma], axis=1)
 
 
+# shifts per gather in projected_gram.  At (40,8,8) r=39 (120 shifts of 64
+# rows, 84 columns) every chunk from 8 shifts to all 120 took 2.1-2.4 ms at
+# one BLAS thread, so the chunk only bounds the gather: 1.4 MB there
+_SHIFT_CHUNK = 32
+
+
 @dataclass
 class ResultantMatrix:
     """Sparse matrix of all monomial shifts of the system's forms at a
@@ -132,9 +139,12 @@ class ResultantMatrix:
 
     Rows are indexed by the monomial basis of the (d, e) piece; columns by
     (form j, shift monomial) with the form index major.  Each column is a
-    copy of vec(F_j) placed at the shifted row positions.  At (1, 1) the
-    columns are the forms, so the system's ``cokernel`` is the left
-    nullspace; it is None elsewhere.
+    copy of vec(F_j), row j of ``forms``, placed at the rows
+    ``table[mu]`` of its shift mu.  ``matrix`` holds the same entries in
+    CSC form; ``norm``, ``gram``, ``projected_gram`` and ``residual_norm``
+    read only ``table`` and ``forms``.  At (1, 1) the columns are the
+    forms, so the system's ``cokernel`` is the left nullspace; it is None
+    elsewhere.
     """
 
     degree: Bidegree
@@ -142,6 +152,8 @@ class ResultantMatrix:
     n: int
     s: int
     matrix: scipy.sparse.csc_matrix
+    table: np.ndarray  # shape (n_shifts, (m+1)(n+1)), the shift table
+    forms: np.ndarray  # shape (s, (m+1)(n+1)), vec(F_j) in row j
     cokernel: np.ndarray | None = None
 
     @property
@@ -151,13 +163,47 @@ class ResultantMatrix:
     def toarray(self):
         return self.matrix.toarray()
 
+    def norm(self):
+        """Frobenius norm of R: every shift holds each form once."""
+        return np.sqrt(len(self.table)) * np.linalg.norm(self.forms)
+
+    def gram(self):
+        """Dense G = R R^H in Fortran order: sum over shifts mu of
+        K = F^T conj(F) placed at rows and columns ``table[mu]``.  The rows
+        of one shift are distinct, so no update of a block is lost."""
+        nrows = self.shape[0]
+        per_shift = self.forms.T @ self.forms.conj()
+        gram = np.zeros((nrows, nrows), dtype=per_shift.dtype, order="F")
+        for rows in self.table:
+            gram[np.ix_(rows, rows)] += per_shift
+        return gram
+
+    def projected_gram(self, Q):
+        """Q^H G Q = (R^H Q)^H (R^H Q) = sum over shifts mu of B^H B, with
+        B = conj(F) Q[table[mu]], accumulated over chunks of shifts without
+        holding R^H Q or the whole gather."""
+        width = Q.shape[1]
+        forms = self.forms.conj()
+        out = np.zeros((width, width), dtype=np.result_type(forms, Q))
+        for lo in range(0, len(self.table), _SHIFT_CHUNK):
+            B = np.matmul(forms, Q[self.table[lo:lo + _SHIFT_CHUNK]]).reshape(-1, width)
+            out += B.conj().T @ B
+        return out
+
+    def residual_norm(self, N):
+        """||N R||_F as ||N[:, table] F^T||_F: the column order of R does
+        not change the norm."""
+        gathered = N[:, self.table.ravel()].reshape(-1, self.table.shape[1])
+        return np.linalg.norm(gathered @ self.forms.T)
+
 
 def build_resultant(system, degree):
     """Assemble the shift matrix column by column, without polynomial
     multiplication: each column copies the coefficients of one form into
     the rows of the shifted monomials.  The matrix is written in CSC form
     directly; every column holds (m+1)(n+1) entries, and their rows ascend
-    because the shift table's rows follow a monomial order."""
+    because the shift table's rows follow a monomial order.  The table and
+    the forms are kept, and the nullspace methods apply R through them."""
     d, e = degree
     if min(d, e) < 1:
         raise ValueError("degree must be at least (1, 1)")
@@ -168,7 +214,8 @@ def build_resultant(system, degree):
     nshift, block = table.shape
     nrows = hilbert_dim(m, n, d, e)
 
-    vals = np.tile(system.coeffs.reshape(s, 1, block), (1, nshift, 1)).ravel()
+    forms = system.coeffs.reshape(s, block)
+    vals = np.tile(forms[:, None], (1, nshift, 1)).ravel()
     indptr = np.arange(0, s * nshift * block + 1, block)
     mat = scipy.sparse.csc_matrix(
         (vals, np.tile(table.ravel(), s), indptr), shape=(nrows, s * nshift)
@@ -177,30 +224,32 @@ def build_resultant(system, degree):
     if (d, e) == (1, 1) and system.cokernel is not None:
         # the (1, 1) rows are the pairs (k, l) in row-major order
         cokernel = system.cokernel.reshape(-1, block)
-    return ResultantMatrix(Bidegree(d, e), m, n, s, mat, cokernel)
+    return ResultantMatrix(Bidegree(d, e), m, n, s, mat, table, forms, cokernel)
 
 
 def left_nullspace(res, r, method="auto"):
     """Orthonormal rows spanning the left nullspace of the shift matrix.
 
     ``svd`` runs a full dense SVD and keeps the last r left singular
-    vectors.  ``eigs`` forms the dense Gram matrix G = R R^H, adds
-    1e-8 ||G||_F to its diagonal and Cholesky-factors it in place, then
-    runs inverse subspace iteration on a block of 2k columns (k = r + 3)
-    with Rayleigh-Ritz through the sparse R, until the r smallest Ritz
-    pairs have relative residual EIGS_TOL and pair r + 1, whose Ritz value
-    the gap test reads, has EIGS_TOL ** 0.5.  ``auto`` returns a known
-    ``cokernel`` of r rows (at (1, 1), the row space ``kernel_flattening``
-    computed and certified), else uses ``eigs`` at or above
-    ``EIGS_ENTRY_THRESHOLD`` (in ``config``) matrix entries and ``svd``
-    below; when the eigensolver cannot certify the corank (no gap,
-    a failed factorization, or no convergence in EIGS_MAXITER steps) it
-    falls back to the dense SVD and warns with the eigensolver's detail.
+    vectors.  ``eigs`` forms the dense Gram matrix G = R R^H from the
+    shift table, adds 1e-8 ||G||_F to its diagonal and Cholesky-factors it
+    in place, then runs inverse subspace iteration on a block of 2k columns
+    (k = r + 3) with Rayleigh-Ritz on Q^H G Q, also formed per shift, until
+    the r smallest Ritz pairs have relative residual EIGS_TOL and pair
+    r + 1, whose Ritz value the gap test reads, has EIGS_TOL ** 0.5.
+    ``auto`` returns a known ``cokernel`` of r rows (at (1, 1), the row
+    space ``kernel_flattening`` computed and certified), else uses
+    ``eigs`` at or above ``EIGS_ENTRY_THRESHOLD`` (in ``config``) matrix
+    entries and ``svd`` below; when the eigensolver cannot certify the
+    corank (no gap, a failed factorization, or no convergence in
+    EIGS_MAXITER steps) it falls back to the dense SVD and warns with the
+    eigensolver's detail.
     Raises CorankMismatch when the spectrum does not show a corank-r gap,
     which signals a degree outside the regularity or a misspecified rank;
     under ``auto`` only when the SVD agrees.  Raises InsufficientMemory,
     with no fallback, when the dense Gram or the dense SVD cannot be
-    allocated.
+    allocated.  Every method's result is checked by ||N R||_F / ||R||_F,
+    computed from the shift table; above NULL_REL it warns.
     """
     nrows, ncols = res.shape
     if res.s == 0 or ncols == 0:
@@ -230,8 +279,8 @@ def left_nullspace(res, r, method="auto"):
                 f"eigs could not certify corank {r} ({exc}); fell back to svd",
                 stacklevel=2,
             )
-    scale = scipy.sparse.linalg.norm(res.matrix)
-    rel = np.linalg.norm((N @ res.matrix).ravel()) / scale if scale else 0.0
+    scale = res.norm()
+    rel = res.residual_norm(N) / scale if scale else 0.0
     if rel > NULL_REL:
         warnings.warn(
             f"nullspace residual ||N R||/||R|| = {rel:.2e} exceeds {NULL_REL:.0e}",
@@ -289,14 +338,12 @@ def _nullspace_svd(res, r):
 
 
 def _nullspace_eigs(res, r):
-    R = res.matrix
-    RH = R.conj().T
-    nrows = R.shape[0]
+    nrows = res.shape[0]
     try:
         # Fortran order, so the Cholesky below overwrites it in place
-        gram = (R @ RH).toarray(order="F")
+        gram = res.gram()
     except MemoryError as exc:
-        raise _dense_too_large(nrows, R.dtype) from exc
+        raise _dense_too_large(nrows, res.forms.dtype) from exc
     k = min(r + 3, nrows - 1)
     # small positive shift keeps the factorization definite
     shift = 1e-8 * np.linalg.norm(gram)
@@ -306,15 +353,15 @@ def _nullspace_eigs(res, r):
     except np.linalg.LinAlgError as exc:
         raise CorankMismatch(f"shifted Gram matrix is not definite: {exc}") from exc
     # inverse subspace iteration with Rayleigh-Ritz on G, which is applied
-    # only through the sparse R from here on.  Pair i converges at the
+    # only through the shift table from here on.  Pair i converges at the
     # rate (lambda_i + shift) / (lambda_{width+1} + shift).  With all k
     # pairs tested, on two draws each of (20,8,4), (50,10,5) and (40,8,8),
     # a block of k columns did not converge in 25 steps, 2k took 5-8
     # steps, and 3k took 3-6 steps but was slower on 5 of the 6.  The
     # start block is fixed for run-to-run determinism.
     width = min(nrows, 2 * k)
-    X = np.random.default_rng(0x5EED).standard_normal((nrows, width)).astype(R.dtype)
-    theta, X = _rayleigh_ritz(RH, scipy.linalg.cho_solve(factor, X, check_finite=False))
+    X = np.random.default_rng(0x5EED).standard_normal((nrows, width)).astype(res.forms.dtype)
+    theta, X = _rayleigh_ritz(res, scipy.linalg.cho_solve(factor, X, check_finite=False))
     for _ in range(EIGS_MAXITER):
         Y = scipy.linalg.cho_solve(factor, X, check_finite=False)
         # Y holds F^{-1} x_i, and a Ritz pair is converged once it is an
@@ -332,7 +379,7 @@ def _nullspace_eigs(res, r):
         resid = np.linalg.norm(Y[:, :r + 1] - X[:, :r + 1] * mu, axis=0)
         resid /= np.abs(mu)
         done = np.all(resid[:r] <= EIGS_TOL) and resid[r] <= EIGS_TOL ** 0.5
-        theta, X = _rayleigh_ritz(RH, Y)
+        theta, X = _rayleigh_ritz(res, Y)
         if done:
             break
     else:
@@ -348,10 +395,9 @@ def _nullspace_eigs(res, r):
     )
 
 
-def _rayleigh_ritz(RH, Y):
+def _rayleigh_ritz(res, Y):
     """Ritz values (ascending) and vectors of G = R R^H on the span of Y,
-    with G applied through RH = R^H."""
-    Q = np.linalg.qr(Y)[0]
-    RQ = RH @ Q
-    theta, W = np.linalg.eigh(RQ.conj().T @ RQ)
+    which it overwrites; Q^H G Q comes from ``res.projected_gram``."""
+    Q = scipy.linalg.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
+    theta, W = np.linalg.eigh(res.projected_gram(Q))
     return theta, Q @ W

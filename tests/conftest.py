@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from cpdhnf import BilinearSystem, DenseTensor
 
@@ -86,3 +87,22 @@ def golden_resultant_dense():
     for i, j, v in GOLDEN_RESULTANT_21:
         R[i, j] = v
     return R
+
+
+def fail_dense_buffers(monkeypatch, nrows):
+    """Make the cokernel's dense buffers unallocatable: numpy.zeros of an
+    nrows x nrows array (the Gram matrix) and every sparse ``toarray`` (the
+    shift matrix the SVD densifies) raise MemoryError."""
+    zeros = np.zeros
+
+    def no_square_buffer(shape, *args, **kwargs):
+        if shape == (nrows, nrows):
+            raise MemoryError
+        return zeros(shape, *args, **kwargs)
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "zeros", no_square_buffer)
+    monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", no_memory)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", no_memory)

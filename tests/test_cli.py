@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from cpdhnf import polysys
 from cpdhnf.cli import main
+
+from conftest import fail_dense_buffers
 
 
 def run(args):
@@ -121,12 +122,7 @@ class TestDecompose:
         tensor = tmp_path / "t.txt"
         run(["generate", "--dims", "12,7,3", "--rank", "12", "--seed", "3",
              "--output", str(tensor)])
-
-        def no_memory(*args, **kwargs):
-            raise MemoryError
-
-        monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", no_memory)
-        monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", no_memory)
+        fail_dense_buffers(monkeypatch, 252)
         assert run(["decompose", "--input", str(tensor), "--rank", "12"]) == 1
         err = capsys.readouterr().err
         assert "error[cokernel]: InsufficientMemory" in err

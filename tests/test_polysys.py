@@ -156,6 +156,52 @@ class TestBuildResultant:
             build_resultant(empty, (2, 1))
 
 
+class TestStructuredProducts:
+    """The shift matrix applied through its table and forms against sparse
+    products with its CSC form, on random forms.  At (2, 2) with (m, n) =
+    (6, 4) there are 35 shifts, so ``projected_gram`` ends on a partial
+    chunk."""
+
+    CASES = [(3, 2, (1, 1)), (4, 3, (2, 1)), (3, 2, (3, 1)), (6, 4, (2, 2)),
+             (2, 3, (1, 3))]
+
+    @staticmethod
+    def _random(shape, scalars, rng):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if scalars == COMPLEX else z
+
+    def test_a_case_ends_on_a_partial_chunk(self):
+        chunk = polysys._SHIFT_CHUNK
+        assert any(len(shift_table(m, n, degree)) > chunk
+                   and len(shift_table(m, n, degree)) % chunk
+                   for m, n, degree in self.CASES)
+
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    @pytest.mark.parametrize("m, n, degree", CASES)
+    def test_match_sparse_products(self, m, n, degree, scalars):
+        rng = np.random.default_rng(40 + m + 10 * n)
+        s = (m + 1) * (n + 1) // 2
+        res = build_resultant(BilinearSystem(self._random((s, m + 1, n + 1), scalars, rng)),
+                              degree)
+        R = res.matrix
+        nrows = R.shape[0]
+
+        def close(got, want):
+            return np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+        gram = res.gram()
+        assert gram.flags.f_contiguous
+        assert close(gram, (R @ R.conj().T).toarray())
+
+        Q = np.linalg.qr(self._random((nrows, min(nrows, 9)), scalars, rng))[0]
+        RHQ = R.conj().T @ Q
+        assert close(res.projected_gram(Q), RHQ.conj().T @ RHQ)
+
+        N = np.linalg.qr(self._random((nrows, 4), scalars, rng))[0].conj().T
+        assert close(res.residual_norm(N) / res.norm(),
+                     np.linalg.norm(N @ R) / scipy.sparse.linalg.norm(R))
+
+
 class TestLeftNullspace:
     def test_golden_nullspace(self, golden_tensor):
         system = kernel_flattening(flatten_mode1(golden_tensor), 4, (3, 3))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from cpdhnf import (COMPLEX, REAL, AmbiguousKernel, BilinearSystem,
                     CorankMismatch, CPDecomposition, DecomposeOptions,
@@ -15,7 +14,8 @@ from cpdhnf import (COMPLEX, REAL, AmbiguousKernel, BilinearSystem,
 from cpdhnf.config import NEWTON_RCOND
 from cpdhnf.linalg import factor_set_distance
 
-from conftest import GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_GAMMAS
+from conftest import (GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_GAMMAS,
+                      fail_dense_buffers)
 
 
 class TestSolveGamma:
@@ -456,10 +456,6 @@ class TestCokernelFallback:
         """A dense buffer that cannot be allocated is an InsufficientMemory
         tagged cokernel on every method; the SVD fallback does not catch it."""
         t, _ = random_cpd((12, 7, 3), 12, seed=52)
-
-        def no_memory(*args, **kwargs):
-            raise MemoryError
-
         svd_calls = []
         nullspace_svd = polysys._nullspace_svd
 
@@ -467,8 +463,7 @@ class TestCokernelFallback:
             svd_calls.append(r)
             return nullspace_svd(res, r)
 
-        monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", no_memory)
-        monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", no_memory)
+        fail_dense_buffers(monkeypatch, 252)
         monkeypatch.setattr(polysys, "_nullspace_svd", counting_svd)
         with pytest.raises(InsufficientMemory) as exc:
             decompose(t, 12, DecomposeOptions(kernel=kernel, seed=1))
