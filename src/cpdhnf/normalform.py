@@ -40,12 +40,9 @@ def make_h0(N, m, n, degree, rng=None, coeffs=None):
     d, e = degree
     table = shift_table(m, n, (d, e))
     if coeffs is None:
-        if (d, e) == (1, 1):
-            coeffs = np.ones(1)
-        else:
-            if rng is None:
-                raise ValueError("need rng when no coefficients are supplied")
-            coeffs = rng.standard_normal(len(table))
+        if rng is None:
+            raise ValueError("need rng when no coefficients are supplied")
+        coeffs = rng.standard_normal(len(table))
     coeffs = np.asarray(coeffs)
     if len(coeffs) != len(table):
         raise ValueError("one coefficient per shift monomial required")

@@ -19,11 +19,12 @@ from .errors import ConfigNotInW, RankOutOfRange
 DEFAULT_PRIME = 8191
 
 
-# Columns factored per panel of the blocked elimination.  Wider panels put
-# more of the work into each GEMM but make the one per-pivot pass per panel
-# slower.  On one core, widths 16-48 tied on the certification sweep and 64
-# made it 15% slower; 24-64 tied on a 1260 x 2100 Hilbert value.  48 cut the
-# 3136 x 14553 one of criterion 11 from 10 to 8 s but raised peak memory.
+# Columns factored per panel of the blocked elimination.  Wider panels make
+# the one per-pivot pass per panel slower.  On one core, widths 16-48 tied
+# on the certification sweep and 64 made it 15% slower; 24-64 tied on a
+# 1260 x 2100 Hilbert value.  The columns beyond a panel's outer block wait
+# for the block's one update, so the panel width does not set the inner
+# dimension of the large GEMMs.
 _PANEL = 32
 
 # The Schur update runs over blocks of this many trailing rows, so that each
@@ -32,9 +33,18 @@ _PANEL = 32
 # and the time by a third.
 _ROW_BLOCK = 64
 
-# Unreduced trailing entries are kept below 2^52, so that they, every partial
-# sum of a GEMM that updates them, and the multiples of p that _reduce
-# subtracts from them are all integers that float64 represents exactly.
+# Columns per outer block.  The columns beyond a block take one update of
+# inner dimension the block's pivot count, instead of one rank-_PANEL update
+# per panel, which is bound by memory traffic.  On one core the 3136 x 14553
+# Hilbert value of criterion 11 took 9.4 s with one level and 5.0, 4.5, 4.1
+# and 4.4 s with blocks of 128, 256, 384 and 512 columns; the four tied on a
+# 1260 x 2100 one.  A matrix of at most _BLOCK columns is one block.
+_BLOCK = 256
+
+# Unreduced entries are kept below 2^52, so that they, every partial sum of
+# a GEMM that updates them (an inner dimension of up to _BLOCK, factors at
+# most p in magnitude), and the multiples of p that _reduce subtracts from
+# them are all integers that float64 represents exactly.
 _LAZY_LIMIT = 2 ** 52
 
 
@@ -123,39 +133,87 @@ def _grow_bound(bound, k, p):
 
 
 def _rank(A, p):
-    """Rank over Z_p of a float64 matrix of integers, by blocked elimination.
+    """Rank over Z_p of a float64 matrix of integers, by two-level blocked
+    elimination.
 
     ``A`` must be C-contiguous with no more rows than columns and entries
-    at most p in magnitude; it is overwritten.  One ``_row_echelon`` pass
-    factors each panel of columns and returns its k pivots and multipliers
-    L; the pivot rows are swapped to the top, and since every other row of
-    the panel is -L times the pivot rows mod p, the trailing block takes the
-    Schur complement update ``S += L[k:] @ (A[I, trail] mod p)`` by GEMM.
-    The products of L < p and reduced entries of at most p/2 + 1 are below
-    p^2, so ``_grow_bound`` keeps every sum an exact float64 integer.
-    Trailing entries are reduced only when they enter a panel or a pivot
-    row, or when ``_grow_bound`` says the next update could reach 2^52.
+    at most p in magnitude; it is overwritten.  Columns are factored in
+    outer blocks of ``_BLOCK``, each in panels of ``_PANEL``.  One
+    ``_row_echelon`` pass factors a panel and returns its k pivots and
+    multipliers L; its row swaps bring the pivot rows to the top, and since
+    every other row of the panel is -L times the pivot rows mod p, the rest
+    of the block takes the Schur update ``S += L[k:] @ (pivot rows mod p)``
+    by GEMM over blocks of ``_ROW_BLOCK`` rows.
+
+    The columns beyond the block take one update, ``S += Lc @ (the block's
+    pivot rows mod p)``, of inner dimension the block's pivot count.  The
+    composite multipliers Lc are kept where LU keeps L, in the block's
+    eliminated columns: each panel's columns are zeroed from its first pivot
+    row down, with a 1 at (pivot t, column t of the panel), and its update
+    starts at the block's first column, so the same GEMM writes L[k:] into
+    the panel's columns and carries the earlier panels' multipliers forward,
+    ``Lc[i] += L[i] @ Lc[pivots]``.  Row swaps run from the block's first
+    column, so the multipliers move with their rows.  The last block has
+    nothing beyond it and keeps no multipliers.
+
+    Both factors of every product are reduced to at most p in magnitude, so
+    ``_grow_bound`` keeps every sum an exact float64 integer.  Entries are
+    reduced only when they enter a panel or a pivot row, or when
+    ``_grow_bound`` says the next update could reach 2^52: a block's pivot
+    rows in place once they are final, Lc one chunk of rows at a time.
     """
     rows, cols = A.shape
-    rank, c0 = 0, 0
-    bound = p
-    while rank < rows and c0 < cols:
-        c1 = min(c0 + _PANEL, cols)
-        k, _, _, swaps, L = _row_echelon(A[rank:, c0:c1], p)
-        if k and c1 < cols and rank + k < rows:
-            active = A[rank:, c1:]
-            for i, j in swaps:
-                active[[i, j]] = active[[j, i]]
-            X = _reduce(active[:k], p)
-            trailing = active[k:]
-            bound, reduce_first = _grow_bound(bound, k, p)
+    rank, bound = 0, p
+    for b0 in range(0, cols, _BLOCK):
+        b1 = min(b0 + _BLOCK, cols)
+        keep = b1 < cols
+        top, kept = rank, []
+        for c0 in range(b0, b1, _PANEL):
+            if rank == rows:
+                return rank
+            c1 = min(c0 + _PANEL, b1)
+            k, _, _, swaps, L = _row_echelon(A[rank:, c0:c1], p)
+            if not k:
+                continue
+            # with columns beyond the block, rows move and update from the
+            # block's first column, so the kept multipliers go with them
+            lo = b0 if keep else c1
+            active = A[rank:, lo:]
+            if swaps:
+                # the swaps in one move of the rows they permute
+                perm = list(range(max(j for _, j in swaps) + 1))
+                for i, j in swaps:
+                    perm[i], perm[j] = perm[j], perm[i]
+                perm = np.array(perm)
+                moved = np.flatnonzero(perm != np.arange(len(perm)))
+                active[moved] = active[perm[moved]]
+            if keep:
+                # the update below writes this panel's multipliers here
+                active[:, c0 - lo:c1 - lo] = 0
+                active[range(k), range(c0 - lo, c0 - lo + k)] = 1
+                kept.extend(range(c0, c0 + k))
+            if rank + k < rows and lo < b1:
+                X = _reduce(active[:k, :b1 - lo], p)
+                trailing = active[k:]
+                bound, reduce_first = _grow_bound(bound, k, p)
+                if reduce_first:
+                    trailing[...] = _reduce(trailing, p)
+                rest = L[k:].astype(np.float64)
+                for i in range(0, len(rest), _ROW_BLOCK):
+                    trailing[i:i + _ROW_BLOCK, :b1 - lo] += rest[i:i + _ROW_BLOCK] @ X
+            rank += k
+        if kept and rank < rows:
+            # the block's pivot rows are final beyond it: reduce them in place
+            X = A[top:rank, b1:]
+            for i in range(0, len(X), _PANEL):
+                X[i:i + _PANEL] = _reduce(X[i:i + _PANEL], p)
+            trailing = A[rank:, b1:]
+            bound, reduce_first = _grow_bound(bound, len(kept), p)
             if reduce_first:
                 trailing[...] = _reduce(trailing, p)
-            rest = L[k:].astype(np.float64)
-            for i in range(0, len(rest), _ROW_BLOCK):
-                trailing[i:i + _ROW_BLOCK] += rest[i:i + _ROW_BLOCK] @ X
-        rank += k
-        c0 = c1
+            for i in range(rank, rows, _ROW_BLOCK):
+                Lc = _reduce(A[i:i + _ROW_BLOCK, kept], p)
+                trailing[i - rank:i - rank + _ROW_BLOCK] += Lc @ X
     return rank
 
 

@@ -71,13 +71,6 @@ class TestShiftedSubmatrix:
 
 
 class TestMakeH0:
-    def test_bilinear_degree_keeps_matrix(self):
-        rng = np.random.default_rng(3)
-        N = rng.standard_normal((4, 9))
-        coeffs, nh0 = make_h0(N, 2, 2, (1, 1))
-        assert np.array_equal(coeffs, np.ones(1))
-        assert np.array_equal(nh0, N)
-
     def test_deterministic_per_rng_seed(self):
         rng = np.random.default_rng(4)
         N = np.random.default_rng(9).standard_normal((3, 18))

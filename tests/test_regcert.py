@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from cpdhnf import (ConfigNotInW, PointConfigFp, RankOutOfRange,
                     catalecticant_corank, certify_regularity, fp_rank,
                     hilbert_from_points, random_config, rank_bound, regcert)
-from cpdhnf.regcert import _PANEL, _fp_kernel, _grow_bound, _row_echelon
+from cpdhnf.regcert import (_BLOCK, _LAZY_LIMIT, _PANEL, _fp_kernel, _grow_bound,
+                             _row_echelon)
 
 
 def rational_rank(M):
@@ -114,6 +115,16 @@ def _blocked_rank_cases(rng):
             yield p, M
 
 
+def _spread_rank(rng, p, rows, cols, k):
+    """A rows x cols matrix of rank at most k whose independent columns are
+    spread over the whole width: every other column combines the ones before
+    it, so most panels find fewer than _PANEL pivots."""
+    fresh = np.sort(rng.choice(cols, size=k, replace=False))
+    W = rng.integers(0, p, size=(k, cols)) * (fresh[:, None] < np.arange(cols))
+    W[range(k), fresh] = 1
+    return rng.integers(0, p, size=(rows, k)) @ (rng.integers(0, p, size=(k, k)) @ W % p) % p
+
+
 class TestBlockedRank:
     """fp_rank factors panels of columns and updates the rest by GEMM; the
     per-pivot elimination over the whole matrix and the pure-Python oracle
@@ -149,6 +160,65 @@ class TestBlockedRank:
         assert len(calls) == 4
         assert all(cols == _PANEL for _, cols in calls)
 
+    @pytest.mark.parametrize("lazy_limit", [_LAZY_LIMIT, 1], ids=["lazy", "full_reduction"])
+    def test_several_outer_blocks(self, monkeypatch, lazy_limit):
+        # outer blocks of two panels: every case spans several blocks, so
+        # the multipliers kept in one block's eliminated columns update the
+        # columns beyond it; at a limit of 1 every update reduces first
+        monkeypatch.setattr(regcert, "_BLOCK", 2 * _PANEL)
+        monkeypatch.setattr(regcert, "_LAZY_LIMIT", lazy_limit)
+        for p, M in _blocked_rank_cases(np.random.default_rng(17)):
+            assert fp_rank(M, p) == _row_echelon(M, p)[0]
+            assert fp_rank(M, p) == modular_rank(M, p)
+
+    def test_wider_than_three_blocks(self):
+        # rank is lost inside blocks, so many panels find fewer than _PANEL
+        # pivots; with k = rows the rank is still full
+        rng = np.random.default_rng(18)
+        assert 900 > 3 * _BLOCK
+        for p in (2, 8191, 32749):
+            for rows, cols, k in ((150, 900, 120), (150, 900, 150), (300, 300, 250)):
+                M = _spread_rank(rng, p, rows, cols, k)
+                assert fp_rank(M, p) == _row_echelon(M, p)[0]
+                assert fp_rank(M, p) == modular_rank(M, p)
+
+    def test_one_beyond_block_update_per_block(self, monkeypatch):
+        # the updates that read their right factor in place from the matrix
+        # are the beyond-block ones: one per block that has pivots and rows
+        # below them, with the block's pivot rows as right factor, over
+        # every row below them, with inner dimension its pivot count
+        monkeypatch.setattr(regcert, "_BLOCK", 2 * _PANEL)
+        p, rows, cols = 8191, 100, 6 * 2 * _PANEL
+        M = _spread_rank(np.random.default_rng(19), p, rows, cols, 90)
+        M[:, 2 * _PANEL:4 * _PANEL] = 0
+        products = []
+
+        class Recorded(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append((inputs[0].shape, inputs[1]))
+                inputs = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(x.view(np.ndarray) for x in kwargs["out"])
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        A = M.astype(np.float64)
+        start = A.__array_interface__["data"][0]
+        assert regcert._rank(A.view(Recorded), p) == modular_rank(M, p) == 90
+        updates = {}
+        for (chunk, inner), X in products:
+            row, col = divmod((X.__array_interface__["data"][0] - start) // 8, cols)
+            assert X.shape == (inner, cols - col)
+            updates.setdefault((row, col, inner), []).append(chunk)
+        expected = {}
+        for b1 in range(2 * _PANEL, cols, 2 * _PANEL):
+            top = modular_rank(M[:, :b1 - 2 * _PANEL], p)
+            below = modular_rank(M[:, :b1], p)
+            if top < below < rows:
+                expected[top, b1, below - top] = rows - below
+        assert len(expected) == 4
+        assert {key: sum(chunks) for key, chunks in updates.items()} == expected
+
     def test_lazy_bound_stays_exact(self):
         # 300,000 full panels, 9.6 million columns, never allocated: only
         # the largest prime needs full reductions, and no bound reaches 2^52
@@ -159,6 +229,14 @@ class TestBlockedRank:
                 reductions += reduce_first
                 assert bound < 2 ** 52
             assert reductions == expected
+        # a beyond-block update has inner dimension up to _BLOCK; the same
+        # 9.6 million columns in updates that wide
+        bound, reductions = 32749, 0
+        for _ in range(300_000 * 32 // _BLOCK):
+            bound, reduce_first = _grow_bound(bound, _BLOCK, 32749)
+            reductions += reduce_first
+            assert bound < 2 ** 52
+        assert reductions == 2
         assert _grow_bound(8191, 32, 8191) == (8191 + 32 * 8191 ** 2, False)
         assert _grow_bound(2 ** 52 - 10, 1, 3) == (2 ** 52 - 1, False)
         assert _grow_bound(2 ** 52 - 9, 1, 3) == (3 + 9, True)
