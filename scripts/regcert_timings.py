@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Warm timings of the certifier's Z_p rank, with its split and peak memory.
+"""Warm timings of the certifier's Z_p Hilbert values, with their split and
+peak memory.
 
 Each case runs in a fresh process with one BLAS thread:
 
@@ -13,26 +14,26 @@ Each case runs in a fresh process with one BLAS thread:
 
 The process runs its case once cold (the first call also fills lazy
 caches), then ``--repeats`` times warm, and reports the warm median.  One
-more run splits the time spent in ``regcert._rank`` into
+more run splits the time spent in ``regcert._shift_corank`` into
 
-- ``per_pivot``: the ``_row_echelon`` passes over the panels;
-- ``in_block``: the GEMM updates, each with the addition that applies its
-  product, whose right factor is a reduced copy of a panel's pivot rows;
-- ``beyond_block``: the GEMM updates, with their additions, whose right
-  factor is read in place from the matrix, the pivot rows of an outer block;
-- ``other``: the rest of ``_rank``: row swaps, reductions, copies, and the
-  cost of the instrumentation itself.
+- ``build``: the leading rows P, the columns J that lead at them, and the
+  scatter of the rows Q of the shift matrix (``_leading_split``);
+- ``solve``: the blocked triangular solve of X A = R[Q, J]
+  (``_solve_pivots``);
+- ``schur``: the Schur complement S = R[Q, K] - X R[P, K]
+  (``_schur_complement``);
+- ``rank``: the elimination of S (``_rank``);
+- ``other``: the rest, such as the shift-table lookup and the transpose of S.
 
-The split times every NumPy ufunc called on the matrix or on arrays derived
-from it, through an ndarray subclass, so that run is slower than the warm
-ones.  The process's peak resident memory is reported too.  The package is
-imported from the ``src`` directory next to this script, so a copy of the
-script in another checkout measures that checkout.  ``--block W`` sets
-``regcert._BLOCK`` to W in the measuring processes, to compare outer block
-widths.
+It also reports |P|, |Q| and the shape |Q| x |K| of S: of the one shift
+matrix of a Hilbert-value case, and for ``cert-sweep`` the sums over its
+shift matrices and the largest S.  The process's peak resident memory is
+reported too.  The package is imported from the ``src`` directory next to
+this script, so a copy of the script in another checkout measures that
+checkout.
 
     python3 scripts/regcert_timings.py --repeats 3
-    python3 scripts/regcert_timings.py --cases cert-sweep --block 128
+    python3 scripts/regcert_timings.py --cases cert-sweep --seed 102
 """
 
 import argparse
@@ -51,6 +52,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = ("criterion-11", "cert-large", "cert-sweep")
+PHASES = {"build": "_leading_split", "solve": "_solve_pivots",
+          "schur": "_schur_complement", "rank": "_rank"}
 PRIME = 8191
 
 
@@ -76,13 +79,21 @@ def case_call(cp, name, seed):
                     for m, n, d, r, s in args]
 
 
-def measure(name, seed, repeats, block):
+def _timed(spent, name, func):
+    def timed(*args):
+        t0 = time.perf_counter()
+        try:
+            return func(*args)
+        finally:
+            spent[name] += 1e3 * (time.perf_counter() - t0)
+    return timed
+
+
+def measure(name, seed, repeats):
     sys.path.insert(0, str(ROOT / "src"))
     import cpdhnf as cp
     from cpdhnf import regcert
 
-    if block is not None:
-        regcert._BLOCK = block
     call = case_call(cp, name, seed)
     t0 = time.perf_counter()
     value = call()
@@ -93,68 +104,37 @@ def measure(name, seed, repeats, block):
         call()
         warm.append(1e3 * (time.perf_counter() - t0))
 
-    spent = dict.fromkeys(("rank", "per_pivot", "in_block", "beyond_block"), 0.0)
-    matrix = []
+    spent = dict.fromkeys(["total", *PHASES], 0.0)
+    sizes = []
+    leading_split = regcert._leading_split
 
-    class Timed(np.ndarray):
-        """The matrix _rank eliminates, and every array computed from it."""
+    def recorded_split(*args):
+        T, entries, npiv = leading_split(*args)
+        sizes.append((npiv, T.shape[1], len(T) - npiv))
+        return T, entries, npiv
 
-        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-            args = [x.view(np.ndarray) if isinstance(x, Timed) else x for x in inputs]
-            if out is not None:
-                kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, Timed) else o
-                                      for o in out)
-            t0 = time.perf_counter()
-            result = getattr(ufunc, method)(*args, **kwargs)
-            ms = 1e3 * (time.perf_counter() - t0)
-            kind = None
-            if ufunc is np.matmul:
-                kind = ("beyond_block" if np.may_share_memory(args[1], matrix[-1])
-                        else "in_block")
-            elif ufunc is np.add and len(inputs) > 1:
-                kind = getattr(inputs[1], "update", None)
-            if kind:
-                spent[kind] += ms
-            if out is not None:
-                return out[0]
-            result = result.view(Timed)
-            if ufunc is np.matmul:
-                result.update = kind
-            return result
-
-    rank, row_echelon = regcert._rank, regcert._row_echelon
-
-    def timed_rank(A, p):
-        matrix.append(A)
-        t0 = time.perf_counter()
-        try:
-            return rank(A.view(Timed), p)
-        finally:
-            spent["rank"] += 1e3 * (time.perf_counter() - t0)
-            matrix.pop()
-
-    def timed_row_echelon(M, p, reduced=False):
-        t0 = time.perf_counter()
-        try:
-            return row_echelon(M, p, reduced)
-        finally:
-            if matrix:
-                spent["per_pivot"] += 1e3 * (time.perf_counter() - t0)
-
-    regcert._rank, regcert._row_echelon = timed_rank, timed_row_echelon
+    for phase, func in PHASES.items():
+        inner = recorded_split if phase == "build" else getattr(regcert, func)
+        setattr(regcert, func, _timed(spent, phase, inner))
+    regcert._shift_corank = _timed(spent, "total", regcert._shift_corank)
     call()
-    split = {part: round(spent[part], 1)
-             for part in ("per_pivot", "in_block", "beyond_block")}
-    split["other"] = round(spent["rank"] - sum(split.values()), 1)
+    split = {phase: round(spent[phase], 1) for phase in PHASES}
+    split["other"] = round(spent["total"] - sum(spent[phase] for phase in PHASES), 1)
+    pivots, q_rows, k_cols = (int(x) for x in np.sum(sizes, axis=0))
+    largest = max(sizes, key=lambda size: size[1] * size[2])
     return {
         "value": int(value) if name != "cert-sweep" else sum(c["success"] for c in value),
-        "block": getattr(regcert, "_BLOCK", None),
         "cold_ms": round(cold_ms, 1),
         "warm_runs": repeats,
         "warm_median_ms": round(statistics.median(warm), 1),
         "warm_ms": [round(ms, 1) for ms in warm],
-        "instrumented_rank_ms": round(spent["rank"], 1),
-        "rank_split_ms": split,
+        "shift_corank_ms": round(spent["total"], 1),
+        "split_ms": split,
+        "shift_matrices": len(sizes),
+        "P": pivots,
+        "Q": q_rows,
+        "S": [q_rows, k_cols],
+        "largest_S": list(largest[1:]),
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
 
@@ -164,13 +144,11 @@ def main():
     parser.add_argument("--cases", default=",".join(CASES))
     parser.add_argument("--seed", type=int, default=101)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--block", type=int, default=None,
-                        help="outer block width to set in the measuring processes")
     parser.add_argument("--case", choices=CASES, help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.case:
-        print(json.dumps(measure(args.case, args.seed, args.repeats, args.block)))
+        print(json.dumps(measure(args.case, args.seed, args.repeats)))
         return 0
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -178,8 +156,6 @@ def main():
     for name in args.cases.split(","):
         cmd = [sys.executable, __file__, "--case", name, "--seed", str(args.seed),
                "--repeats", str(args.repeats)]
-        if args.block is not None:
-            cmd += ["--block", str(args.block)]
         proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
         cases[name] = json.loads(proc.stdout)
     print(json.dumps({"seed": args.seed, "repeats": args.repeats, "blas_threads": 1,

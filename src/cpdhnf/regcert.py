@@ -19,12 +19,10 @@ from .errors import ConfigNotInW, RankOutOfRange
 DEFAULT_PRIME = 8191
 
 
-# Columns factored per panel of the blocked elimination.  Wider panels make
-# the one per-pivot pass per panel slower.  On one core, widths 16-48 tied
-# on the certification sweep and 64 made it 15% slower; 24-64 tied on a
-# 1260 x 2100 Hilbert value.  The columns beyond a panel's outer block wait
-# for the block's one update, so the panel width does not set the inner
-# dimension of the large GEMMs.
+# Columns factored per panel of the blocked elimination.  Wider panels put
+# more of the work into each GEMM but make the one per-pivot pass per panel
+# slower.  On one core, widths 16-48 tied on the certification sweep and 64
+# made it 15% slower; 24-64 tied on a 1260 x 2100 Hilbert value.
 _PANEL = 32
 
 # The Schur update runs over blocks of this many trailing rows, so that each
@@ -33,18 +31,17 @@ _PANEL = 32
 # and the time by a third.
 _ROW_BLOCK = 64
 
-# Columns per outer block.  The columns beyond a block take one update of
-# inner dimension the block's pivot count, instead of one rank-_PANEL update
-# per panel, which is bound by memory traffic.  On one core the 3136 x 14553
-# Hilbert value of criterion 11 took 9.4 s with one level and 5.0, 4.5, 4.1
-# and 4.4 s with blocks of 128, 256, 384 and 512 columns; the four tied on a
-# 1260 x 2100 one.  A matrix of at most _BLOCK columns is one block.
-_BLOCK = 256
+# Shift-matrix columns per block of the triangular solve, and per chunk of
+# the Schur complement, in _shift_corank; the inner dimension of the
+# products by the inverse of a diagonal block.  On one core, 16 made the
+# largest Hilbert value of criterion 11 slower by half, and 64 tied with 32
+# but took 0.8 MiB more peak memory on a 1260 x 2100 shift matrix.
+_GATHER_BLOCK = 32
 
 # Unreduced entries are kept below 2^52, so that they, every partial sum of
-# a GEMM that updates them (an inner dimension of up to _BLOCK, factors at
-# most p in magnitude), and the multiples of p that _reduce subtracts from
-# them are all integers that float64 represents exactly.
+# a GEMM that updates them (factors at most p in magnitude), and the
+# multiples of p that _reduce subtracts from them are all integers that
+# float64 represents exactly.
 _LAZY_LIMIT = 2 ** 52
 
 
@@ -133,52 +130,33 @@ def _grow_bound(bound, k, p):
 
 
 def _rank(A, p):
-    """Rank over Z_p of a float64 matrix of integers, by two-level blocked
-    elimination.
+    """Rank over Z_p of a float64 matrix of integers, by blocked elimination.
 
     ``A`` must be C-contiguous with no more rows than columns and entries
-    at most p in magnitude; it is overwritten.  Columns are factored in
-    outer blocks of ``_BLOCK``, each in panels of ``_PANEL``.  One
-    ``_row_echelon`` pass factors a panel and returns its k pivots and
-    multipliers L; its row swaps bring the pivot rows to the top, and since
-    every other row of the panel is -L times the pivot rows mod p, the rest
-    of the block takes the Schur update ``S += L[k:] @ (pivot rows mod p)``
-    by GEMM over blocks of ``_ROW_BLOCK`` rows.
-
-    The columns beyond the block take one update, ``S += Lc @ (the block's
-    pivot rows mod p)``, of inner dimension the block's pivot count.  The
-    composite multipliers Lc are kept where LU keeps L, in the block's
-    eliminated columns: each panel's columns are zeroed from its first pivot
-    row down, with a 1 at (pivot t, column t of the panel), and its update
-    starts at the block's first column, so the same GEMM writes L[k:] into
-    the panel's columns and carries the earlier panels' multipliers forward,
-    ``Lc[i] += L[i] @ Lc[pivots]``.  Row swaps run from the block's first
-    column, so the multipliers move with their rows.  The last block has
-    nothing beyond it and keeps no multipliers.
-
-    Both factors of every product are reduced to at most p in magnitude, so
-    ``_grow_bound`` keeps every sum an exact float64 integer.  Entries are
-    reduced only when they enter a panel or a pivot row, or when
-    ``_grow_bound`` says the next update could reach 2^52: a block's pivot
-    rows in place once they are final, Lc one chunk of rows at a time.
+    at most p in magnitude; it is overwritten.  One ``_row_echelon`` pass
+    factors each panel of ``_PANEL`` columns and returns its k pivots and
+    multipliers L.  Its row swaps bring the pivot rows to the top, and since
+    every other row of the panel is -L times the pivot rows mod p, the
+    trailing block takes the Schur complement update
+    ``S += L[k:] @ (pivot rows mod p)`` by GEMM over blocks of
+    ``_ROW_BLOCK`` rows.  Both factors are reduced to at most p in
+    magnitude, so ``_grow_bound`` keeps every sum an exact float64 integer.
+    Trailing entries are reduced only when they enter a panel or a pivot
+    row, or when ``_grow_bound`` says the next update could reach 2^52.
     """
     rows, cols = A.shape
     rank, bound = 0, p
-    for b0 in range(0, cols, _BLOCK):
-        b1 = min(b0 + _BLOCK, cols)
-        keep = b1 < cols
-        top, kept = rank, []
-        for c0 in range(b0, b1, _PANEL):
-            if rank == rows:
-                return rank
-            c1 = min(c0 + _PANEL, b1)
-            k, _, _, swaps, L = _row_echelon(A[rank:, c0:c1], p)
-            if not k:
-                continue
-            # with columns beyond the block, rows move and update from the
-            # block's first column, so the kept multipliers go with them
-            lo = b0 if keep else c1
-            active = A[rank:, lo:]
+    for c0 in range(0, cols, _PANEL):
+        if rank == rows:
+            break
+        c1 = min(c0 + _PANEL, cols)
+        panel = A[rank:, c0:c1]
+        if not np.any(panel % p):
+            # rows that are already zero need no per-pivot pass
+            continue
+        k, _, _, swaps, L = _row_echelon(panel, p)
+        if k and c1 < cols and rank + k < rows:
+            active = A[rank:, c1:]
             if swaps:
                 # the swaps in one move of the rows they permute
                 perm = list(range(max(j for _, j in swaps) + 1))
@@ -187,33 +165,15 @@ def _rank(A, p):
                 perm = np.array(perm)
                 moved = np.flatnonzero(perm != np.arange(len(perm)))
                 active[moved] = active[perm[moved]]
-            if keep:
-                # the update below writes this panel's multipliers here
-                active[:, c0 - lo:c1 - lo] = 0
-                active[range(k), range(c0 - lo, c0 - lo + k)] = 1
-                kept.extend(range(c0, c0 + k))
-            if rank + k < rows and lo < b1:
-                X = _reduce(active[:k, :b1 - lo], p)
-                trailing = active[k:]
-                bound, reduce_first = _grow_bound(bound, k, p)
-                if reduce_first:
-                    trailing[...] = _reduce(trailing, p)
-                rest = L[k:].astype(np.float64)
-                for i in range(0, len(rest), _ROW_BLOCK):
-                    trailing[i:i + _ROW_BLOCK, :b1 - lo] += rest[i:i + _ROW_BLOCK] @ X
-            rank += k
-        if kept and rank < rows:
-            # the block's pivot rows are final beyond it: reduce them in place
-            X = A[top:rank, b1:]
-            for i in range(0, len(X), _PANEL):
-                X[i:i + _PANEL] = _reduce(X[i:i + _PANEL], p)
-            trailing = A[rank:, b1:]
-            bound, reduce_first = _grow_bound(bound, len(kept), p)
+            X = _reduce(active[:k], p)
+            trailing = active[k:]
+            bound, reduce_first = _grow_bound(bound, k, p)
             if reduce_first:
                 trailing[...] = _reduce(trailing, p)
-            for i in range(rank, rows, _ROW_BLOCK):
-                Lc = _reduce(A[i:i + _ROW_BLOCK, kept], p)
-                trailing[i - rank:i - rank + _ROW_BLOCK] += Lc @ X
+            rest = L[k:].astype(np.float64)
+            for i in range(0, len(rest), _ROW_BLOCK):
+                trailing[i:i + _ROW_BLOCK] += rest[i:i + _ROW_BLOCK] @ X
+        rank += k
     return rank
 
 
@@ -232,14 +192,21 @@ def fp_rank(M, p=DEFAULT_PRIME):
 
 
 def _fp_kernel(M, p):
-    """Basis of the right nullspace over Z_p, one vector per free column."""
-    rank, rref, pivots, _, _ = _row_echelon(M, p, reduced=True)
+    """Basis of the right nullspace over Z_p, one vector per free column.
+
+    The columns are eliminated in reverse order, so that every pivot column
+    of a basis vector lies after its free column: each vector has its first
+    nonzero, a 1, at its own free column.  So the vectors, read as forms,
+    have distinct leading monomials, and the shift matrix that
+    ``_shift_corank`` splits has as many distinct leading rows as it can.
+    """
+    rank, rref, pivots, _, _ = _row_echelon(M[:, ::-1], p, reduced=True)
     cols = M.shape[1]
     free = np.delete(np.arange(cols), pivots)
     basis = np.zeros((free.size, cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = (-rref[:rank, free]).T % p
-    return basis
+    return basis[:, ::-1]
 
 
 @dataclass(frozen=True)
@@ -291,9 +258,9 @@ def random_config(m, n, r, p=DEFAULT_PRIME, seed=0):
 def hilbert_from_points(config, degree):
     """Hilbert function of the quotient at (d, e), exactly over Z_p.
 
-    Builds the kernel of the evaluation matrix, assembles the shift matrix
-    with the same column-placement rule as the floating-point solver, and
-    returns the corank.
+    Takes the kernel of the evaluation matrix and returns the corank of its
+    shift matrix, which has the same column-placement rule as the
+    floating-point solver's.
     """
     d, e = degree
     if min(d, e) < 1:
@@ -307,24 +274,132 @@ def hilbert_from_points(config, degree):
 
 
 def _shift_corank(forms, m, n, degree, p):
-    """Corank over Z_p of the shift matrix of ``forms`` at ``degree``."""
-    s = forms.shape[0]
-    shift_rows = shift_table(m, n, degree)
-    nshift = len(shift_rows)
+    """Corank over Z_p of the shift matrix of ``forms`` at ``degree``.
+
+    ``forms`` are residues, each with its first nonzero equal to 1, as
+    ``_fp_kernel`` returns them.  Column j * nshift + i of the shift matrix
+    R holds form j placed at the rows ``table[i]`` of shift i.  Every row of
+    ``shift_table`` strictly increases, because the basis order is a
+    monomial order, so if form j has its first nonzero at entry l, column
+    j * nshift + i has its first nonzero, a 1, at row ``table[i, l]``.  One column J is taken for
+    each distinct such leading row, the rows P; the other rows are Q and
+    the other columns K.  Then A = R[P, J] is unit lower triangular, and
+
+        rank R = |P| + rank(R[Q, K] - X R[P, K]),  where X A = R[Q, J],
+
+    the A/B/C/D split of Faugere and Lachartre (PASCO 2010).  Only R[Q, :]
+    is built; X and then the Schur complement S overwrite it in place, and
+    ``_rank`` eliminates only S.  Every product has both factors reduced to
+    at most p in magnitude, and at most (m+1)(n+1) or ``_GATHER_BLOCK``
+    nonzero terms in each sum, so every sum is an integer below 2^52 that
+    float64 holds exactly.
+    """
+    table = shift_table(m, n, degree)
     nrows = hilbert_dim(m, n, *degree)
-    ncols = s * nshift
-    # column j * nshift + i holds form j placed at the rows of shift i; the
-    # matrix is built in float64 with no more rows than columns, as _rank
-    # takes it, so it is never copied
-    cols = np.arange(ncols).reshape(s, nshift, 1)
-    values = forms[:, None, :]
-    if nrows <= ncols:
-        R = np.zeros((nrows, ncols))
-        R[shift_rows, cols] = values
-    else:
-        R = np.zeros((ncols, nrows))
-        R[cols, shift_rows] = values
-    return nrows - _rank(R, p)
+    T, entries, npiv = _leading_split(forms, table, nrows)
+    _solve_pivots(T, entries, npiv, p)
+    _schur_complement(T, entries, npiv, p)
+    S = T[npiv:]
+    if S.shape[0] > S.shape[1]:
+        S = np.ascontiguousarray(S.T)
+    return nrows - npiv - _rank(S, p)
+
+
+def _leading_split(forms, table, nrows):
+    """R[Q, :] transposed, and the shift-table view of its columns.
+
+    Returns T, the float64 transpose of R[Q, :] with its rows in the column
+    order J then K, where J[t] is the first column that leads at the t-th
+    smallest leading row P[t]; a function ``entries(t0, t1)`` that gives,
+    for the columns of rows t0:t1 of T, the position in P of each row of R
+    where they can be nonzero (-1 for rows in Q) and their coefficients
+    there; and |P|.  T is scattered one form at a time, so no index array
+    is larger than the shift table.
+    """
+    nshift = len(table)
+    leading = table[:, (forms != 0).argmax(axis=1)].T.ravel()
+    pivots, first = np.unique(leading, return_index=True)
+    order = np.concatenate([first, np.delete(np.arange(len(leading)), first)])
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    pivot_index = np.full(nrows, -1)
+    pivot_index[pivots] = np.arange(len(pivots))
+    q_index = np.full(nrows, -1)
+    q_index[pivot_index < 0] = np.arange(nrows - len(pivots))
+    q_table = q_index[table]
+    shift, entry = np.nonzero(q_table >= 0)
+    q_cols = q_table[shift, entry]
+    T = np.zeros((len(order), nrows - len(pivots)))
+    for j, form in enumerate(forms):
+        T[position[j * nshift + shift], q_cols] = form[entry]
+    form_of, shift_of = np.divmod(order, nshift)
+
+    def entries(t0, t1):
+        return pivot_index[table[shift_of[t0:t1]]], forms[form_of[t0:t1]]
+
+    return T, entries, len(pivots)
+
+
+def _gathered(T, rows, coefs, lo):
+    """For each column, the sum of its coefficients times the rows of T at
+    its positions ``rows`` >= lo.
+
+    The rows used are gathered once and multiplied by the columns'
+    coefficient matrix.  A column has at most (m+1)(n+1) nonzero
+    coefficients, so each sum has at most that many nonzero terms.
+    """
+    col, k = np.nonzero((rows >= lo) & (coefs != 0))
+    used, inverse = np.unique(rows[col, k], return_inverse=True)
+    C = np.zeros((len(rows), len(used)))
+    C[col, inverse] = coefs[col, k]
+    return C @ T[used]
+
+
+def _solve_pivots(T, entries, npiv, p):
+    """Overwrite the first |P| rows of T, R[Q, J] transposed, with X^T.
+
+    X A = R[Q, J] is A^T X^T = R[Q, J]^T with A^T unit upper triangular.
+    It is solved back to front in blocks of ``_GATHER_BLOCK`` rows: each
+    block subtracts the rows of X^T already solved, gathered through the
+    shift table, and is multiplied by the inverse mod p of its diagonal
+    block of A^T.  The rows of X^T are reduced as they are solved.
+    """
+    for t0 in reversed(range(0, npiv, _GATHER_BLOCK)):
+        t1 = min(t0 + _GATHER_BLOCK, npiv)
+        rows, coefs = entries(t0, t1)
+        block = _reduce(T[t0:t1] - _gathered(T, rows, coefs, t1), p)
+        col, k = np.nonzero((rows >= t0) & (rows < t1))
+        U = np.zeros((t1 - t0, t1 - t0))
+        U[col, rows[col, k] - t0] = coefs[col, k]
+        T[t0:t1] = _reduce(_unit_upper_inverse(U, p) @ block, p)
+
+
+def _unit_upper_inverse(U, p):
+    """Inverse mod p of a unit upper triangular float64 matrix of residues.
+
+    U = I - M with M strictly upper triangular, so M is nilpotent and
+    U^-1 = I + M + M^2 + ... = (I + M)(I + M^2)(I + M^4)...; the product
+    stops at the first power of M that is zero, at most log2 of U's size
+    factors and mostly one or two.  Every product has inner dimension the
+    size of U and reduced factors.
+    """
+    M = _reduce(np.eye(len(U)) - U, p)
+    inverse = np.eye(len(U)) + M
+    M = _reduce(M @ M, p)
+    while M.any():
+        inverse = _reduce(inverse + inverse @ M, p)
+        M = _reduce(M @ M, p)
+    return inverse
+
+
+def _schur_complement(T, entries, npiv, p):
+    """Overwrite the rows of T after the first |P|, R[Q, K] transposed,
+    with S^T = R[Q, K]^T - R[P, K]^T X^T, reduced, in blocks of
+    ``_GATHER_BLOCK`` rows, each by one gather of the rows of X^T."""
+    for t0 in range(npiv, len(T), _GATHER_BLOCK):
+        t1 = min(t0 + _GATHER_BLOCK, len(T))
+        rows, coefs = entries(t0, t1)
+        T[t0:t1] = _reduce(T[t0:t1] - _gathered(T, rows, coefs, 0), p)
 
 
 def catalecticant_corank(config):

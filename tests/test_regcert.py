@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from cpdhnf import (ConfigNotInW, PointConfigFp, RankOutOfRange,
                     catalecticant_corank, certify_regularity, fp_rank,
                     hilbert_from_points, random_config, rank_bound, regcert)
-from cpdhnf.regcert import (_BLOCK, _LAZY_LIMIT, _PANEL, _fp_kernel, _grow_bound,
-                             _row_echelon)
+from cpdhnf.bigraded import hilbert_dim, shift_table
+from cpdhnf.regcert import (_GATHER_BLOCK, _LAZY_LIMIT, _PANEL, _fp_kernel, _grow_bound,
+                             _row_echelon, _shift_corank, _unit_upper_inverse)
 
 
 def rational_rank(M):
@@ -131,18 +132,19 @@ class TestBlockedRank:
     are the references."""
 
     def test_matches_per_pivot_elimination(self):
-        for p, M in _blocked_rank_cases(np.random.default_rng(14)):
-            assert fp_rank(M, p) == _row_echelon(M, p)[0]
-            assert fp_rank(M, p) == modular_rank(M, p)
+        for seed in (14, 17):
+            for p, M in _blocked_rank_cases(np.random.default_rng(seed)):
+                assert fp_rank(M, p) == _row_echelon(M, p)[0]
+                assert fp_rank(M, p) == modular_rank(M, p)
 
     def test_full_reduction_path(self, monkeypatch):
         # below any bound, the trailing block is reduced in full before
         # every update
-        rng = np.random.default_rng(15)
         monkeypatch.setattr(regcert, "_LAZY_LIMIT", 1)
-        for p, M in _blocked_rank_cases(rng):
-            assert fp_rank(M, p) == _row_echelon(M, p)[0]
-            assert fp_rank(M, p) == modular_rank(M, p)
+        for seed in (15, 17):
+            for p, M in _blocked_rank_cases(np.random.default_rng(seed)):
+                assert fp_rank(M, p) == _row_echelon(M, p)[0]
+                assert fp_rank(M, p) == modular_rank(M, p)
 
     def test_one_elimination_per_panel(self, monkeypatch):
         # the multipliers of the panel pass give the Schur update, so no
@@ -160,64 +162,33 @@ class TestBlockedRank:
         assert len(calls) == 4
         assert all(cols == _PANEL for _, cols in calls)
 
-    @pytest.mark.parametrize("lazy_limit", [_LAZY_LIMIT, 1], ids=["lazy", "full_reduction"])
-    def test_several_outer_blocks(self, monkeypatch, lazy_limit):
-        # outer blocks of two panels: every case spans several blocks, so
-        # the multipliers kept in one block's eliminated columns update the
-        # columns beyond it; at a limit of 1 every update reduces first
-        monkeypatch.setattr(regcert, "_BLOCK", 2 * _PANEL)
-        monkeypatch.setattr(regcert, "_LAZY_LIMIT", lazy_limit)
-        for p, M in _blocked_rank_cases(np.random.default_rng(17)):
-            assert fp_rank(M, p) == _row_echelon(M, p)[0]
-            assert fp_rank(M, p) == modular_rank(M, p)
-
-    def test_wider_than_three_blocks(self):
-        # rank is lost inside blocks, so many panels find fewer than _PANEL
+    def test_pivots_spread_over_many_panels(self):
+        # rank is lost inside panels, so many panels find fewer than _PANEL
         # pivots; with k = rows the rank is still full
         rng = np.random.default_rng(18)
-        assert 900 > 3 * _BLOCK
         for p in (2, 8191, 32749):
             for rows, cols, k in ((150, 900, 120), (150, 900, 150), (300, 300, 250)):
                 M = _spread_rank(rng, p, rows, cols, k)
                 assert fp_rank(M, p) == _row_echelon(M, p)[0]
                 assert fp_rank(M, p) == modular_rank(M, p)
 
-    def test_one_beyond_block_update_per_block(self, monkeypatch):
-        # the updates that read their right factor in place from the matrix
-        # are the beyond-block ones: one per block that has pivots and rows
-        # below them, with the block's pivot rows as right factor, over
-        # every row below them, with inner dimension its pivot count
-        monkeypatch.setattr(regcert, "_BLOCK", 2 * _PANEL)
-        p, rows, cols = 8191, 100, 6 * 2 * _PANEL
+    def test_zero_panels_skipped(self, monkeypatch):
+        # two panels of zero columns, and the rows left over once the rank
+        # is found, take no per-pivot pass
+        p, rows, cols = 8191, 100, 12 * _PANEL
         M = _spread_rank(np.random.default_rng(19), p, rows, cols, 90)
         M[:, 2 * _PANEL:4 * _PANEL] = 0
-        products = []
+        panels = []
+        row_echelon = regcert._row_echelon
 
-        class Recorded(np.ndarray):
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.matmul:
-                    products.append((inputs[0].shape, inputs[1]))
-                inputs = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
-                if "out" in kwargs:
-                    kwargs["out"] = tuple(x.view(np.ndarray) for x in kwargs["out"])
-                return getattr(ufunc, method)(*inputs, **kwargs)
+        def recorded(panel, p, reduced=False):
+            panels.append(np.array(panel))
+            return row_echelon(panel, p, reduced)
 
-        A = M.astype(np.float64)
-        start = A.__array_interface__["data"][0]
-        assert regcert._rank(A.view(Recorded), p) == modular_rank(M, p) == 90
-        updates = {}
-        for (chunk, inner), X in products:
-            row, col = divmod((X.__array_interface__["data"][0] - start) // 8, cols)
-            assert X.shape == (inner, cols - col)
-            updates.setdefault((row, col, inner), []).append(chunk)
-        expected = {}
-        for b1 in range(2 * _PANEL, cols, 2 * _PANEL):
-            top = modular_rank(M[:, :b1 - 2 * _PANEL], p)
-            below = modular_rank(M[:, :b1], p)
-            if top < below < rows:
-                expected[top, b1, below - top] = rows - below
-        assert len(expected) == 4
-        assert {key: sum(chunks) for key, chunks in updates.items()} == expected
+        monkeypatch.setattr(regcert, "_row_echelon", recorded)
+        assert fp_rank(M, p) == modular_rank(M, p) == 90
+        assert all(np.any(panel % p) for panel in panels)
+        assert len(panels) <= cols // _PANEL - 2
 
     def test_lazy_bound_stays_exact(self):
         # 300,000 full panels, 9.6 million columns, never allocated: only
@@ -229,14 +200,6 @@ class TestBlockedRank:
                 reductions += reduce_first
                 assert bound < 2 ** 52
             assert reductions == expected
-        # a beyond-block update has inner dimension up to _BLOCK; the same
-        # 9.6 million columns in updates that wide
-        bound, reductions = 32749, 0
-        for _ in range(300_000 * 32 // _BLOCK):
-            bound, reduce_first = _grow_bound(bound, _BLOCK, 32749)
-            reductions += reduce_first
-            assert bound < 2 ** 52
-        assert reductions == 2
         assert _grow_bound(8191, 32, 8191) == (8191 + 32 * 8191 ** 2, False)
         assert _grow_bound(2 ** 52 - 10, 1, 3) == (2 ** 52 - 1, False)
         assert _grow_bound(2 ** 52 - 9, 1, 3) == (3 + 9, True)
@@ -304,6 +267,129 @@ class TestFpKernel:
             assert fp_rank(basis, config.p) == basis.shape[0]
 
 
+    def test_distinct_unit_leading_entries(self):
+        # the kernel, read as forms, is in echelon form for the monomial
+        # order, with the row count of the plain elimination; small primes
+        # and repeated points give rank-deficient evaluation matrices
+        rng = np.random.default_rng(20)
+        deficient = 0
+        for trial in range(60):
+            p = (2, 3, 8191)[trial % 3]
+            m, n = (int(x) for x in rng.integers(1, 6, size=2))
+            r = int(rng.integers(1, (m + 1) * (n + 1)))
+            config = random_config(m, n, r, p, seed=trial)
+            w = config.w_matrix()
+            if trial % 4 == 0:
+                w[-1] = w[0]
+            basis = _fp_kernel(w, p)
+            rank = _row_echelon(w, p)[0]
+            deficient += rank < r
+            assert basis.shape == (w.shape[1] - rank, w.shape[1])
+            assert np.all((w @ basis.T) % p == 0)
+            lead = (basis != 0).argmax(axis=1)
+            assert len(set(lead.tolist())) == len(lead)
+            assert np.all(basis[np.arange(len(lead)), lead] == 1)
+        assert deficient > 0
+
+
+def dense_shift_corank(forms, m, n, degree, p):
+    """Oracle: the shift matrix built dense, with column j * nshift + i
+    holding form j at the rows of shift i, and eliminated by ``_rank``."""
+    table = shift_table(m, n, degree)
+    nrows = hilbert_dim(m, n, *degree)
+    ncols = len(forms) * len(table)
+    cols = np.arange(ncols).reshape(len(forms), len(table), 1)
+    values = np.asarray(forms)[:, None, :] % p
+    if nrows <= ncols:
+        R = np.zeros((nrows, ncols))
+        R[table, cols] = values
+    else:
+        R = np.zeros((ncols, nrows))
+        R[cols, table] = values
+    return nrows - regcert._rank(R, p)
+
+
+def _random_cells(rng, count):
+    """Seeded (p, m, n, r, degree) with m, n <= 5 and d, e <= 3."""
+    for trial in range(count):
+        p = (2, 3, 8191)[trial % 3]
+        m, n = (int(x) for x in rng.integers(1, 6, size=2))
+        r = int(rng.integers(1, (m + 1) * (n + 1)))
+        d, e = (int(x) for x in rng.integers(1, 4, size=2))
+        yield p, m, n, r, (d, e)
+
+
+class TestShiftCorank:
+    """The leading-row Schur complement against the dense shift matrix."""
+
+    def test_shift_table_rows_increase(self):
+        # the premise of the split: the basis order is a monomial order
+        for m in range(1, 6):
+            for n in range(1, 6):
+                for degree in [(d, e) for d in range(1, 4) for e in range(1, 4)]:
+                    assert np.all(np.diff(shift_table(m, n, degree), axis=1) > 0)
+
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(21)
+        deficient = 0
+        for p, m, n, r, degree in _random_cells(rng, 150):
+            config = random_config(m, n, r, p, seed=int(rng.integers(1 << 30)))
+            w = config.w_matrix()
+            if rng.random() < 0.25:
+                # a repeated point: the evaluation rank falls below r
+                w[-1] = w[0]
+            forms = _fp_kernel(w, p)
+            deficient += w.shape[1] - len(forms) < r
+            expected = dense_shift_corank(forms, m, n, degree, p)
+            assert _shift_corank(forms, m, n, degree, p) == expected
+        assert deficient > 10
+
+    def test_forms_not_in_echelon_form(self):
+        # forms that share leading entries, and dependent forms: the split
+        # needs only a unit first nonzero in each form
+        rng = np.random.default_rng(22)
+        for p, m, n, r, degree in _random_cells(rng, 100):
+            s = int(rng.integers(1, 8))
+            forms = rng.integers(0, p, size=(s, (m + 1) * (n + 1)))
+            forms[:, :int(rng.integers(0, (m + 1) * (n + 1) - 1))] = 0
+            forms[-1] = forms[0] * 2
+            forms = forms[(forms % p).any(axis=1)] % p
+            lead = forms[np.arange(len(forms)), (forms != 0).argmax(axis=1)]
+            forms = forms * np.array([pow(int(c), p - 2, p) for c in lead])[:, None] % p
+            expected = dense_shift_corank(forms, m, n, degree, p)
+            assert _shift_corank(forms, m, n, degree, p) == expected
+
+    def test_every_row_leading(self):
+        # the forms are every monomial, the kernel of no points: every row
+        # of the shift matrix is a leading row and Q is empty
+        for m, n, degree in [(1, 1, (2, 1)), (2, 3, (3, 2)), (4, 2, (1, 3))]:
+            forms = np.eye((m + 1) * (n + 1), dtype=np.int64)
+            for p in (2, 8191):
+                assert _shift_corank(forms, m, n, degree, p) == 0
+                assert dense_shift_corank(forms, m, n, degree, p) == 0
+
+    def test_every_column_pivot(self):
+        # at degree (1, 1) there is one shift, so every column leads at its
+        # own row and K is empty
+        for m, n, r in [(2, 2, 4), (4, 3, 7), (5, 5, 20)]:
+            for p in (3, 8191):
+                w = random_config(m, n, r, p, seed=r).w_matrix()
+                forms = _fp_kernel(w, p)
+                value = _shift_corank(forms, m, n, (1, 1), p)
+                assert value == dense_shift_corank(forms, m, n, (1, 1), p)
+                assert value == w.shape[1] - len(forms)
+
+    @pytest.mark.parametrize("p", [2, 3, 8191, 32749])
+    def test_unit_upper_inverse(self, p):
+        rng = np.random.default_rng(p)
+        for b in (1, 2, 3, 17, _GATHER_BLOCK - 1, _GATHER_BLOCK):
+            U = np.triu(rng.integers(0, p, size=(b, b)), 1) + np.eye(b, dtype=np.int64)
+            inverse = _unit_upper_inverse(U.astype(np.float64), p)
+            assert np.all(inverse == np.round(inverse)) and np.abs(inverse).max() <= p
+            product = (U @ inverse.astype(np.int64)) % p
+            assert np.array_equal(product, np.eye(b, dtype=np.int64))
+
+
 class TestHilbertFromPoints:
     def test_square_small_table(self):
         config = random_config(2, 2, 4, seed=1)
@@ -333,6 +419,13 @@ class TestHilbertFromPoints:
                             np.repeat(base.gamma, 2, axis=1))
         with pytest.raises(ConfigNotInW):
             hilbert_from_points(dup, (2, 1))
+        # one point repeated among others, also at small primes
+        for m, n, r, p in [(2, 2, 3, 2), (3, 2, 5, 3), (4, 4, 9, 8191)]:
+            base = random_config(m, n, r - 1, p, seed=r)
+            dup = PointConfigFp(p, np.hstack([base.beta, base.beta[:, :1]]),
+                                np.hstack([base.gamma, base.gamma[:, :1]]))
+            with pytest.raises(ConfigNotInW):
+                hilbert_from_points(dup, (2, 1))
 
     def test_lower_bound_never_violated(self):
         rng = np.random.default_rng(7)
