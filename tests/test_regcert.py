@@ -132,19 +132,18 @@ class TestBlockedRank:
     are the references."""
 
     def test_matches_per_pivot_elimination(self):
-        for seed in (14, 17):
-            for p, M in _blocked_rank_cases(np.random.default_rng(seed)):
-                assert fp_rank(M, p) == _row_echelon(M, p)[0]
-                assert fp_rank(M, p) == modular_rank(M, p)
+        for p, M in _blocked_rank_cases(np.random.default_rng(14)):
+            assert fp_rank(M, p) == _row_echelon(M, p)[0]
+            assert fp_rank(M, p) == modular_rank(M, p)
 
     def test_full_reduction_path(self, monkeypatch):
         # below any bound, the trailing block is reduced in full before
         # every update
+        rng = np.random.default_rng(15)
         monkeypatch.setattr(regcert, "_LAZY_LIMIT", 1)
-        for seed in (15, 17):
-            for p, M in _blocked_rank_cases(np.random.default_rng(seed)):
-                assert fp_rank(M, p) == _row_echelon(M, p)[0]
-                assert fp_rank(M, p) == modular_rank(M, p)
+        for p, M in _blocked_rank_cases(rng):
+            assert fp_rank(M, p) == _row_echelon(M, p)[0]
+            assert fp_rank(M, p) == modular_rank(M, p)
 
     def test_one_elimination_per_panel(self, monkeypatch):
         # the multipliers of the panel pass give the Schur update, so no
@@ -161,6 +160,16 @@ class TestBlockedRank:
         assert fp_rank(M, 8191) == modular_rank(M, 8191) == 3 * _PANEL + 5
         assert len(calls) == 4
         assert all(cols == _PANEL for _, cols in calls)
+
+    @pytest.mark.parametrize("lazy_limit", [_LAZY_LIMIT, 1], ids=["lazy", "full_reduction"])
+    def test_several_outer_blocks(self, monkeypatch, lazy_limit):
+        # every case spans several panels, so each panel's multipliers
+        # update the columns of all the panels after it; at a limit of 1
+        # every update reduces first
+        monkeypatch.setattr(regcert, "_LAZY_LIMIT", lazy_limit)
+        for p, M in _blocked_rank_cases(np.random.default_rng(17)):
+            assert fp_rank(M, p) == _row_echelon(M, p)[0]
+            assert fp_rank(M, p) == modular_rank(M, p)
 
     def test_pivots_spread_over_many_panels(self):
         # rank is lost inside panels, so many panels find fewer than _PANEL
