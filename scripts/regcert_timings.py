@@ -22,8 +22,9 @@ more run splits the time spent in ``regcert._shift_corank`` into
   (``_solve_pivots``);
 - ``schur``: the Schur complement S = R[Q, K] - X R[P, K]
   (``_schur_complement``);
-- ``rank``: the elimination of S (``_rank``);
-- ``other``: the rest, such as the shift-table lookup and the transpose of S.
+- ``rank``: the elimination of S, transposed first if it is tall
+  (``_rank``);
+- ``other``: the rest, such as the shift-table lookup.
 
 It also reports |P|, |Q| and the shape |Q| x |K| of S: of the one shift
 matrix of a Hilbert-value case, and for ``cert-sweep`` the sums over its

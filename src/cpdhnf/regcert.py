@@ -21,14 +21,15 @@ DEFAULT_PRIME = 8191
 
 # Columns factored per panel of the blocked elimination.  Wider panels put
 # more of the work into each GEMM but make the one per-pivot pass per panel
-# slower.  On one core, widths 16-48 tied on the certification sweep and 64
-# made it 15% slower; 24-64 tied on a 1260 x 2100 Hilbert value.
+# slower.  On one core, widths 16-64 tied within noise on the 300 x 1140
+# Schur complement of a 1260 x 2100 shift matrix and on the certification
+# sweep's 81 Schur complements.
 _PANEL = 32
 
 # The Schur update runs over blocks of this many trailing rows, so that each
-# GEMM product is a small temporary rather than one as large as the trailing
-# block.  On a 3136 x 14553 matrix this cut peak memory from 792 to 433 MB
-# and the time by a third.
+# GEMM product is a small temporary.  On the 300 x 1140 Schur complement of
+# a 1260 x 2100 shift matrix, one unblocked GEMM made the Hilbert value 20%
+# slower (median of 4 seeds at 1 thread) and took 1.9 MiB more peak memory.
 _ROW_BLOCK = 64
 
 # Shift-matrix columns per block of the triangular solve, and per chunk of
@@ -37,12 +38,6 @@ _ROW_BLOCK = 64
 # largest Hilbert value of criterion 11 slower by half, and 64 tied with 32
 # but took 0.8 MiB more peak memory on a 1260 x 2100 shift matrix.
 _GATHER_BLOCK = 32
-
-# Unreduced entries are kept below 2^52, so that they, every partial sum of
-# a GEMM that updates them (factors at most p in magnitude), and the
-# multiples of p that _reduce subtracts from them are all integers that
-# float64 represents exactly.
-_LAZY_LIMIT = 2 ** 52
 
 
 def _check_prime(p):
@@ -57,11 +52,11 @@ def _check_prime(p):
 def _row_echelon(M, p, reduced=False):
     """Modular elimination, one pivot per step, recording the multipliers.
 
-    Returns (rank, echelon matrix, pivot columns, row swaps, L), the swaps as
-    (row, pivot row) pairs in the order they were made.  A side block of
+    Returns (rank, echelon matrix, pivot columns, order, L): row i of the
+    echelon matrix comes from row order[i] of M.  A side block of
     min(rows, cols) columns takes the same row operations and gets a 1 in
-    column t when a row becomes pivot t, so it ends as L: after the swaps,
-    every row i >= rank of M satisfies M[i] = -L[i] M[:rank] mod p.
+    column t when a row becomes pivot t, so it ends as L: every row
+    i >= rank of M[order] is -L[i] M[order][:rank] mod p.
 
     Entries start as residues of p < 2^15, and only the pivot column (for
     the nonzero test) and the pivot row are reduced before use.  Each update
@@ -72,7 +67,7 @@ def _row_echelon(M, p, reduced=False):
     rows, w = np.shape(M)
     E = np.zeros((rows, w + min(rows, w)), dtype=np.int64)
     E[:, :w] = np.asarray(M, dtype=np.int64) % p
-    pivots, swaps = [], []
+    pivots, order = [], np.arange(rows)
     row = 0
     for col in range(w):
         if row >= rows:
@@ -85,7 +80,7 @@ def _row_echelon(M, p, reduced=False):
         piv = row + nz[0]
         if piv != row:
             E[[row, piv]] = E[[piv, row]]
-            swaps.append((row, piv))
+            order[[row, piv]] = order[[piv, row]]
         hi = w + row + 1
         E[row, hi - 1] = 1
         prow = E[row, col:hi]
@@ -98,7 +93,7 @@ def _row_echelon(M, p, reduced=False):
         pivots.append(col)
         row += 1
     E %= p
-    return row, E[:, :w], pivots, swaps, E[:, w:w + row]
+    return row, E[:, :w], pivots, order, E[:, w:w + row]
 
 
 def _reduce(X, p):
@@ -115,37 +110,27 @@ def _reduce(X, p):
     return X - q
 
 
-def _grow_bound(bound, k, p):
-    """Bound on the trailing entries after a rank-k Schur update.
-
-    ``bound`` bounds the magnitude of every unreduced trailing entry.  The
-    update adds sums of k products of entries at most p in magnitude, so it
-    adds at most k p^2.  Returns the new bound and whether the block must
-    first be reduced mod p to stay below ``_LAZY_LIMIT``.
-    """
-    step = k * p * p
-    if bound + step < _LAZY_LIMIT:
-        return bound + step, False
-    return p + step, True
-
-
 def _rank(A, p):
     """Rank over Z_p of a float64 matrix of integers, by blocked elimination.
 
-    ``A`` must be C-contiguous with no more rows than columns and entries
-    at most p in magnitude; it is overwritten.  One ``_row_echelon`` pass
-    factors each panel of ``_PANEL`` columns and returns its k pivots and
-    multipliers L.  Its row swaps bring the pivot rows to the top, and since
-    every other row of the panel is -L times the pivot rows mod p, the
-    trailing block takes the Schur complement update
+    ``A`` must be C-contiguous with entries at most p in magnitude, and it
+    is overwritten (a tall one is transposed into a copy first).  One
+    ``_row_echelon`` pass factors each panel of ``_PANEL`` columns into k
+    pivots, a row order that brings the pivot rows to the top, and
+    multipliers L; every other row of the panel is -L times the pivot rows
+    mod p, so the trailing block takes the Schur complement update
     ``S += L[k:] @ (pivot rows mod p)`` by GEMM over blocks of
-    ``_ROW_BLOCK`` rows.  Both factors are reduced to at most p in
-    magnitude, so ``_grow_bound`` keeps every sum an exact float64 integer.
-    Trailing entries are reduced only when they enter a panel or a pivot
-    row, or when ``_grow_bound`` says the next update could reach 2^52.
+    ``_ROW_BLOCK`` rows.  Trailing entries are reduced only when they enter
+    a panel or a pivot row.  Both factors are at most p in magnitude, and
+    the k of all panels sum to the rank, so every entry and partial sum
+    stays below p + rows p^2: below 2^52 for p < 2^15 and fewer than 2^22
+    rows, and with rows <= cols a matrix of more rows would hold 2^44
+    entries.  So every value is an integer that float64 holds exactly.
     """
+    if A.shape[0] > A.shape[1]:
+        A = np.ascontiguousarray(A.T)
     rows, cols = A.shape
-    rank, bound = 0, p
+    rank = 0
     for c0 in range(0, cols, _PANEL):
         if rank == rows:
             break
@@ -154,22 +139,13 @@ def _rank(A, p):
         if not np.any(panel % p):
             # rows that are already zero need no per-pivot pass
             continue
-        k, _, _, swaps, L = _row_echelon(panel, p)
+        k, _, _, order, L = _row_echelon(panel, p)
         if k and c1 < cols and rank + k < rows:
             active = A[rank:, c1:]
-            if swaps:
-                # the swaps in one move of the rows they permute
-                perm = list(range(max(j for _, j in swaps) + 1))
-                for i, j in swaps:
-                    perm[i], perm[j] = perm[j], perm[i]
-                perm = np.array(perm)
-                moved = np.flatnonzero(perm != np.arange(len(perm)))
-                active[moved] = active[perm[moved]]
+            moved = np.flatnonzero(order != np.arange(len(order)))
+            active[moved] = active[order[moved]]
             X = _reduce(active[:k], p)
             trailing = active[k:]
-            bound, reduce_first = _grow_bound(bound, k, p)
-            if reduce_first:
-                trailing[...] = _reduce(trailing, p)
             rest = L[k:].astype(np.float64)
             for i in range(0, len(rest), _ROW_BLOCK):
                 trailing[i:i + _ROW_BLOCK] += rest[i:i + _ROW_BLOCK] @ X
@@ -186,8 +162,6 @@ def fp_rank(M, p=DEFAULT_PRIME):
     # reduce in integer arithmetic first: float64 cannot hold int64 entries
     # of 2^53 or more exactly, and _rank takes residues
     W = np.asarray(M, dtype=np.int64) % p
-    if W.shape[0] > W.shape[1]:
-        W = W.T
     return _rank(W.astype(np.float64, order="C"), p)
 
 
@@ -281,9 +255,10 @@ def _shift_corank(forms, m, n, degree, p):
     R holds form j placed at the rows ``table[i]`` of shift i.  Every row of
     ``shift_table`` strictly increases, because the basis order is a
     monomial order, so if form j has its first nonzero at entry l, column
-    j * nshift + i has its first nonzero, a 1, at row ``table[i, l]``.  One column J is taken for
-    each distinct such leading row, the rows P; the other rows are Q and
-    the other columns K.  Then A = R[P, J] is unit lower triangular, and
+    j * nshift + i has its first nonzero, a 1, at row ``table[i, l]``.  One
+    column J is taken for each distinct such leading row, the rows P; the
+    other rows are Q and the other columns K.  Then A = R[P, J] is unit
+    lower triangular, and
 
         rank R = |P| + rank(R[Q, K] - X R[P, K]),  where X A = R[Q, J],
 
@@ -299,10 +274,7 @@ def _shift_corank(forms, m, n, degree, p):
     T, entries, npiv = _leading_split(forms, table, nrows)
     _solve_pivots(T, entries, npiv, p)
     _schur_complement(T, entries, npiv, p)
-    S = T[npiv:]
-    if S.shape[0] > S.shape[1]:
-        S = np.ascontiguousarray(S.T)
-    return nrows - npiv - _rank(S, p)
+    return nrows - npiv - _rank(T[npiv:], p)
 
 
 def _leading_split(forms, table, nrows):
@@ -436,6 +408,9 @@ def certify_regularity(m, n, d, r, p=DEFAULT_PRIME, trials=3, seed=0):
     Failure after all trials is inconclusive, never a refutation.  Trial t
     uses seed + t.
     """
+    for name, value in (("m", m), ("n", n), ("d", d), ("r", r)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     _check_prime(p)
     bound = rank_bound(m, n, d, 1)
     if r > min(bound, m * n):

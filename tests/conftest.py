@@ -1,6 +1,13 @@
 """Shared fixtures: the worked 4x3x3 rank-4 example and its derived data."""
 
-import numpy as np
+import os
+
+# Idle OpenBLAS workers sleep after 2^4 spin cycles instead of busy-waiting
+# for the next call.  It must be set before numpy loads OpenBLAS; at two
+# BLAS threads it more than halves the suite's time, with the same results.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+import numpy as np  # noqa: E402
 import pytest
 import scipy.sparse
 

@@ -225,3 +225,10 @@ class TestCertify:
         cert = json.loads(out.read_text())
         assert not cert["success"] and "error" in cert
         assert code == 2
+
+    def test_size_below_one_input_error(self, capsys):
+        code = run(["certify", "--m", "0", "--n", "2", "--d", "2", "--r", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error[input]: m must be at least 1")
+        assert "Traceback" not in err

@@ -9,8 +9,8 @@ from cpdhnf import (ConfigNotInW, PointConfigFp, RankOutOfRange,
                     catalecticant_corank, certify_regularity, fp_rank,
                     hilbert_from_points, random_config, rank_bound, regcert)
 from cpdhnf.bigraded import hilbert_dim, shift_table
-from cpdhnf.regcert import (_GATHER_BLOCK, _LAZY_LIMIT, _PANEL, _fp_kernel, _grow_bound,
-                             _row_echelon, _shift_corank, _unit_upper_inverse)
+from cpdhnf.regcert import (_GATHER_BLOCK, _PANEL, _fp_kernel, _row_echelon, _shift_corank,
+                             _unit_upper_inverse)
 
 
 def rational_rank(M):
@@ -136,15 +136,6 @@ class TestBlockedRank:
             assert fp_rank(M, p) == _row_echelon(M, p)[0]
             assert fp_rank(M, p) == modular_rank(M, p)
 
-    def test_full_reduction_path(self, monkeypatch):
-        # below any bound, the trailing block is reduced in full before
-        # every update
-        rng = np.random.default_rng(15)
-        monkeypatch.setattr(regcert, "_LAZY_LIMIT", 1)
-        for p, M in _blocked_rank_cases(rng):
-            assert fp_rank(M, p) == _row_echelon(M, p)[0]
-            assert fp_rank(M, p) == modular_rank(M, p)
-
     def test_one_elimination_per_panel(self, monkeypatch):
         # the multipliers of the panel pass give the Schur update, so no
         # second elimination inverts the pivot block
@@ -161,15 +152,16 @@ class TestBlockedRank:
         assert len(calls) == 4
         assert all(cols == _PANEL for _, cols in calls)
 
-    @pytest.mark.parametrize("lazy_limit", [_LAZY_LIMIT, 1], ids=["lazy", "full_reduction"])
-    def test_several_outer_blocks(self, monkeypatch, lazy_limit):
+    def test_several_outer_blocks(self):
         # every case spans several panels, so each panel's multipliers
-        # update the columns of all the panels after it; at a limit of 1
-        # every update reduces first
-        monkeypatch.setattr(regcert, "_LAZY_LIMIT", lazy_limit)
+        # update the columns of all the panels after it; _rank itself
+        # transposes the tall cases
         for p, M in _blocked_rank_cases(np.random.default_rng(17)):
             assert fp_rank(M, p) == _row_echelon(M, p)[0]
             assert fp_rank(M, p) == modular_rank(M, p)
+            if M.shape[0] > M.shape[1]:
+                A = np.ascontiguousarray(M, dtype=np.float64)
+                assert regcert._rank(A, p) == modular_rank(M, p)
 
     def test_pivots_spread_over_many_panels(self):
         # rank is lost inside panels, so many panels find fewer than _PANEL
@@ -199,20 +191,6 @@ class TestBlockedRank:
         assert all(np.any(panel % p) for panel in panels)
         assert len(panels) <= cols // _PANEL - 2
 
-    def test_lazy_bound_stays_exact(self):
-        # 300,000 full panels, 9.6 million columns, never allocated: only
-        # the largest prime needs full reductions, and no bound reaches 2^52
-        for p, expected in ((2, 0), (8191, 0), (32749, 2)):
-            bound, reductions = p, 0
-            for _ in range(300_000):
-                bound, reduce_first = _grow_bound(bound, 32, p)
-                reductions += reduce_first
-                assert bound < 2 ** 52
-            assert reductions == expected
-        assert _grow_bound(8191, 32, 8191) == (8191 + 32 * 8191 ** 2, False)
-        assert _grow_bound(2 ** 52 - 10, 1, 3) == (2 ** 52 - 1, False)
-        assert _grow_bound(2 ** 52 - 9, 1, 3) == (3 + 9, True)
-
 
 def _panels(rng):
     """Tall, wide and square panels, full-rank, rank-deficient and with zero
@@ -229,10 +207,8 @@ def _panels(rng):
 
 def _check_multipliers(M, p, reduced=False):
     """Checks the relations _row_echelon promises for M and returns its rank."""
-    rank, E, pivots, swaps, L = _row_echelon(M, p, reduced)
-    A = np.asarray(M, dtype=np.int64) % p
-    for i, j in swaps:
-        A[[i, j]] = A[[j, i]]
+    rank, E, pivots, order, L = _row_echelon(M, p, reduced)
+    A = (np.asarray(M, dtype=np.int64) % p)[order]
     assert L.shape == (A.shape[0], rank) and L.min() >= 0 and L.max() < p
     # rows at and beyond the rank are -L times the pivot rows ...
     assert np.all((A[rank:] + L[rank:] @ A[:rank]) % p == 0)
@@ -259,9 +235,21 @@ class TestRowEchelon:
         lower[np.arange(rank), np.arange(rank)] = 1
         upper = np.triu(np.full((rank, 120), p - 1), 1)
         upper[np.arange(rank), np.arange(rank)] = 1
-        M = (lower @ upper) % p
-        assert _check_multipliers(M, p) == modular_rank(M, p) == rank
-        assert fp_rank(M, p) == rank
+        cases = [((lower @ upper) % p, rank)]
+        # fp_rank's worst case, a rank of eight panels: each panel's pivot
+        # rows are I on the panel and (p-1)/2, the largest reduced factor,
+        # beyond it, and every later row adds them all, so every multiplier
+        # is p - 1.  Each panel adds _PANEL (p-1)^2 / 2 to the trailing
+        # entries with no reduction, 112 p^2 by the last panel
+        rank = 8 * _PANEL
+        row_block, col_block = np.arange(rank + 8) // _PANEL, np.arange(rank + 16) // _PANEL
+        lower = (row_block[:, None] > row_block[:rank]) + np.eye(rank + 8, rank, dtype=np.int64)
+        upper = np.where(col_block > row_block[:rank, None], (p - 1) // 2,
+                         np.eye(rank, rank + 16, dtype=np.int64))
+        cases.append(((lower @ upper) % p, rank))
+        for M, rank in cases:
+            assert _check_multipliers(M, p) == modular_rank(M, p) == rank
+            assert fp_rank(M, p) == rank
 
 
 class TestFpKernel:
@@ -308,13 +296,8 @@ def dense_shift_corank(forms, m, n, degree, p):
     nrows = hilbert_dim(m, n, *degree)
     ncols = len(forms) * len(table)
     cols = np.arange(ncols).reshape(len(forms), len(table), 1)
-    values = np.asarray(forms)[:, None, :] % p
-    if nrows <= ncols:
-        R = np.zeros((nrows, ncols))
-        R[table, cols] = values
-    else:
-        R = np.zeros((ncols, nrows))
-        R[cols, table] = values
+    R = np.zeros((nrows, ncols))
+    R[table, cols] = np.asarray(forms)[:, None, :] % p
     return nrows - regcert._rank(R, p)
 
 
@@ -509,6 +492,14 @@ class TestCertifyRegularity:
     def test_rank_above_mn_rejected(self):
         with pytest.raises(RankOutOfRange):
             certify_regularity(2, 2, 2, 5)
+
+    def test_sizes_below_one_rejected(self):
+        # checked before rank_bound divides by zero (m = 0) and before w is
+        # reshaped from no points (r = 0)
+        for args, name in [((0, 2, 2, 1), "m"), ((2, 0, 2, 1), "n"),
+                           ((2, 2, 0, 1), "d"), ((2, 2, 2, 0), "r")]:
+            with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+                certify_regularity(*args)
 
     def test_certificate_schema(self):
         cert = certify_regularity(3, 2, 2, 6)
