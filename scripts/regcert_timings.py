@@ -29,7 +29,10 @@ more run splits the time spent in ``regcert._shift_corank`` into
 It also reports |P|, |Q| and the shape |Q| x |K| of S: of the one shift
 matrix of a Hilbert-value case, and for ``cert-sweep`` the sums over its
 shift matrices and the largest S.  The process's peak resident memory is
-reported too.  The package is imported from the ``src`` directory next to
+reported too, with what it imported: ``import_s`` is the time of ``import
+cpdhnf`` in the fresh process, after the script has loaded numpy, and
+``scipy_loaded`` says whether any ``scipy`` module is loaded at the end of
+the case.  The package is imported from the ``src`` directory next to
 this script, so a copy of the script in another checkout measures that
 checkout.
 
@@ -92,7 +95,9 @@ def _timed(spent, name, func):
 
 def measure(name, seed, repeats):
     sys.path.insert(0, str(ROOT / "src"))
+    t0 = time.perf_counter()
     import cpdhnf as cp
+    import_s = time.perf_counter() - t0
     from cpdhnf import regcert
 
     call = case_call(cp, name, seed)
@@ -137,6 +142,8 @@ def measure(name, seed, repeats):
         "S": [q_rows, k_cols],
         "largest_S": list(largest[1:]),
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "import_s": round(import_s, 3),
+        "scipy_loaded": any(mod.partition(".")[0] == "scipy" for mod in sys.modules),
     }
 
 

@@ -163,6 +163,8 @@ def rank_bound(m, n, d, e):
     """
     if min(d, e) < 1:
         raise ValueError("degree must be at least (1, 1) componentwise")
+    if min(m, n) < 1:
+        raise ValueError("%s must be at least 1, got %d" % (("m", m) if m < 1 else ("n", n)))
     if (d, e) == (1, 1):
         return math.inf
     h11 = hilbert_dim(m, n, 1, 1)

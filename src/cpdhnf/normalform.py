@@ -5,14 +5,14 @@ ideal's piece in that degree.  Restricting it to a well-conditioned column
 subset turns multiplication by degree-raising polynomials into commuting
 r x r matrices whose joint eigenvalues are homogeneous coordinates of the
 solution points.  Every pull-back along a shift reads its columns from
-``bigraded.shift_table``, where the monomial order lives.
+``bigraded.shift_table``, where the monomial order lives.  scipy is
+imported in the functions that call it.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bigraded import Bidegree, monomial_basis, monomial_index, shift_table
 from .config import COMM_REL, DIAG_FAIL, DIAG_REL, DIAG_RETRIES, PIV_REL
@@ -86,6 +86,7 @@ def choose_basis(n_h0):
     Raises BasisDeficient when the r-th pivot collapses, which flags a
     combination vanishing at a solution point or a rank misspecification.
     """
+    import scipy.linalg
     r = n_h0.shape[0]
     if n_h0.shape[1] < r:
         raise BasisDeficient(
@@ -180,6 +181,7 @@ def multiplication_matrices(pnf):
     runs over the m+1 x-variables either way.  The triangular factor is
     never inverted explicitly; each matrix comes from a back-substitution.
     """
+    import scipy.linalg
     r, m, n = pnf.r, pnf.m, pnf.n
     sel = pnf.basis
     if pnf.h is None:

@@ -10,7 +10,7 @@ blocked inverse subspace iteration.  The Gram, its projections and the
 nullspace residual are formed from the shift table and the form
 coefficients, one block per shift, with no sparse product.  At degree
 (1, 1) the nullspace is the flattening row space, which the kernel's SVD
-already holds.
+already holds.  scipy is imported in the functions that call it.
 """
 
 import os
@@ -18,8 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .bigraded import Bidegree, hilbert_dim, shift_table
 from .config import (EIGS_ENTRY_THRESHOLD, EIGS_MAXITER, EIGS_TOL, GAP_REL,
@@ -151,7 +149,7 @@ class ResultantMatrix:
     m: int
     n: int
     s: int
-    matrix: scipy.sparse.csc_matrix
+    matrix: "scipy.sparse.csc_matrix"
     table: np.ndarray  # shape (n_shifts, (m+1)(n+1)), the shift table
     forms: np.ndarray  # shape (s, (m+1)(n+1)), vec(F_j) in row j
     cokernel: np.ndarray | None = None
@@ -204,6 +202,7 @@ def build_resultant(system, degree):
     directly; every column holds (m+1)(n+1) entries, and their rows ascend
     because the shift table's rows follow a monomial order.  The table and
     the forms are kept, and the nullspace methods apply R through them."""
+    import scipy.sparse
     d, e = degree
     if min(d, e) < 1:
         raise ValueError("degree must be at least (1, 1)")
@@ -338,6 +337,7 @@ def _nullspace_svd(res, r):
 
 
 def _nullspace_eigs(res, r):
+    import scipy.linalg
     nrows = res.shape[0]
     try:
         # Fortran order, so the Cholesky below overwrites it in place
@@ -398,6 +398,7 @@ def _nullspace_eigs(res, r):
 def _rayleigh_ritz(res, Y):
     """Ritz values (ascending) and vectors of G = R R^H on the span of Y,
     which it overwrites; Q^H G Q comes from ``res.projected_gram``."""
+    import scipy.linalg
     Q = scipy.linalg.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
     theta, W = np.linalg.eigh(res.projected_gram(Q))
     return theta, Q @ W

@@ -1,6 +1,9 @@
 """Shared fixtures: the worked 4x3x3 rank-4 example and its derived data."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 # Idle OpenBLAS workers sleep after 2^4 spin cycles instead of busy-waiting
 # for the next call.  It must be set before numpy loads OpenBLAS; at two
@@ -113,3 +116,23 @@ def fail_dense_buffers(monkeypatch, nrows):
     monkeypatch.setattr(np, "zeros", no_square_buffer)
     monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", no_memory)
     monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", no_memory)
+
+
+# the check that a child process has not loaded scipy; it runs in a fresh
+# interpreter because the test process imports scipy itself
+NO_SCIPY = """
+import sys
+loaded = [name for name in sys.modules if name.partition(".")[0] == "scipy"]
+assert not loaded, loaded
+"""
+
+
+def run_fresh(source):
+    """Run Python source in a new interpreter that imports ``cpdhnf`` from
+    this checkout; fail with the child's stderr if it exits nonzero."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

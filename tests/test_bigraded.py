@@ -76,6 +76,12 @@ class TestRankBound:
     def test_symmetric_roles(self):
         assert rank_bound(4, 2, 1, 3) == rank_bound(2, 4, 3, 1)
 
+    @pytest.mark.parametrize("args, name", [((0, 2, 2, 1), "m"), ((2, 0, 2, 1), "n"),
+                                            ((0, 2, 1, 1), "m"), ((2, -1, 1, 3), "n")])
+    def test_sizes_below_one_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {min(args[:2])}$"):
+            rank_bound(*args)
+
 
 class TestMonomialBasis:
     def test_bilinear_order_matches_flattening_columns(self):

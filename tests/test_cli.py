@@ -8,7 +8,7 @@ import pytest
 from cpdhnf import polysys
 from cpdhnf.cli import main
 
-from conftest import fail_dense_buffers
+from conftest import NO_SCIPY, fail_dense_buffers, run_fresh
 
 
 def run(args):
@@ -232,3 +232,18 @@ class TestCertify:
         assert code == 1
         assert err.startswith("error[input]: m must be at least 1")
         assert "Traceback" not in err
+
+    def test_auto_rank_size_below_one_input_error(self, capsys):
+        # the automatic rank is computed before certify_regularity checks m
+        code = run(["certify", "--m", "0", "--n", "2", "--d", "2", "--r", "auto"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error[input]: m must be at least 1, got 0")
+        assert "Traceback" not in err
+
+    def test_runs_without_scipy(self):
+        out = run_fresh("""
+from cpdhnf.cli import main
+assert main(["certify", "--m", "5", "--n", "4", "--d", "2", "--r", "auto"]) == 0
+""" + NO_SCIPY)
+        assert json.loads(out)["success"]

@@ -12,6 +12,8 @@ from cpdhnf.bigraded import hilbert_dim, shift_table
 from cpdhnf.regcert import (_GATHER_BLOCK, _PANEL, _fp_kernel, _row_echelon, _shift_corank,
                              _unit_upper_inverse)
 
+from conftest import NO_SCIPY, run_fresh
+
 
 def rational_rank(M):
     """Independent oracle: Gaussian elimination over exact rationals."""
@@ -521,3 +523,20 @@ class TestCertifyRegularity:
             assert cert["rankN"] == fp_rank(w, p)
             deficient += cert["rankN"] < 4
         assert deficient > 0
+
+
+def test_certifier_runs_without_scipy():
+    """Certificates, Hilbert values and Z_p ranks never load scipy; the
+    first decomposition in the same process loads it and succeeds."""
+    run_fresh("""
+import sys
+import numpy as np
+import cpdhnf
+assert cpdhnf.certify_regularity(5, 4, 2, 12)["success"]
+assert cpdhnf.hilbert_from_points(cpdhnf.random_config(3, 2, 4), (2, 1)) == 4
+assert cpdhnf.fp_rank(np.arange(12).reshape(3, 4)) == 2
+""" + NO_SCIPY + """
+t, _ = cpdhnf.random_cpd((12, 7, 3), 12, seed=36)
+assert cpdhnf.backward_error(t, cpdhnf.decompose(t, 12)) <= 1e-12
+assert "scipy.linalg" in sys.modules
+""")
