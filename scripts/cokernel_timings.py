@@ -9,17 +9,21 @@ the shift-matrix size, the first calls, the warm medians of the whole
 ``decompose_with_info`` call and of every stage in ``stage_timings_ms``,
 the median number of ``scipy.linalg.cho_solve`` calls per decomposition (the
 steps of the cokernel's block iteration, counting its start block), the
+rows of the Gram matrix that ``cho_factor`` factored (the stacked matrix's
+when the shift matrix splits along x_0, else the shift matrix's), the
 warm medians of the cokernel's parts, and the process's peak resident
 memory.  The parts are timed by wrapping the functions the cokernel calls
-through module attributes: ``cholesky`` (``cho_factor``), ``block_solves``
-(every ``cho_solve``), ``rayleigh_ritz`` (every ``_rayleigh_ritz``),
-``gram`` (the rest of ``_nullspace_eigs``: the Gram matrix, its norm for
-the shift and the start block) and ``residual_check`` (the rest of
-``left_nullspace``: the ||N R|| check), each a total per decomposition.
-The same wrapping works on older checkouts, whose Gram has no function
-of its own.  The package is imported from the ``src`` directory next to
-this script, so a copy of the script in another checkout measures that
-checkout.
+through module attributes: ``lower_chain`` (the QR chain that gives the
+nullspace one degree lower), ``cholesky`` (``cho_factor``),
+``block_solves`` (every ``cho_solve``), ``rayleigh_ritz`` (every
+``_rayleigh_ritz``), ``gram`` (the rest of ``_nullspace_eigs``: the Gram
+matrix, its norm for the shift, the start block and the lift) and
+``residual_check`` (the rest of ``left_nullspace``: the ||N R|| check),
+each a total per decomposition.  The same wrapping works on older
+checkouts, whose Gram has no function of its own and which have no
+``lower_chain``; that part then reads 0.  The package is imported from
+the ``src`` directory next to this script, so a copy of the script in
+another checkout measures that checkout.
 
 ``--crossover`` instead times ``left_nullspace`` by ``svd`` and by ``eigs``
 on the shift matrix of every normal-form instance of the perfbench
@@ -65,7 +69,16 @@ def measure(shape, r, seeds, repeats):
                 spent[name] = spent.get(name, 0.0) + 1e3 * (time.perf_counter() - t0)
         return wrapper
 
-    scipy.linalg.cho_factor = timed("cholesky", scipy.linalg.cho_factor)
+    factored = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def recording(a, *args, **kwargs):
+        factored.append(a.shape[0])
+        return cho_factor(a, *args, **kwargs)
+
+    scipy.linalg.cho_factor = timed("cholesky", recording)
+    if hasattr(polysys, "lower_chain"):
+        polysys.lower_chain = timed("lower_chain", polysys.lower_chain)
     scipy.linalg.cho_solve = timed("block_solves", scipy.linalg.cho_solve)
     polysys._rayleigh_ritz = timed("rayleigh_ritz", polysys._rayleigh_ritz)
     polysys._nullspace_eigs = timed("nullspace_eigs", polysys._nullspace_eigs)
@@ -73,9 +86,11 @@ def measure(shape, r, seeds, repeats):
 
     def split():
         ms = {name: spent.get(name, 0.0) for name in
-              ("cholesky", "block_solves", "rayleigh_ritz", "nullspace_eigs", "left_nullspace")}
-        inner = ms["cholesky"] + ms["block_solves"] + ms["rayleigh_ritz"]
-        return {"gram": ms["nullspace_eigs"] - inner,
+              ("lower_chain", "cholesky", "block_solves", "rayleigh_ritz", "nullspace_eigs",
+               "left_nullspace")}
+        inner = ms["lower_chain"] + ms["cholesky"] + ms["block_solves"] + ms["rayleigh_ritz"]
+        return {"lower_chain": ms["lower_chain"],
+                "gram": ms["nullspace_eigs"] - inner,
                 "cholesky": ms["cholesky"],
                 "block_solves": ms["block_solves"],
                 "rayleigh_ritz": ms["rayleigh_ritz"],
@@ -111,6 +126,7 @@ def measure(shape, r, seeds, repeats):
         "degree": [d, e],
         "shift_matrix": [hilbert_dim(m, n, d, e),
                          ((m + 1) * (n + 1) - r) * hilbert_dim(m, n, d - 1, e - 1)],
+        "factored_rows": factored[-1] if factored else None,
         "cold_first_calls": cold,
         "warm_runs": len(warm_total),
         "warm_median_total_ms": round(statistics.median(warm_total), 1),

@@ -10,7 +10,7 @@ from .errors import (AmbiguousKernel, BasisDeficient, ConfigNotInW,
                      FlatteningRankMismatch, InsufficientMemory,
                      NoFeasibleGrouping, RankDeficientKR, RankOutOfRange,
                      SingularJacobian)
-from .linalg import factor_set_distance, khatri_rao, match_columns
+from .linalg import khatri_rao
 from .polysys import (BilinearSystem, ResultantMatrix, build_resultant,
                       evaluate, jacobian, kernel_flattening, left_nullspace)
 from .normalform import (MultiplicationFamily, PreNormalForm, choose_basis,
@@ -19,13 +19,12 @@ from .normalform import (MultiplicationFamily, PreNormalForm, choose_basis,
                          simultaneous_diagonalize)
 from .recovery import (add_noise, decompose, decompose_with_info,
                        newton_refine, solve_alpha, solve_gamma)
-from .regcert import (DEFAULT_PRIME, PointConfigFp, catalecticant_corank,
-                      certify_regularity, fp_rank, hilbert_from_points,
-                      random_config)
+from .regcert import (DEFAULT_PRIME, PointConfigFp, certify_regularity,
+                      fp_rank, hilbert_from_points, random_config)
 from .tensors import (COMPLEX, REAL, CPDecomposition, DenseTensor, Grouping,
                       backward_error, choose_grouping, cpd_eval, flatten_mode1,
                       random_cpd, rank1_factorization, reshape_group,
-                      st_hosvd, st_hosvd_expand, ungroup)
+                      st_hosvd)
 from .tensorio import read_tensor, write_tensor
 
 __version__ = "0.1.0"

@@ -58,54 +58,3 @@ def unitize(v):
     if not np.any(v):
         raise ValueError("zero vector")
     return v / _column_scales(v[:, None])[0]
-
-
-def subspace_distance(A, B):
-    """Largest principal angle sine between the row spaces of A and B.
-
-    Measured as the residual of projecting the smaller space onto the
-    larger one, which resolves angles down to rounding; the cosine route
-    sqrt(1 - cos^2) cannot see angles below about 1e-8.
-    """
-    qa = np.linalg.qr(np.asarray(A).conj().T)[0]
-    qb = np.linalg.qr(np.asarray(B).conj().T)[0]
-    if qa.shape[1] > qb.shape[1]:
-        qa, qb = qb, qa
-    return float(np.linalg.norm(qa - qb @ (qb.conj().T @ qa), 2))
-
-
-def match_columns(found, truth):
-    """Greedy permutation matching columns of `found` to columns of `truth`.
-
-    Scores pairs by normalized absolute correlation and assigns greedily,
-    which is adequate for well-separated factors at test scale.  Returns
-    perm with found[:, perm[i]] matched to truth[:, i].
-    """
-    found = np.asarray(found)
-    truth = np.asarray(truth)
-    r = truth.shape[1]
-    fn = found / np.maximum(np.linalg.norm(found, axis=0), 1e-300)
-    tn = truth / np.maximum(np.linalg.norm(truth, axis=0), 1e-300)
-    corr = np.abs(tn.conj().T @ fn)
-    perm = [-1] * r
-    for _ in range(r):
-        i, j = np.unravel_index(np.argmax(corr), corr.shape)
-        perm[i] = int(j)
-        corr[i, :] = -1.0
-        corr[:, j] = -1.0
-    return perm
-
-
-def factor_set_distance(found, truth):
-    """Max column-wise deviation between two factor-column sets.
-
-    Both inputs are matrices with r columns; columns are compared after
-    unit normalization and leading-sign fixing, under the greedy matching.
-    """
-    perm = match_columns(found, truth)
-    worst = 0.0
-    for i in range(truth.shape[1]):
-        a = unitize(truth[:, i])
-        b = unitize(found[:, perm[i]])
-        worst = max(worst, float(np.linalg.norm(a - b)))
-    return worst

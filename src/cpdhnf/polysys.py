@@ -4,13 +4,18 @@ The kernel of the mode-1 flattening yields bilinear forms f_j(x, y) =
 x^T F_j y.  Shifting these forms by monomials gives a sparse structured
 matrix whose left nullspace carries the normal-form data; its row
 positions come from ``bigraded.shift_table``, where the monomial order
-lives.  The nullspace comes from a dense SVD or from the Gram matrix
-R R^H: one in-place Cholesky factorization of its shifted dense form and
-blocked inverse subspace iteration.  The Gram, its projections and the
-nullspace residual are formed from the shift table and the form
-coefficients, one block per shift, with no sparse product.  At degree
-(1, 1) the nullspace is the flattening row space, which the kernel's SVD
-already holds.  scipy is imported in the functions that call it.
+lives.  The nullspace comes from a dense SVD or from a Gram matrix: one
+in-place Cholesky factorization of its shifted dense form and blocked
+inverse subspace iteration.  At (d, e) with d >= 2 the basis puts x_0
+first, so R = [[R_{d-1}, B], [0, D]] after a column reordering, and the
+Gram is that of the smaller stacked matrix [N B; D], with N from a chain
+of exact QR steps down the degrees (the recursive orthogonalization of
+Batselier, Dreesen and De Moor, J. Comput. Appl. Math. 2014).  The Gram,
+its projections and the nullspace residual are formed from the shift
+table and the form coefficients, one block per shift, with no sparse
+product.  At degree (1, 1) the nullspace is the flattening row space,
+which the kernel's SVD already holds.  scipy is imported in the
+functions that call it.
 """
 
 import os
@@ -131,6 +136,68 @@ _SHIFT_CHUNK = 32
 
 
 @dataclass
+class StackedMatrix:
+    """S = [T; D]: an optional dense border T of h rows over a shift block
+    D, whose column (mu, j) holds row j of ``forms`` at the rows
+    ``table[mu]`` (counted from the top of S).  Columns run shift major.
+    With no border, S is a shift matrix with its columns reordered, which
+    leaves S S^H unchanged."""
+
+    table: np.ndarray  # shape (n_shifts, p)
+    forms: np.ndarray  # shape (s, p)
+    nrows: int
+    top: np.ndarray | None = None  # shape (h, n_shifts, s)
+
+    @property
+    def shape(self):
+        return self.nrows, self.table.shape[0] * self.forms.shape[0]
+
+    def toarray(self):
+        out = np.zeros(self.shape, dtype=self.forms.dtype)
+        if self.top is not None:
+            out[:len(self.top)] = self.top.reshape(len(self.top), -1)
+        cols = np.arange(self.shape[1]).reshape(len(self.table), -1, 1)
+        out[self.table[:, None, :], cols] = self.forms
+        return out
+
+    def gram(self):
+        """Dense S S^H in Fortran order: D D^H is the sum over shifts mu of
+        K = F^T conj(F) placed at rows and columns ``table[mu]``; the rows
+        of one shift are distinct, so no update of a block is lost.  The
+        border adds T T^H and, per shift, T_mu conj(F) at columns
+        ``table[mu]``."""
+        forms = self.forms.conj()
+        per_shift = self.forms.T @ forms
+        gram = np.zeros((self.nrows, self.nrows), dtype=per_shift.dtype, order="F")
+        for rows in self.table:
+            gram[np.ix_(rows, rows)] += per_shift
+        if self.top is not None:
+            h = len(self.top)
+            top = self.top.reshape(h, -1)
+            gram[:h, :h] = top @ top.conj().T
+            for block, rows in zip(self.top.transpose(1, 0, 2), self.table):
+                gram[:h, rows] += block @ forms
+            gram[h:, :h] = gram[:h, h:].conj().T
+        return gram
+
+    def projected_gram(self, Q):
+        """Q^H S S^H Q = (S^H Q)^H (S^H Q) = sum over shifts mu of B^H B,
+        with B = conj(F) Q[table[mu]] + T_mu^H Q[:h], accumulated over
+        chunks of shifts without holding S^H Q or the whole gather."""
+        width = Q.shape[1]
+        forms = self.forms.conj()
+        out = np.zeros((width, width), dtype=np.result_type(forms, Q))
+        for lo in range(0, len(self.table), _SHIFT_CHUNK):
+            B = np.matmul(forms, Q[self.table[lo:lo + _SHIFT_CHUNK]])
+            if self.top is not None:
+                top = self.top[:, lo:lo + _SHIFT_CHUNK]
+                B += top.conj().transpose(1, 2, 0) @ Q[:len(top)]
+            B = B.reshape(-1, width)
+            out += B.conj().T @ B
+        return out
+
+
+@dataclass
 class ResultantMatrix:
     """Sparse matrix of all monomial shifts of the system's forms at a
     bidegree.
@@ -166,27 +233,12 @@ class ResultantMatrix:
         return np.sqrt(len(self.table)) * np.linalg.norm(self.forms)
 
     def gram(self):
-        """Dense G = R R^H in Fortran order: sum over shifts mu of
-        K = F^T conj(F) placed at rows and columns ``table[mu]``.  The rows
-        of one shift are distinct, so no update of a block is lost."""
-        nrows = self.shape[0]
-        per_shift = self.forms.T @ self.forms.conj()
-        gram = np.zeros((nrows, nrows), dtype=per_shift.dtype, order="F")
-        for rows in self.table:
-            gram[np.ix_(rows, rows)] += per_shift
-        return gram
+        """Dense G = R R^H in Fortran order (``StackedMatrix.gram``)."""
+        return StackedMatrix(self.table, self.forms, self.shape[0]).gram()
 
     def projected_gram(self, Q):
-        """Q^H G Q = (R^H Q)^H (R^H Q) = sum over shifts mu of B^H B, with
-        B = conj(F) Q[table[mu]], accumulated over chunks of shifts without
-        holding R^H Q or the whole gather."""
-        width = Q.shape[1]
-        forms = self.forms.conj()
-        out = np.zeros((width, width), dtype=np.result_type(forms, Q))
-        for lo in range(0, len(self.table), _SHIFT_CHUNK):
-            B = np.matmul(forms, Q[self.table[lo:lo + _SHIFT_CHUNK]]).reshape(-1, width)
-            out += B.conj().T @ B
-        return out
+        """Q^H G Q, formed per shift (``StackedMatrix.projected_gram``)."""
+        return StackedMatrix(self.table, self.forms, self.shape[0]).projected_gram(Q)
 
     def residual_norm(self, N):
         """||N R||_F as ||N[:, table] F^T||_F: the column order of R does
@@ -230,12 +282,18 @@ def left_nullspace(res, r, method="auto"):
     """Orthonormal rows spanning the left nullspace of the shift matrix.
 
     ``svd`` runs a full dense SVD and keeps the last r left singular
-    vectors.  ``eigs`` forms the dense Gram matrix G = R R^H from the
-    shift table, adds 1e-8 ||G||_F to its diagonal and Cholesky-factors it
-    in place, then runs inverse subspace iteration on a block of 2k columns
-    (k = r + 3) with Rayleigh-Ritz on Q^H G Q, also formed per shift, until
-    the r smallest Ritz pairs have relative residual EIGS_TOL and pair
-    r + 1, whose Ritz value the gap test reads, has EIGS_TOL ** 0.5.
+    vectors.  ``eigs`` forms a dense Gram matrix G from the shift table:
+    S S^H of the top level's stacked matrix S = [N B; D] when R splits
+    along x_0 (``lower_chain``, which gives N), else R R^H for forced
+    degrees where it does not.  It adds 1e-8 ||G||_F to the diagonal and
+    Cholesky-factors G in place, then runs inverse subspace iteration on a
+    block of 2k columns (k = r + 3) with Rayleigh-Ritz on Q^H G Q, also
+    formed per shift, until the r smallest Ritz pairs have relative
+    residual EIGS_TOL and pair r + 1, whose Ritz value the gap test reads,
+    has EIGS_TOL ** 0.5; S's null rows [c, v] lift to [c N, v].  The gap
+    test reads the factored G: S S^H = P R R^H P^H with P = diag(N, I) of
+    orthonormal rows, so it has R's corank, and by Cauchy interlacing each
+    eigenvalue is at least R R^H's of the same index.
     ``auto`` returns a known ``cokernel`` of r rows (at (1, 1), the row
     space ``kernel_flattening`` computed and certified), else uses
     ``eigs`` at or above ``EIGS_ENTRY_THRESHOLD`` (in ``config``) matrix
@@ -336,7 +394,76 @@ def _nullspace_svd(res, r):
     return u[:, expected_rank:].conj().T
 
 
+def _stacked(res, k, N):
+    """The stacked matrix [N B; D] of level k of R's degree chain (k, e).
+
+    The basis puts x_0 first, so the rows of R_k with x_0 are x_0 times the
+    rows of R_{k-1}, in order, and the columns whose shift holds x_0 are
+    R_{k-1} on them and zero below: R_k = [[R_{k-1}, B], [0, D]] with its
+    columns reordered.  B and D are the columns of the x_0-free shifts on
+    the rows with and without x_0; their pairs x_0 y_l come first.  With
+    N spanning the left nullspace of R_{k-1}, every left null vector of R_k
+    is [c N, v] with [c, v] a left null vector of S = [N B; D]."""
+    (_, e), m, n = res.degree, res.m, res.n
+    table = shift_table(m, n, (k, e))
+    free = table[hilbert_dim(m, n, k - 2, e - 1) if k > 1 else 0:]
+    above = hilbert_dim(m, n, k - 1, e)
+    top = N[:, free[:, :n + 1]] @ res.forms[:, :n + 1].T
+    return StackedMatrix(free[:, n + 1:] - above + len(N),
+                         np.ascontiguousarray(res.forms[:, n + 1:]),
+                         len(N) + hilbert_dim(m, n, k, e) - above, top)
+
+
+def _lift(X, N):
+    """Rows [c N, v] from the rows [c, v] of a stacked matrix's nullspace."""
+    return np.concatenate([X[:, :len(N)] @ N, X[:, len(N):]], axis=1)
+
+
+def lower_chain(res, r):
+    """Orthonormal rows spanning the left nullspace of R_{d-1}, the shift
+    matrix one degree below R's (d, e); None when R does not split.
+
+    R splits when d >= 2 and every level (k, e), 1 <= k < d, has at least
+    r more rows than columns.  Level 1, (1, e), has no column on its rows
+    with x_0, so the chain starts from the identity there.  Each level is
+    tall and of full column rank, so its left nullspace needs no rank
+    decision: it is the last rows - cols columns of the Q of a Householder
+    QR of the dense stacked matrix, applied to those columns only.  A QR
+    diagonal below RANK_REL times its largest entry raises CorankMismatch.
+    """
+    import scipy.linalg
+    (d, e), m, n = res.degree, res.m, res.n
+    if d < 2 or any(hilbert_dim(m, n, k, e) - res.s * hilbert_dim(m, n, k - 1, e - 1) < r
+                    for k in range(1, d)):
+        return None
+    N = np.eye(hilbert_dim(m, n, 0, e), dtype=res.forms.dtype)
+    for k in range(1, d):
+        S = _stacked(res, k, N).toarray()
+        rows, cols = S.shape
+        (qr, tau), _ = scipy.linalg.qr(S, mode="raw", overwrite_a=True, check_finite=False)
+        diag = np.abs(np.diagonal(qr))
+        if diag.min() < RANK_REL * diag.max():
+            raise CorankMismatch(f"degree-({k}, {e}) level is rank deficient: QR diagonal "
+                                 f"{diag.min():.2e} below {RANK_REL:.0e} x {diag.max():.2e}")
+        ormqr = scipy.linalg.get_lapack_funcs("ormqr", (qr,))
+        trailing = np.zeros((rows, rows - cols), dtype=qr.dtype, order="F")
+        trailing[cols:] = np.eye(rows - cols)
+        lwork = int(ormqr("L", "N", qr, tau, trailing, -1)[1][0].real)
+        trailing = ormqr("L", "N", qr, tau, trailing, lwork, overwrite_c=True)[0]
+        N = _lift(trailing.conj().T, N)
+    return N
+
+
 def _nullspace_eigs(res, r):
+    """Block iteration on R, or on its stacked top level when R splits."""
+    lower = lower_chain(res, r)
+    if lower is None:
+        return _block_iteration(res, r)
+    return _lift(_block_iteration(_stacked(res, res.degree.d, lower), r), lower)
+
+
+def _block_iteration(res, r):
+    """Left nullspace rows of a ResultantMatrix or StackedMatrix."""
     import scipy.linalg
     nrows = res.shape[0]
     try:

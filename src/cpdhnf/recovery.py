@@ -1,6 +1,7 @@
 """Back end of the solver: per-point recovery, Newton refinement, first-mode
 factors, and the end-to-end decomposition driver."""
 
+import operator
 import time
 import warnings
 from contextlib import contextmanager
@@ -265,8 +266,11 @@ def decompose_with_info(t, r, options=None):
     the alpha residual of the returned candidate (None on the rank-1 path),
     the basis condition number, per-stage timings in milliseconds, and any
     warnings raised along the way.  A CpdError carries the stage that
-    raised it.  Deterministic for fixed options.seed.
+    raised it.  A rank that is not an integer raises TypeError, one below 1
+    ValueError.  Deterministic for fixed options.seed.
     """
+    if operator.index(r) < 1:
+        raise ValueError(f"rank must be positive, got {r}")
     options = options or DecomposeOptions()
     rng = np.random.default_rng(options.seed)
     timings = {}

@@ -374,31 +374,6 @@ def _schur_complement(T, entries, npiv, p):
         T[t0:t1] = _reduce(T[t0:t1] - _gathered(T, rows, coefs, 0), p)
 
 
-def catalecticant_corank(config):
-    """Corank of the stacked pairwise-symmetry constraint matrix at (2, 1).
-
-    For each pair q < q' of first-factor coordinates the block row
-    [Gamma H_{q'} | -Gamma H_q] (placed at block columns q and q')
-    expresses the partial-symmetry conditions for membership in the
-    catalecticant image; the corank of the stack over Z_p equals the
-    degree-(2,1) Hilbert value of the finite-field configuration.
-    """
-    beta, gamma = config.beta, config.gamma
-    m1, r = beta.shape
-    n1 = gamma.shape[0]
-    m = m1 - 1
-    npairs = (m1 * m) // 2
-    A = np.zeros((npairs * n1, m1 * r), dtype=np.int64)
-    row = 0
-    for q in range(m1):
-        for q2 in range(q + 1, m1):
-            band = slice(row * n1, (row + 1) * n1)
-            A[band, q * r:(q + 1) * r] = gamma * beta[q2]
-            A[band, q2 * r:(q2 + 1) * r] = -(gamma * beta[q])
-            row += 1
-    return m1 * r - fp_rank(A, config.p)
-
-
 def certify_regularity(m, n, d, r, p=DEFAULT_PRIME, trials=3, seed=0):
     """Search for a witness configuration certifying degree (d, 1).
 

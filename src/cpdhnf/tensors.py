@@ -195,21 +195,13 @@ def reshape_group(t, grouping):
 
     This is the linear isomorphism sending an elementary tensor to the
     elementary tensor of the per-group Kronecker factors; it preserves the
-    Frobenius norm and is inverted bit-exactly by :func:`ungroup`.
+    Frobenius norm, and the inverse transpose undoes it bit-exactly.
     """
     if grouping.shape != t.shape:
         raise ValueError("grouping built for a different shape")
     perm = [i - 1 for p in grouping.parts for i in p]
     data = t.data.transpose(perm).reshape(grouping.grouped_shape)
     return DenseTensor(data, t.scalars)
-
-
-def ungroup(t3, grouping):
-    """Inverse of :func:`reshape_group`."""
-    perm = [i - 1 for p in grouping.parts for i in p]
-    dims = [grouping.shape[i] for i in perm]
-    data = t3.data.reshape(dims).transpose(np.argsort(perm))
-    return DenseTensor(data, t3.scalars)
 
 
 def _three_partitions(d):
@@ -280,13 +272,6 @@ def st_hosvd(t, targets):
             np.tensordot(u.conj().T, core, axes=(1, k)), 0, k
         )
     return DenseTensor(core, t.scalars), factors
-
-
-def st_hosvd_expand(core, factors):
-    data = core.data
-    for k, u in enumerate(factors):
-        data = np.moveaxis(np.tensordot(u, data, axes=(1, k)), 0, k)
-    return DenseTensor(data, core.scalars)
 
 
 def rank1_factorization(v, shape):

@@ -14,7 +14,7 @@ import numpy as np  # noqa: E402
 import pytest
 import scipy.sparse
 
-from cpdhnf import BilinearSystem, DenseTensor
+from cpdhnf import BilinearSystem, DenseTensor, hilbert_dim
 
 # mode-1 flattening of the worked 4x3x3 example; column (k, l) row-major
 GOLDEN_FLATTENING = np.array([
@@ -116,6 +116,15 @@ def fail_dense_buffers(monkeypatch, nrows):
     monkeypatch.setattr(np, "zeros", no_square_buffer)
     monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", no_memory)
     monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", no_memory)
+
+
+def stacked_rows(m, n, r, degree):
+    """Rows of the Gram matrix that the eigs cokernel factors at a degree
+    (d, e) where the shift matrix splits along x_0: its rows less its
+    columns whose shift holds x_0, which the lower levels' nullspace
+    removes."""
+    d, e = degree
+    return hilbert_dim(m, n, d, e) - ((m + 1) * (n + 1) - r) * hilbert_dim(m, n, d - 2, e - 1)
 
 
 # the check that a child process has not loaded scipy; it runs in a fresh

@@ -8,7 +8,7 @@ import pytest
 from cpdhnf import polysys
 from cpdhnf.cli import main
 
-from conftest import NO_SCIPY, fail_dense_buffers, run_fresh
+from conftest import NO_SCIPY, fail_dense_buffers, run_fresh, stacked_rows
 
 
 def run(args):
@@ -110,6 +110,16 @@ class TestDecompose:
                     "--degree", "2,1", "--output", str(path)]) == 0
         assert json.loads(path.read_text())["degree_used"] == [2, 1]
 
+    @pytest.mark.parametrize("rank", ["-2", "0"])
+    def test_rank_below_one_is_an_input_error(self, tmp_path, capsys, rank):
+        tensor = tmp_path / "t.txt"
+        run(["generate", "--dims", "4,3,3", "--rank", "4", "--seed", "7",
+             "--output", str(tensor)])
+        assert run(["decompose", "--input", str(tensor), "--rank", rank]) == 1
+        err = capsys.readouterr().err
+        assert "error[input]: rank must be positive" in err
+        assert "Traceback" not in err
+
     def test_rank_out_of_range_exit_code(self, tmp_path, capsys):
         tensor = tmp_path / "t.txt"
         run(["generate", "--dims", "4,3,3", "--rank", "4", "--seed", "7",
@@ -122,7 +132,7 @@ class TestDecompose:
         tensor = tmp_path / "t.txt"
         run(["generate", "--dims", "12,7,3", "--rank", "12", "--seed", "3",
              "--output", str(tensor)])
-        fail_dense_buffers(monkeypatch, 252)
+        fail_dense_buffers(monkeypatch, stacked_rows(6, 2, 12, (3, 1)))
         assert run(["decompose", "--input", str(tensor), "--rank", "12"]) == 1
         err = capsys.readouterr().err
         assert "error[cokernel]: InsufficientMemory" in err

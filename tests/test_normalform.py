@@ -9,9 +9,10 @@ from cpdhnf import (BasisDeficient, DefectiveEigenvectors, build_resultant,
                     multiplication_matrices, pencil_prenormal,
                     prenormal_general, shifted_submatrix,
                     simultaneous_diagonalize)
-from cpdhnf.linalg import subspace_distance
 from cpdhnf.normalform import MultiplicationFamily, PreNormalForm
 from cpdhnf.tensors import CPDecomposition
+
+from oracles import subspace_distance
 
 
 def evaluation_prenormal(betas, gammas, degree, rng, h0_coeffs=None):

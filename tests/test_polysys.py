@@ -6,16 +6,17 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from cpdhnf import (COMPLEX, REAL, BilinearSystem, CorankMismatch,
-                    FlatteningRankMismatch, build_resultant, evaluate,
-                    flatten_mode1, jacobian, kernel_flattening, left_nullspace,
-                    monomial_basis, polysys, random_cpd)
+                    DecomposeOptions, FlatteningRankMismatch, build_resultant,
+                    decompose_with_info, evaluate, flatten_mode1, jacobian,
+                    kernel_flattening, left_nullspace, monomial_basis, polysys,
+                    random_cpd, recovery)
 from cpdhnf.bigraded import shift_table
-from cpdhnf.config import EIGS_MAXITER, EIGS_TOL, SEP_RATIO
-from cpdhnf.linalg import subspace_distance
+from cpdhnf.config import EIGS_ENTRY_THRESHOLD, EIGS_MAXITER, EIGS_TOL, SEP_RATIO
 from cpdhnf.tensors import add_noise
 
 from conftest import (GOLDEN_BETAS, GOLDEN_FLATTENING, GOLDEN_GAMMAS,
                       GOLDEN_KERNEL, golden_resultant_dense)
+from oracles import subspace_distance
 
 
 def system_from_points(m, n, r, seed=0):
@@ -358,12 +359,13 @@ class TestBlockIterationAgainstShiftInvert:
             system = kernel_flattening(flatten_mode1(t), r, shape[1:])
         res = build_resultant(system, degree)
         reference = shift_invert_reference(res, r)
-        thetas = []
+        thetas, factored = [], []
         rayleigh_ritz = polysys._rayleigh_ritz
 
         def recording(RH, Y):
             theta, X = rayleigh_ritz(RH, Y)
             thetas.append(theta)
+            factored.append(RH)
             return theta, X
 
         monkeypatch.setattr(polysys, "_rayleigh_ritz", recording)
@@ -377,15 +379,205 @@ class TestBlockIterationAgainstShiftInvert:
             assert np.linalg.norm(block @ block.conj().T - np.eye(r)) <= 1e-12
             assert np.isrealobj(block) == np.isrealobj(res.matrix.data)
         # theta_{r+1}, which the gap test reads, is tested only at
-        # EIGS_TOL ** 0.5; its error is quadratic in that residual
-        sv = np.linalg.svd(res.toarray(), compute_uv=False)
-        gram_eigs = np.sort(np.concatenate([sv ** 2, np.zeros(res.shape[0] - len(sv))]))
+        # EIGS_TOL ** 0.5; its error is quadratic in that residual.  It is
+        # an eigenvalue of the matrix the iteration factors: the stacked
+        # matrix S S^H when R splits along x_0, not R R^H
+        S = factored[-1].toarray()
+        sv = np.linalg.svd(S, compute_uv=False)
+        gram_eigs = np.sort(np.concatenate([sv ** 2, np.zeros(S.shape[0] - len(sv))]))
         assert abs(thetas[-1][r] - gram_eigs[r]) <= 1e-6 * gram_eigs[r]
         if e is None:
             assert subspace_distance(block, reference) <= 1e-8
             for wrong in (r - 1, r + 1):
                 with pytest.raises(CorankMismatch):
                     left_nullspace(res, wrong, method="eigs")
+
+
+def solved_resultant(t, shape, r, degree):
+    """The shift matrix that the driver's cokernel sees: (1, e) goes
+    through the transposed forms at (e, 1)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = kernel_flattening(flatten_mode1(t), r, shape[1:])
+    d, e = degree
+    return build_resultant(*((system.transposed(), (e, d)) if d == 1 else (system, degree)))
+
+
+def nullspace_or_none(res, r, method):
+    """The nullspace, or None where the gap test rejects; noisy residuals
+    above NULL_REL only warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return left_nullspace(res, r, method)
+        except CorankMismatch:
+            return None
+
+
+class TestSplitAlongX0:
+    """The cokernel that factors only the stacked matrix [N B; D] of the top
+    level, against the dense SVD nullspace of the whole shift matrix R."""
+
+    CELLS = [((8, 5, 4), 8, (2, 1), REAL), ((8, 5, 4), 8, (2, 1), COMPLEX),
+             ((12, 7, 3), 12, (3, 1), REAL), ((12, 7, 3), 12, (3, 1), COMPLEX),
+             ((20, 8, 4), 20, (4, 1), REAL), ((12, 3, 7), 12, (1, 3), REAL),
+             ((24, 8, 6), 24, (1, 2), COMPLEX)]
+
+    @pytest.mark.parametrize("shape, r, degree, scalars", CELLS)
+    def test_exact_matches_svd(self, shape, r, degree, scalars):
+        t, _ = random_cpd(shape, r, seed=7, scalars=scalars)
+        res = solved_resultant(t, shape, r, degree)
+        assert polysys.lower_chain(res, r) is not None
+        N = left_nullspace(res, r, "eigs")
+        assert np.linalg.norm(N @ N.conj().T - np.eye(r)) <= 1e-12
+        assert np.isrealobj(N) == (scalars == REAL)
+        assert subspace_distance(N, left_nullspace(res, r, "svd")) <= 1e-8
+        for wrong in (r - 1, r + 1):
+            with pytest.raises(CorankMismatch):
+                left_nullspace(res, wrong, "eigs")
+
+    @pytest.mark.parametrize("shape, r, degree, scalars, seed, e",
+                             [cell + (7, e) for cell in CELLS for e in (-10, -5)]
+                             + [((12, 3, 7), 12, (1, 3), COMPLEX, 30, -5)])
+    @pytest.mark.filterwarnings("ignore:nullspace residual")
+    def test_noisy_as_close_as_svd(self, shape, r, degree, scalars, seed, e):
+        """On noisy forms both routes approximate the exact nullspace; the
+        split stays within 3x of the SVD's distance to it.  Its gap test
+        reads S S^H, and it rejects whatever the SVD rejects.  The seed-30
+        draw is the one of 400 noisy draws of five shapes at e = -5 where it
+        also rejects a draw that the SVD accepts, and auto falls back."""
+        t0, _ = random_cpd(shape, r, seed=seed, scalars=scalars)
+        exact = left_nullspace(solved_resultant(t0, shape, r, degree), r, "svd")
+        res = solved_resultant(add_noise(t0, e, seed=8), shape, r, degree)
+        split, svd = (nullspace_or_none(res, r, method) for method in ("eigs", "svd"))
+        if svd is None:
+            assert split is None
+        elif split is None:
+            with pytest.warns(UserWarning, match="fell back to svd"):
+                assert np.array_equal(left_nullspace(res, r), svd)
+        else:
+            assert subspace_distance(split, exact) <= 3 * subspace_distance(svd, exact)
+
+    def test_nf_small_gram_cells(self, monkeypatch):
+        """The cells of the nf-small benchmark workload that auto sends to
+        the Gram route: four at (2, 1) and the grouped order-5 one at
+        (3, 1)."""
+        built = []
+        build = recovery.build_resultant
+
+        def recording(system, degree):
+            built.append(build(system, degree))
+            return built[-1]
+
+        monkeypatch.setattr(recovery, "build_resultant", recording)
+        cells = [((24, 7, 7), 24), ((24, 8, 6), 24), ((28, 8, 7), 28), ((32, 8, 8), 32),
+                 ((4, 4, 3, 3, 3), 16)]
+        for dims, r in cells:
+            built.clear()
+            decompose_with_info(random_cpd(dims, r, seed=101)[0], r,
+                                DecomposeOptions(kernel="svd"))
+            res = built[0]
+            assert res.shape[0] * res.shape[1] >= EIGS_ENTRY_THRESHOLD
+            assert polysys.lower_chain(res, r) is not None
+            N = left_nullspace(res, r, "eigs")
+            assert subspace_distance(N, left_nullspace(res, r, "svd")) <= 1e-8
+
+    @pytest.mark.parametrize("shape, r, degree, scalars, e", [
+        ((20, 8, 4), 20, (4, 1), REAL, None),
+        ((20, 8, 4), 20, (4, 1), COMPLEX, -5),
+        ((12, 3, 7), 12, (1, 3), COMPLEX, None),
+    ])
+    def test_chain_levels(self, shape, r, degree, scalars, e):
+        """Each level k below the top gives orthonormal rows spanning the
+        left nullspace of R_k, exactly rows - cols of them, on noisy forms
+        too."""
+        t, _ = random_cpd(shape, r, seed=9, scalars=scalars)
+        t = add_noise(t, e, seed=10)
+        top = solved_resultant(t, shape, r, degree)
+        d, e = top.degree
+        system = BilinearSystem(top.forms.reshape(-1, top.m + 1, top.n + 1))
+        for k in range(1, d):
+            N = polysys.lower_chain(build_resultant(system, (k + 1, e)), r)
+            R = build_resultant(system, (k, e)).toarray()
+            assert N.shape == (R.shape[0] - R.shape[1], R.shape[0])
+            assert np.linalg.norm(N @ N.conj().T - np.eye(len(N))) <= 1e-13
+            assert np.linalg.norm(N @ R) <= 1e-13 * np.linalg.norm(R)
+
+    def test_repeated_form_raises_and_auto_falls_back(self, monkeypatch):
+        """A repeated form makes level 1 rank deficient: the chain raises,
+        and auto hands the decision to the SVD."""
+        system, _, _ = system_from_points(6, 6, 24, seed=5)
+        coeffs = system.coeffs.copy()
+        coeffs[-1] = coeffs[0]
+        res = build_resultant(BilinearSystem(coeffs), (2, 1))
+        with pytest.raises(CorankMismatch, match="rank deficient"):
+            polysys.lower_chain(res, 24)
+        svd_calls = []
+        nullspace_svd = polysys._nullspace_svd
+
+        def counting_svd(res, r):
+            svd_calls.append(r)
+            return nullspace_svd(res, r)
+
+        monkeypatch.setattr(polysys, "_nullspace_svd", counting_svd)
+        assert res.shape[0] * res.shape[1] >= EIGS_ENTRY_THRESHOLD
+        # the repeated form leaves R with corank above 24, which the SVD sees
+        with pytest.raises(CorankMismatch):
+            left_nullspace(res, 24)
+        assert svd_calls == [24]
+
+    def test_unsplit_degree_factors_R_as_before(self, monkeypatch):
+        """(12, 7, 3) r=12 forced to (4, 1): level 3 is 252 x 252, not r
+        rows taller, so R itself is factored, with its Gram and projections
+        summed exactly as the per-shift loops on R did."""
+        t, _ = random_cpd((12, 7, 3), 12, seed=24)
+        res = solved_resultant(t, (12, 7, 3), 12, (4, 1))
+        assert polysys.lower_chain(res, 12) is None
+        per_shift = res.forms.T @ res.forms.conj()
+        gram = np.zeros(2 * (res.shape[0],))
+        for rows in res.table:
+            gram[np.ix_(rows, rows)] += per_shift
+        assert np.array_equal(res.gram(), gram)
+        Q = np.linalg.qr(np.random.default_rng(3).standard_normal((res.shape[0], 30)))[0]
+        projected = np.zeros((30, 30))
+        for lo in range(0, len(res.table), polysys._SHIFT_CHUNK):
+            B = np.matmul(res.forms, Q[res.table[lo:lo + polysys._SHIFT_CHUNK]]).reshape(-1, 30)
+            projected += B.T @ B
+        assert np.array_equal(res.projected_gram(Q), projected)
+        seen = []
+        rayleigh_ritz = polysys._rayleigh_ritz
+
+        def recording(op, Y):
+            seen.append(op)
+            return rayleigh_ritz(op, Y)
+
+        monkeypatch.setattr(polysys, "_rayleigh_ritz", recording)
+        left_nullspace(res, 12, "eigs")
+        assert seen and all(op is res for op in seen)
+
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    def test_stacked_products(self, scalars):
+        """A bordered StackedMatrix's Gram and projections against its dense
+        form; 40 shifts end on a partial chunk."""
+        rng = np.random.default_rng(11)
+
+        def draw(*shape):
+            z = rng.standard_normal(shape)
+            return z + 1j * rng.standard_normal(shape) if scalars == COMPLEX else z
+
+        h, nshift, s, p, below = 5, 40, 3, 6, 30
+        table = np.sort(np.argsort(rng.random((nshift, below)), axis=1)[:, :p], axis=1) + h
+        S = polysys.StackedMatrix(table, draw(s, p), h + below, draw(h, nshift, s))
+        dense = S.toarray()
+        assert dense.shape == S.shape == (h + below, nshift * s)
+        assert np.allclose(dense[:h], S.top.reshape(h, -1), rtol=0, atol=0)
+        gram = S.gram()
+        assert gram.flags.f_contiguous
+        assert np.linalg.norm(gram - dense @ dense.conj().T) <= 1e-13 * np.linalg.norm(gram)
+        Q = np.linalg.qr(draw(h + below, 7))[0]
+        SHQ = dense.conj().T @ Q
+        want = SHQ.conj().T @ SHQ
+        assert np.linalg.norm(S.projected_gram(Q) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestEvaluateJacobian:

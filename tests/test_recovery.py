@@ -12,10 +12,10 @@ from cpdhnf import (COMPLEX, REAL, AmbiguousKernel, BilinearSystem,
                     kernel_flattening, newton_refine, polysys, random_config,
                     random_cpd, rank_bound, recovery, solve_alpha, solve_gamma)
 from cpdhnf.config import NEWTON_RCOND
-from cpdhnf.linalg import factor_set_distance
 
 from conftest import (GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_GAMMAS,
-                      fail_dense_buffers)
+                      fail_dense_buffers, stacked_rows)
+from oracles import factor_set_distance
 
 
 class TestSolveGamma:
@@ -219,6 +219,21 @@ class TestDecompose:
         with pytest.raises(RankOutOfRange) as exc:
             decompose(golden_tensor, 5)
         assert exc.value.stage == "validation"
+
+    @pytest.mark.parametrize("shape", [(6, 5, 4), (3, 2, 2, 2)])
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_rank_below_one_rejected(self, shape, r):
+        """Every order rejects a rank below 1 with the same message, before
+        the flattening kernel or the grouping sees it."""
+        t, _ = random_cpd(shape, 2, seed=42)
+        with pytest.raises(ValueError, match="rank must be positive"):
+            decompose_with_info(t, r)
+
+    def test_rank_must_be_an_integer(self, golden_tensor):
+        with pytest.raises(TypeError):
+            decompose(golden_tensor, 1.5)
+        dec = decompose(golden_tensor, np.int64(4))
+        assert dec.rank == 4
 
     def test_corank_mismatch_carries_stage(self):
         t, _ = random_cpd((12, 7, 3), 12, seed=41)
@@ -463,14 +478,17 @@ class TestCokernelFallback:
             svd_calls.append(r)
             return nullspace_svd(res, r)
 
-        fail_dense_buffers(monkeypatch, 252)
+        # the SVD densifies the 252-row shift matrix; the Gram route factors
+        # the smaller stacked matrix of degree (3, 1)
+        rows = 252 if kernel == "svd" else stacked_rows(6, 2, 12, (3, 1))
+        fail_dense_buffers(monkeypatch, rows)
         monkeypatch.setattr(polysys, "_nullspace_svd", counting_svd)
         with pytest.raises(InsufficientMemory) as exc:
             decompose(t, 12, DecomposeOptions(kernel=kernel, seed=1))
         assert len(svd_calls) == (kernel == "svd")
         assert exc.value.stage == "cokernel"
-        assert exc.value.nbytes == 252 * 252 * 8
-        assert "252 x 252" in str(exc.value)
+        assert exc.value.nbytes == rows * rows * 8
+        assert f"{rows} x {rows}" in str(exc.value)
 
 
 class TestPlanMemoryCheck:

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdhnf import (ConfigNotInW, PointConfigFp, RankOutOfRange,
-                    catalecticant_corank, certify_regularity, fp_rank,
-                    hilbert_from_points, random_config, rank_bound, regcert)
+                    certify_regularity, fp_rank, hilbert_from_points,
+                    random_config, rank_bound, regcert)
 from cpdhnf.bigraded import hilbert_dim, shift_table
 from cpdhnf.regcert import (_GATHER_BLOCK, _PANEL, _fp_kernel, _row_echelon, _shift_corank,
                              _unit_upper_inverse)
 
 from conftest import NO_SCIPY, run_fresh
+from oracles import catalecticant_corank
 
 
 def rational_rank(M):

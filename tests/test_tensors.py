@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from cpdhnf import (CPDecomposition, DenseTensor, Grouping, NoFeasibleGrouping,
                     backward_error, choose_grouping, cpd_eval, flatten_mode1,
                     random_cpd, rank1_factorization, read_tensor, reshape_group,
-                    st_hosvd, st_hosvd_expand, ungroup, write_tensor)
+                    st_hosvd, write_tensor)
 from cpdhnf.recovery import add_noise
 
 from conftest import GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_FLATTENING, GOLDEN_GAMMAS
+from oracles import st_hosvd_expand, ungroup
 
 
 def golden_cpd():
