@@ -163,15 +163,16 @@ class MultiplicationFamily:
     def commutation_residual(self):
         """max ||M_i M_j - M_j M_i||_F / (||M_i||_F ||M_j||_F)."""
         mats = self.matrices
-        norms = [np.linalg.norm(M) for M in mats]
-        worst = 0.0
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                denom = norms[i] * norms[j]
-                if denom > 0:
-                    worst = max(worst, np.linalg.norm(comm) / denom)
-        return worst
+        i, j = np.triu_indices(len(mats), 1)
+        norms = np.linalg.norm(mats, axis=(1, 2))
+        comm = mats[i] @ mats[j] - mats[j] @ mats[i]
+        return _worst_ratio(np.linalg.norm(comm, axis=(1, 2)), norms[i] * norms[j])
+
+
+def _worst_ratio(num, denom):
+    """The largest num / denom over the nonzero denominators, else 0."""
+    nonzero = denom > 0
+    return float(np.max(num[nonzero] / denom[nonzero], initial=0.0))
 
 
 def multiplication_matrices(pnf):
@@ -224,18 +225,14 @@ def simultaneous_diagonalize(family, seed=0, rng=None):
         t = rng.standard_normal(count)
         combo = np.tensordot(t, mats, axes=1)
         _, vecs = np.linalg.eig(combo)
-        coords = np.empty((count, r), dtype=complex)
-        worst = 0.0
         try:
-            for j in range(count):
-                dj = np.linalg.solve(vecs, mats[j] @ vecs)
-                off = dj - np.diag(np.diagonal(dj))
-                denom = np.linalg.norm(dj)
-                if denom > 0:
-                    worst = max(worst, np.linalg.norm(off) / denom)
-                coords[j] = np.diagonal(dj)
+            conj = np.linalg.solve(vecs, mats @ vecs)
         except np.linalg.LinAlgError:
             continue
+        diag = np.diagonal(conj, axis1=1, axis2=2)
+        worst = _worst_ratio(np.linalg.norm(conj - diag[:, :, None] * np.eye(r), axis=(1, 2)),
+                             np.linalg.norm(conj, axis=(1, 2)))
+        coords = diag.astype(complex)
         if worst <= DIAG_REL:
             return coords
         if best is None or worst < best[0]:

@@ -2,25 +2,26 @@
 
 The kernel of the mode-1 flattening yields bilinear forms f_j(x, y) =
 x^T F_j y.  Shifting these forms by monomials gives a sparse structured
-matrix whose left nullspace carries the normal-form data; its row
-positions come from ``bigraded.shift_table``, where the monomial order
-lives.  The nullspace comes from a dense SVD or from a Gram matrix: one
-in-place Cholesky factorization of its shifted dense form and blocked
-inverse subspace iteration.  At (d, e) with d >= 2 the basis puts x_0
-first, so R = [[R_{d-1}, B], [0, D]] after a column reordering, and the
-Gram is that of the smaller stacked matrix [N B; D], with N from a chain
-of exact QR steps down the degrees (the recursive orthogonalization of
-Batselier, Dreesen and De Moor, J. Comput. Appl. Math. 2014).  The Gram,
-its projections and the nullspace residual are formed from the shift
-table and the form coefficients, one block per shift, with no sparse
-product.  At degree (1, 1) the nullspace is the flattening row space,
-which the kernel's SVD already holds.  scipy is imported in the
-functions that call it.
+matrix R whose left nullspace carries the normal-form data; R is kept as
+its shift table, from ``bigraded.shift_table``, where the monomial order
+lives, and the form coefficients.  The nullspace comes from a dense SVD
+or from a Gram matrix: one in-place Cholesky factorization of its
+shifted dense form and blocked inverse subspace iteration.  At (d, e)
+with d >= 2 the basis puts x_0 first, so R = [[R_{d-1}, B], [0, D]]
+after a column reordering, and the Gram is that of the smaller stacked
+matrix [N B; D], with N from a chain of exact QR steps down the degrees
+(the recursive orthogonalization of Batselier, Dreesen and De Moor, J.
+Comput. Appl. Math. 2014); R is the stacked matrix with no border.  The
+Gram, its projections and the nullspace residual are formed one block
+per shift, with no sparse matrix.  At degree (1, 1) the nullspace is the
+flattening row space, which the kernel's SVD already holds.  scipy is
+imported in the functions that call it.
 """
 
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -197,48 +198,50 @@ class StackedMatrix:
         return out
 
 
-@dataclass
-class ResultantMatrix:
-    """Sparse matrix of all monomial shifts of the system's forms at a
-    bidegree.
+@dataclass(kw_only=True)
+class ResultantMatrix(StackedMatrix):
+    """The shift matrix R of all monomial shifts of the system's forms at a
+    bidegree: the border-free ``StackedMatrix`` with its columns in form
+    order.
 
     Rows are indexed by the monomial basis of the (d, e) piece; columns by
     (form j, shift monomial) with the form index major.  Each column is a
     copy of vec(F_j), row j of ``forms``, placed at the rows
-    ``table[mu]`` of its shift mu.  ``matrix`` holds the same entries in
-    CSC form; ``norm``, ``gram``, ``projected_gram`` and ``residual_norm``
-    read only ``table`` and ``forms``.  At (1, 1) the columns are the
-    forms, so the system's ``cokernel`` is the left nullspace; it is None
-    elsewhere.
+    ``table[mu]`` of its shift mu.  The column order leaves ``shape``,
+    ``gram``, ``projected_gram``, ``norm`` and ``residual_norm`` unchanged,
+    and they read only ``table`` and ``forms``; ``toarray`` writes R in
+    form order, and ``matrix``, built on first use, holds it in CSC form.
+    At (1, 1) the columns are the forms, so the system's ``cokernel`` is
+    the left nullspace; it is None elsewhere.
     """
 
     degree: Bidegree
     m: int
     n: int
     s: int
-    matrix: "scipy.sparse.csc_matrix"
-    table: np.ndarray  # shape (n_shifts, (m+1)(n+1)), the shift table
-    forms: np.ndarray  # shape (s, (m+1)(n+1)), vec(F_j) in row j
     cokernel: np.ndarray | None = None
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
     def toarray(self):
-        return self.matrix.toarray()
+        out = np.zeros(self.shape, dtype=self.forms.dtype)
+        cols = np.arange(self.shape[1]).reshape(self.s, -1, 1)
+        out[self.table, cols] = self.forms[:, None]
+        return out
+
+    @cached_property
+    def matrix(self):
+        """R in CSC form; every column holds (m+1)(n+1) entries, and their
+        rows ascend because the shift table's rows follow a monomial
+        order."""
+        import scipy.sparse
+        nshift, block = self.table.shape
+        vals = np.tile(self.forms[:, None], (1, nshift, 1)).ravel()
+        indptr = np.arange(0, self.s * nshift * block + 1, block)
+        return scipy.sparse.csc_matrix((vals, np.tile(self.table.ravel(), self.s), indptr),
+                                       shape=self.shape)
 
     def norm(self):
         """Frobenius norm of R: every shift holds each form once."""
         return np.sqrt(len(self.table)) * np.linalg.norm(self.forms)
-
-    def gram(self):
-        """Dense G = R R^H in Fortran order (``StackedMatrix.gram``)."""
-        return StackedMatrix(self.table, self.forms, self.shape[0]).gram()
-
-    def projected_gram(self, Q):
-        """Q^H G Q, formed per shift (``StackedMatrix.projected_gram``)."""
-        return StackedMatrix(self.table, self.forms, self.shape[0]).projected_gram(Q)
 
     def residual_norm(self, N):
         """||N R||_F as ||N[:, table] F^T||_F: the column order of R does
@@ -248,13 +251,11 @@ class ResultantMatrix:
 
 
 def build_resultant(system, degree):
-    """Assemble the shift matrix column by column, without polynomial
-    multiplication: each column copies the coefficients of one form into
-    the rows of the shifted monomials.  The matrix is written in CSC form
-    directly; every column holds (m+1)(n+1) entries, and their rows ascend
-    because the shift table's rows follow a monomial order.  The table and
-    the forms are kept, and the nullspace methods apply R through them."""
-    import scipy.sparse
+    """The shift matrix at a bidegree, without polynomial multiplication:
+    each column copies the coefficients of one form into the rows of the
+    shifted monomials.  Only the shift table and the forms are kept; the
+    nullspace methods apply R through them, and the dense and CSC forms
+    are built when asked for."""
     d, e = degree
     if min(d, e) < 1:
         raise ValueError("degree must be at least (1, 1)")
@@ -262,20 +263,13 @@ def build_resultant(system, degree):
     if s == 0:
         raise ValueError("empty system")
     table = shift_table(m, n, (d, e))
-    nshift, block = table.shape
-    nrows = hilbert_dim(m, n, d, e)
-
-    forms = system.coeffs.reshape(s, block)
-    vals = np.tile(forms[:, None], (1, nshift, 1)).ravel()
-    indptr = np.arange(0, s * nshift * block + 1, block)
-    mat = scipy.sparse.csc_matrix(
-        (vals, np.tile(table.ravel(), s), indptr), shape=(nrows, s * nshift)
-    )
+    block = table.shape[1]
     cokernel = None
     if (d, e) == (1, 1) and system.cokernel is not None:
         # the (1, 1) rows are the pairs (k, l) in row-major order
         cokernel = system.cokernel.reshape(-1, block)
-    return ResultantMatrix(Bidegree(d, e), m, n, s, mat, table, forms, cokernel)
+    return ResultantMatrix(table, system.coeffs.reshape(s, block), hilbert_dim(m, n, d, e),
+                           degree=Bidegree(d, e), m=m, n=n, s=s, cokernel=cokernel)
 
 
 def left_nullspace(res, r, method="auto"):
@@ -378,9 +372,9 @@ def check_dense_fits(nrows, dtype):
 def _nullspace_svd(res, r):
     nrows = res.shape[0]
     try:
-        u, sv, _ = np.linalg.svd(res.matrix.toarray(), full_matrices=True)
+        u, sv, _ = np.linalg.svd(res.toarray(), full_matrices=True)
     except MemoryError as exc:
-        raise _dense_too_large(nrows, res.matrix.dtype) from exc
+        raise _dense_too_large(nrows, res.forms.dtype) from exc
     expected_rank = nrows - r
     if expected_rank < len(sv):
         small, large = sv[expected_rank], sv[expected_rank - 1]
@@ -463,7 +457,8 @@ def _nullspace_eigs(res, r):
 
 
 def _block_iteration(res, r):
-    """Left nullspace rows of a ResultantMatrix or StackedMatrix."""
+    """Left nullspace rows of a StackedMatrix: R itself, or the stacked
+    top level of R's split."""
     import scipy.linalg
     nrows = res.shape[0]
     try:

@@ -5,13 +5,14 @@ import operator
 import time
 import warnings
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
 from .bigraded import hilbert_dim, select_degree
 from .config import NEWTON_RCOND, RANK_REL, SOLVE_GAP, DecomposeOptions
-from .errors import (AmbiguousKernel, CpdError, RankDeficientKR, RankOutOfRange,
-                     SingularJacobian)
+from .errors import (AmbiguousKernel, BasisDeficient, CpdError, RankDeficientKR,
+                     RankOutOfRange, SingularJacobian)
 from .linalg import khatri_rao
 from .normalform import (multiplication_matrices, pencil_prenormal,
                          prenormal_general, simultaneous_diagonalize)
@@ -196,10 +197,14 @@ def _decompose_order3(t, r, options, rng, timings, info):
     with _stage(timings, "cokernel"):
         N = left_nullspace(res, r, options.kernel)
     with _stage(timings, "multiplication"):
-        if path == "pencil":
-            pnf = pencil_prenormal(N, solved.m, solved.n, rng=rng)
-        else:
-            pnf = prenormal_general(N, solved.m, solved.n, degree, rng=rng)
+        prenormal = (pencil_prenormal if path == "pencil"
+                     else partial(prenormal_general, degree=degree))
+        try:
+            pnf = prenormal(N, solved.m, solved.n, rng=rng)
+        except BasisDeficient:
+            # a drawn combination close to vanishing at a point leaves the
+            # basis deficient; one more draw from rng comes before giving up
+            pnf = prenormal(N, solved.m, solved.n, rng=rng)
         info["basis_cond"] = pnf.cond
         family = multiplication_matrices(pnf)
     with _stage(timings, "diagonalization"):

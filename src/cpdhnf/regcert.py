@@ -383,7 +383,7 @@ def certify_regularity(m, n, d, r, p=DEFAULT_PRIME, trials=3, seed=0):
     Failure after all trials is inconclusive, never a refutation.  Trial t
     uses seed + t.
     """
-    for name, value in (("m", m), ("n", n), ("d", d), ("r", r)):
+    for name, value in (("m", m), ("n", n), ("d", d), ("r", r), ("trials", trials)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     _check_prime(p)

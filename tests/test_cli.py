@@ -251,6 +251,15 @@ class TestCertify:
         assert err.startswith("error[input]: m must be at least 1, got 0")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_input_error(self, capsys, trials):
+        code = run(["certify", "--m", "3", "--n", "2", "--d", "2", "--r", "auto",
+                    "--trials", trials])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error[input]: trials must be at least 1, got {trials}")
+        assert "Traceback" not in err
+
     def test_runs_without_scipy(self):
         out = run_fresh("""
 from cpdhnf.cli import main

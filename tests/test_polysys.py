@@ -186,6 +186,7 @@ class TestStructuredProducts:
                               degree)
         R = res.matrix
         nrows = R.shape[0]
+        assert np.array_equal(res.toarray(), R.toarray())
 
         def close(got, want):
             return np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)

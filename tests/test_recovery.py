@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cpdhnf import (COMPLEX, REAL, AmbiguousKernel, BilinearSystem,
-                    CorankMismatch, CPDecomposition, DecomposeOptions,
-                    DenseTensor, Grouping,
+from cpdhnf import (COMPLEX, REAL, AmbiguousKernel, BasisDeficient,
+                    BilinearSystem, CorankMismatch, CPDecomposition,
+                    DecomposeOptions, DenseTensor, Grouping,
                     InsufficientMemory, RankDeficientKR, RankOutOfRange,
                     SingularJacobian, backward_error, build_resultant,
                     cpd_eval, decompose, decompose_with_info, evaluate,
                     flatten_mode1, hilbert_from_points, jacobian,
-                    kernel_flattening, newton_refine, polysys, random_config,
-                    random_cpd, rank_bound, recovery, solve_alpha, solve_gamma)
+                    kernel_flattening, newton_refine, normalform, polysys,
+                    random_config, random_cpd, rank_bound, recovery,
+                    solve_alpha, solve_gamma)
 from cpdhnf.config import NEWTON_RCOND
 
 from conftest import (GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_GAMMAS,
@@ -240,6 +241,26 @@ class TestDecompose:
         with pytest.raises(CorankMismatch) as exc:
             decompose(t, 12, DecomposeOptions(degree=(2, 1)))
         assert exc.value.stage == "cokernel"
+
+    def test_deficient_basis_draws_once_more(self):
+        """The first combination drawn for this (24, 7, 7) draw leaves a
+        pivot ratio of 6.46e-9, below PIV_REL; the second one succeeds."""
+        t, _ = random_cpd((24, 7, 7), 24, seed=2252851237)
+        _, info = decompose_with_info(t, 24)
+        assert info["backward_error"] <= 1e-13
+
+    def test_deficient_basis_raises_after_the_second_draw(self, monkeypatch):
+        draws = []
+
+        def deficient(n_h0):
+            draws.append(n_h0)
+            raise BasisDeficient("injected")
+        monkeypatch.setattr(normalform, "choose_basis", deficient)
+        t, _ = random_cpd((12, 7, 3), 12, seed=36)
+        with pytest.raises(BasisDeficient) as exc:
+            decompose(t, 12)
+        assert exc.value.stage == "multiplication"
+        assert len(draws) == 2 and not np.array_equal(*draws)
 
     def test_stage_timings_reported(self, golden_tensor):
         _, info = decompose_with_info(golden_tensor, 4)

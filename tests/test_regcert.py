@@ -503,6 +503,8 @@ class TestCertifyRegularity:
                            ((2, 2, 0, 1), "d"), ((2, 2, 2, 0), "r")]:
             with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
                 certify_regularity(*args)
+        with pytest.raises(ValueError, match="^trials must be at least 1"):
+            certify_regularity(2, 2, 2, 1, trials=0)
 
     def test_certificate_schema(self):
         cert = certify_regularity(3, 2, 2, 6)
@@ -528,7 +530,8 @@ class TestCertifyRegularity:
 
 def test_certifier_runs_without_scipy():
     """Certificates, Hilbert values and Z_p ranks never load scipy; the
-    first decomposition in the same process loads it and succeeds."""
+    first decomposition in the same process loads scipy.linalg, but not
+    scipy.sparse, and succeeds."""
     run_fresh("""
 import sys
 import numpy as np
@@ -540,4 +543,6 @@ assert cpdhnf.fp_rank(np.arange(12).reshape(3, 4)) == 2
 t, _ = cpdhnf.random_cpd((12, 7, 3), 12, seed=36)
 assert cpdhnf.backward_error(t, cpdhnf.decompose(t, 12)) <= 1e-12
 assert "scipy.linalg" in sys.modules
+sparse = [name for name in sys.modules if name.startswith("scipy.sparse")]
+assert not sparse, sparse
 """)
