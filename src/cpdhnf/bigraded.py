@@ -5,9 +5,9 @@ rational rank bound controlling which bidegrees can work for a given
 number of points, and automatic degree selection for the solver.
 
 The monomial order lives here alone: ``monomial_index`` ranks exponent rows
-in it, and ``shift_table`` maps each shift monomial times each x_k y_l to a
-row of the (d, e) basis, which is the index map of the shift matrix and of
-every pull-back through its left nullspace.
+in it, and ``shift_table`` maps each shift monomial times each column
+monomial to a row of the (d, e) basis, which is the index map of the shift
+matrix and of every pull-back through its left nullspace.
 """
 
 import math
@@ -137,19 +137,23 @@ def monomial_index(m, n, degree, exps):
     return _lex_rank(a, d) * math.comb(n + e, e) + _lex_rank(b, e)
 
 
-@lru_cache(maxsize=256)
-def shift_table(m, n, degree):
-    """Row of the (d, e) basis of each shift monomial of degree (d-1, e-1)
-    times each x_k y_l.
+def shift_table(m, n, degree, columns=(1, 1)):
+    """Row of the (d, e) basis of each shift monomial of degree
+    (d, e) - columns times each monomial of degree ``columns``.
 
-    int64 array of shape (n_shifts, (m+1)(n+1)); row i follows the shift
-    basis order and the pairs (k, l) run row-major.  Cached and shared by
-    every caller, so it is read-only.
+    int64 array of shape (n_shifts, n_columns); row i follows the shift
+    basis order and column j the ``columns`` basis order, which at the
+    default (1, 1) runs over the pairs x_k y_l row-major and at (0, 1)
+    over the y_l.  Cached and shared by every caller, so it is read-only.
     """
-    d, e = degree
-    shifts = monomial_basis(m, n, (d - 1, e - 1)).rows
-    pairs = monomial_basis(m, n, (1, 1)).rows  # x_k y_l, (k, l) row-major
-    table = monomial_index(m, n, (d, e), shifts[:, None, :] + pairs)
+    return _shift_table(m, n, Bidegree(*degree), Bidegree(*columns))
+
+
+@lru_cache(maxsize=256)
+def _shift_table(m, n, degree, columns):
+    shifts = monomial_basis(m, n, (degree.d - columns.d, degree.e - columns.e)).rows
+    cols = monomial_basis(m, n, columns).rows
+    table = monomial_index(m, n, degree, shifts[:, None, :] + cols)
     table.flags.writeable = False
     return table
 

@@ -140,14 +140,16 @@ def _auto_rank(m, n, d):
 
 
 def cmd_certify(args):
+    if args.sweep:
+        mmax, nmax = (int(tok) for tok in args.sweep.split(","))
+        if min(mmax, nmax) < 2:
+            raise ValueError(f"sweep bounds must be at least 2, got {args.sweep}")
+        cells = [(m1 - 1, n1 - 1) for m1 in range(2, mmax + 1)
+                 for n1 in range(2, nmax + 1)]
+    else:
+        cells = [(args.m, args.n)]
     out = open(args.output, "w") if args.output else sys.stdout
     try:
-        if args.sweep:
-            mmax, nmax = (int(tok) for tok in args.sweep.split(","))
-            cells = [(m1 - 1, n1 - 1) for m1 in range(2, mmax + 1)
-                     for n1 in range(2, nmax + 1)]
-        else:
-            cells = [(args.m, args.n)]
         ok = True
         for m, n in cells:
             r = args.r if args.r is not None else _auto_rank(m, n, args.d)

@@ -53,8 +53,9 @@ class DecomposeOptions:
     seed          seed of the random combinations; fixes the result
     grouping      forced mode partition for tensors of order > 3
 
-    An unknown path or kernel, or a degree below (1, 1), raises ValueError
-    when the options are built.
+    An unknown path or kernel, a degree below (1, 1) or contradicting the
+    path ("pencil" is (1, 1), "normal-form" any other), or a negative
+    newton_iters raises ValueError when the options are built.
     """
 
     degree: tuple | None = None
@@ -73,3 +74,7 @@ class DecomposeOptions:
             self.degree = tuple(int(x) for x in self.degree)
             if len(self.degree) != 2 or min(self.degree) < 1:
                 raise ValueError("forced degree must be at least (1, 1) componentwise")
+            if self.path != "auto" and (self.path == "pencil") != (self.degree == (1, 1)):
+                raise ValueError(f"path {self.path!r} contradicts the forced degree {self.degree}")
+        if self.newton_iters < 0:
+            raise ValueError(f"newton_iters must be at least 0, got {self.newton_iters}")

@@ -4,7 +4,8 @@ A pre-normal form is a rank-r map on a graded piece whose kernel is the
 ideal's piece in that degree.  Restricting it to a well-conditioned column
 subset turns multiplication by degree-raising polynomials into commuting
 r x r matrices whose joint eigenvalues are homogeneous coordinates of the
-solution points.  Every pull-back along a shift reads its columns from
+solution points; at degree (1, 1) this is the classical pencil method.
+Every pull-back along a shift reads its columns from
 ``bigraded.shift_table``, where the monomial order lives.  scipy is
 imported in the functions that call it.
 """
@@ -30,15 +31,32 @@ def shifted_submatrix(N, m, n, degree, shift):
     return N[:, shift_table(m, n, (d, e))[row]]
 
 
+def _split_degree(degree):
+    """Degrees of the pivot columns and of h in the degree-(d, e) form.
+
+    The pivots are the x_k y_l when d >= 2 and the y_l at (1, 1).  h0 has
+    the rest of the degree and h one x-degree less, so h is 1 at (2, 1)
+    and (1, 1).
+    """
+    d, e = degree
+    if d >= 2:
+        columns = Bidegree(1, 1)
+    elif (d, e) == (1, 1):
+        columns = Bidegree(0, 1)
+    else:
+        raise ValueError(f"pre-normal form needs x-degree >= 2 or degree (1, 1), got {(d, e)}")
+    return columns, Bidegree(d - columns.d - 1, e - columns.e)
+
+
 def make_h0(N, m, n, degree, rng=None, coeffs=None):
     """Random (or caller-supplied) combination of the shifted submatrices.
 
-    Coefficients are i.i.d. standard normal; with probability one the
-    corresponding polynomial does not vanish at any solution point.  A
-    bad draw surfaces downstream as a pivot-rank deficiency.
+    One coefficient per monomial of h0's degree.  Coefficients are i.i.d.
+    standard normal; with probability one the corresponding polynomial
+    does not vanish at any solution point.  A bad draw surfaces downstream
+    as a pivot-rank deficiency.
     """
-    d, e = degree
-    table = shift_table(m, n, (d, e))
+    table = shift_table(m, n, degree, _split_degree(degree)[0])
     if coeffs is None:
         if rng is None:
             raise ValueError("need rng when no coefficients are supplied")
@@ -54,10 +72,11 @@ class PreNormalForm:
     """Pre-normal form with a chosen pivot basis.
 
     Its multiplication family acts by the x-variables, so the joint
-    eigenvalues are x-coordinates of the points.  ``h`` is the auxiliary
-    polynomial of the general degree-(d, e) form and None for the pencil
-    form at (1, 1).  ``tri`` holds the full triangular QR factor; the
-    leading r columns are the invertible restriction to the pivot basis.
+    eigenvalues are x-coordinates of the points.  ``h`` holds the
+    coefficients of the auxiliary polynomial, one x-degree below h0; it is
+    the constant 1 at (2, 1) and at the pencil's (1, 1).  ``tri`` holds the
+    full triangular QR factor; the leading r columns are the invertible
+    restriction to the pivot basis.
     """
 
     N: np.ndarray
@@ -65,7 +84,7 @@ class PreNormalForm:
     n: int
     degree: Bidegree
     h0: np.ndarray
-    h: np.ndarray | None
+    h: np.ndarray
     q: np.ndarray
     tri: np.ndarray
     pivots: np.ndarray
@@ -103,52 +122,25 @@ def choose_basis(n_h0):
     return q, tri, piv, cond
 
 
-def prenormal_general(N, m, n, degree, rng=None, h0_coeffs=None, h_coeffs=None):
+def prenormal_general(N, m, n, degree, rng=None, h0_coeffs=None):
     """Assemble the degree-(d, e) pre-normal form from a left nullspace.
 
-    Requires d >= 2 (callers solve (1, e) on the transposed system at
-    (e, 1)).  The auxiliary polynomial h lives one x-degree below the shift
-    degree and degenerates to the constant 1 when (d, e) = (2, 1).
+    Takes d >= 2 or (1, 1); callers solve (1, e) on the transposed system
+    at (e, 1).  h is drawn from rng unless it is the constant 1.  At
+    (1, 1), the pencil, the pivots are y-variables, and a pivot failure
+    reports y-side points that are not linearly independent.
     """
-    d, e = degree
-    if d < 2:
-        raise ValueError("general path needs x-degree >= 2")
     h0, n_h0 = make_h0(N, m, n, degree, rng=rng, coeffs=h0_coeffs)
     q, tri, piv, cond = choose_basis(n_h0)
-    h_degree = (d - 2, e - 1)
-    nh = len(monomial_basis(m, n, h_degree))
-    if h_coeffs is None:
-        if h_degree == (0, 0):
-            h = np.ones(1)
-        else:
-            h = rng.standard_normal(nh)
-    else:
-        h = np.asarray(h_coeffs)
-    if len(h) != nh:
-        raise ValueError("h must have one coefficient per degree-(d-2, e-1) monomial")
-    return PreNormalForm(N, m, n, Bidegree(d, e), h0, h, q, tri, np.asarray(piv), cond)
+    h_degree = _split_degree(degree)[1]
+    h = np.ones(1) if h_degree == (0, 0) else rng.standard_normal(
+        len(monomial_basis(m, n, h_degree)))
+    return PreNormalForm(N, m, n, Bidegree(*degree), h0, h, q, tri, np.asarray(piv), cond)
 
 
 def pencil_prenormal(N, m, n, rng=None, h0_coeffs=None):
-    """Pre-normal form on the bilinear piece, for ranks r <= n+1.
-
-    N is the degree-(1, 1) cokernel, which spans the flattening row space.
-    The combination polynomial h0 is linear in the x-variables and the
-    pivot basis lies among the y-variables, so the restricted maps are
-    the slices N[:, k, :] of N as an r x (m+1) x (n+1) array.  This needs
-    the y-side points to be linearly independent, which a pivot failure
-    reports a posteriori.
-    """
-    r = N.shape[0]
-    if h0_coeffs is None:
-        if rng is None:
-            raise ValueError("need rng when no coefficients are supplied")
-        h0 = rng.standard_normal(m + 1)
-    else:
-        h0 = np.asarray(h0_coeffs)
-    n_h0 = np.tensordot(h0, N.reshape(r, m + 1, n + 1), axes=([0], [1]))
-    q, tri, piv, cond = choose_basis(n_h0)
-    return PreNormalForm(N, m, n, Bidegree(1, 1), h0, None, q, tri, np.asarray(piv), cond)
+    """The pencil: ``prenormal_general`` at (1, 1), for ranks r <= n+1."""
+    return prenormal_general(N, m, n, (1, 1), rng=rng, h0_coeffs=h0_coeffs)
 
 
 @dataclass
@@ -178,26 +170,21 @@ def _worst_ratio(num, denom):
 def multiplication_matrices(pnf):
     """Form the family M_k = (restricted h0-map)^{-1} (restricted g_k-map).
 
-    On the general path g_k = h * x_k; on the pencil path g_k = x_k; k
-    runs over the m+1 x-variables either way.  The triangular factor is
-    never inverted explicitly; each matrix comes from a back-substitution.
+    g_k = h * x_k has h0's degree, and k runs over the m+1 x-variables.
+    The triangular factor is never inverted explicitly; each matrix comes
+    from a back-substitution.
     """
     import scipy.linalg
     r, m, n = pnf.r, pnf.m, pnf.n
-    sel = pnf.basis
-    if pnf.h is None:
-        # the columns x_k y_l of the bilinear piece, l in the basis, per k
-        maps = np.moveaxis(pnf.N.reshape(r, m + 1, n + 1)[:, :, sel], 1, 0)
-    else:
-        d, e = pnf.degree
-        h_rows = monomial_basis(m, n, (d - 2, e - 1)).rows
-        x_rows = monomial_basis(m, n, (1, 0)).rows
-        # the shift h-monomial * x_k, for every k and every h-monomial
-        shifts = monomial_index(m, n, (d - 1, e - 1), x_rows[:, None, :] + h_rows)
-        # one (h-monomial, basis column) block of N per k; gathering all k
-        # at once would hold (m+1) times as much
-        maps = (np.tensordot(pnf.h, pnf.N[:, cols], axes=([0], [1]))
-                for cols in shift_table(m, n, (d, e))[shifts][..., sel])
+    columns, h_degree = _split_degree(pnf.degree)
+    h_rows = monomial_basis(m, n, h_degree).rows
+    x_rows = monomial_basis(m, n, (1, 0)).rows
+    # the shift h-monomial * x_k, for every k and every h-monomial
+    shifts = monomial_index(m, n, (h_degree.d + 1, h_degree.e), x_rows[:, None, :] + h_rows)
+    # one (h-monomial, basis column) block of N per k; gathering all k
+    # at once would hold (m+1) times as much
+    maps = (np.tensordot(pnf.h, pnf.N[:, cols], axes=([0], [1]))
+            for cols in shift_table(m, n, pnf.degree, columns)[shifts][..., pnf.basis])
     tri_r = pnf.tri[:, :r]
     family = MultiplicationFamily(np.array(
         [scipy.linalg.solve_triangular(tri_r, pnf.q.conj().T @ nk) for nk in maps]))

@@ -5,7 +5,6 @@ import operator
 import time
 import warnings
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
@@ -14,8 +13,8 @@ from .config import NEWTON_RCOND, RANK_REL, SOLVE_GAP, DecomposeOptions
 from .errors import (AmbiguousKernel, BasisDeficient, CpdError, RankDeficientKR,
                      RankOutOfRange, SingularJacobian)
 from .linalg import khatri_rao
-from .normalform import (multiplication_matrices, pencil_prenormal,
-                         prenormal_general, simultaneous_diagonalize)
+from .normalform import (multiplication_matrices, prenormal_general,
+                         simultaneous_diagonalize)
 from .polysys import (build_resultant, check_dense_fits, evaluate, jacobian,
                       kernel_flattening, left_nullspace)
 from .tensors import (REAL, CPDecomposition, add_noise,
@@ -197,14 +196,12 @@ def _decompose_order3(t, r, options, rng, timings, info):
     with _stage(timings, "cokernel"):
         N = left_nullspace(res, r, options.kernel)
     with _stage(timings, "multiplication"):
-        prenormal = (pencil_prenormal if path == "pencil"
-                     else partial(prenormal_general, degree=degree))
         try:
-            pnf = prenormal(N, solved.m, solved.n, rng=rng)
+            pnf = prenormal_general(N, solved.m, solved.n, degree, rng=rng)
         except BasisDeficient:
             # a drawn combination close to vanishing at a point leaves the
             # basis deficient; one more draw from rng comes before giving up
-            pnf = prenormal(N, solved.m, solved.n, rng=rng)
+            pnf = prenormal_general(N, solved.m, solved.n, degree, rng=rng)
         info["basis_cond"] = pnf.cond
         family = multiplication_matrices(pnf)
     with _stage(timings, "diagonalization"):

@@ -1,10 +1,11 @@
 """Reference computations that only the tests use: distances between
-subspaces and factor sets, the inverses of grouping and ST-HOSVD, and an
-independent route to the degree-(2, 1) Hilbert value."""
+subspaces and factor sets, the inverses of grouping and ST-HOSVD, an
+independent route to the degree-(2, 1) Hilbert value, and the pencil's
+pre-normal form as slices of the reshaped degree-(1, 1) cokernel."""
 
 import numpy as np
 
-from cpdhnf import DenseTensor, fp_rank
+from cpdhnf import DenseTensor, choose_basis, fp_rank
 from cpdhnf.linalg import unitize
 
 
@@ -99,3 +100,23 @@ def catalecticant_corank(config):
             A[band, q2 * r:(q2 + 1) * r] = -(gamma * beta[q])
             row += 1
     return m1 * r - fp_rank(A, config.p)
+
+
+def pencil_slices(N, m, n, rng):
+    """The pencil's pre-normal form and maps read off N as an
+    r x (m+1) x (n+1) array.
+
+    h0 is linear in the x-variables, so the combined map contracts the
+    middle axis with it; the pivots lie among the y-variables, and the map
+    of x_k is the slice N[:, k, basis].  Returns h0, the pivots, the maps
+    (one per k) and the family solved against the restricted h0-map.
+    """
+    import scipy.linalg
+    r = N.shape[0]
+    cube = N.reshape(r, m + 1, n + 1)
+    h0 = rng.standard_normal(m + 1)
+    q, tri, piv, _ = choose_basis(np.tensordot(h0, cube, axes=([0], [1])))
+    maps = np.moveaxis(cube[:, :, piv[:r]], 1, 0)
+    family = np.array([scipy.linalg.solve_triangular(tri[:, :r], q.conj().T @ nk)
+                       for nk in maps])
+    return h0, piv, maps, family

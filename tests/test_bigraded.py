@@ -160,8 +160,29 @@ class TestShiftTable:
     def test_shared_table_is_read_only(self):
         table = shift_table(3, 2, (2, 1))
         assert shift_table(3, 2, (2, 1)) is table
+        # one cache entry however the default columns are spelled
+        assert shift_table(3, 2, (2, 1), (1, 1)) is table
+        assert shift_table(3, 2, [2, 1], columns=[1, 1]) is table
         with pytest.raises(ValueError):
             table[0, 0] = 1
+
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 4), (5, 3)])
+    def test_pencil_columns_index_the_bilinear_piece(self, m, n):
+        """At (1, 1) with y-variable columns, row k holds x_k y_l for every
+        l: the reshape of the bilinear piece to (m+1) x (n+1)."""
+        expected = np.arange((m + 1) * (n + 1)).reshape(m + 1, n + 1)
+        assert np.array_equal(shift_table(m, n, (1, 1), (0, 1)), expected)
+
+    def test_columns_of_other_degrees_match_the_basis(self):
+        # (2, 1) columns on the degree-(3, 2) basis leave (1, 1) shifts
+        m, n = 3, 2
+        index = {ab: i for i, ab in enumerate(monomial_basis(m, n, (3, 2)).exponents)}
+        table = shift_table(m, n, (3, 2), (2, 1))
+        for i, (a1, b1) in enumerate(monomial_basis(m, n, (1, 1)).exponents):
+            for j, (a2, b2) in enumerate(monomial_basis(m, n, (2, 1)).exponents):
+                ab = (tuple(map(sum, zip(a1, a2))), tuple(map(sum, zip(b1, b2))))
+                assert table[i, j] == index[ab]
 
 
 class TestSelectDegree:

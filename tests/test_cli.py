@@ -148,6 +148,16 @@ class TestDecompose:
         assert "error[cokernel]: InsufficientMemory" in err
         assert "Traceback" not in err
 
+    def test_negative_newton_is_an_input_error(self, tmp_path, capsys):
+        tensor = tmp_path / "t.txt"
+        run(["generate", "--dims", "4,3,3", "--rank", "4", "--seed", "6",
+             "--output", str(tensor)])
+        code = run(["decompose", "--input", str(tensor), "--rank", "4", "--newton", "-2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error[input]: newton_iters must be at least 0, got -2")
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         assert run(["decompose", "--input", "/nonexistent/t.txt", "--rank", "2"]) == 1
         assert "error[input]" in capsys.readouterr().err
@@ -259,6 +269,15 @@ class TestCertify:
         assert code == 1
         assert err.startswith(f"error[input]: trials must be at least 1, got {trials}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sweep", ["1,3", "3,1", "0,0"])
+    def test_empty_sweep_input_error(self, tmp_path, capsys, sweep):
+        out = tmp_path / "certs.jsonl"
+        code = run(["certify", "--d", "2", "--sweep", sweep, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error[input]: sweep bounds must be at least 2, got {sweep}")
+        assert not out.exists()
 
     def test_runs_without_scipy(self):
         out = run_fresh("""

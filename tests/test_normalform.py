@@ -12,7 +12,7 @@ from cpdhnf import (BasisDeficient, DefectiveEigenvectors, build_resultant,
 from cpdhnf.normalform import MultiplicationFamily, PreNormalForm
 from cpdhnf.tensors import CPDecomposition
 
-from oracles import subspace_distance
+from oracles import pencil_slices, subspace_distance
 
 
 def evaluation_prenormal(betas, gammas, degree, rng, h0_coeffs=None):
@@ -267,6 +267,47 @@ def pencil_cokernel(t, r):
     the (m, n) of that transposed system."""
     system = kernel_flattening(flatten_mode1(t), r, t.shape[1:]).transposed()
     return left_nullspace(build_resultant(system, (1, 1)), r), system.m, system.n
+
+
+class TestPencilAgainstSlices:
+    """The pencil is the (1, 1) case of the general pre-normal form; it
+    matches the reshaped-slice rule it replaced on real cokernels."""
+
+    @pytest.mark.parametrize("scalars", ["real", "complex"])
+    @pytest.mark.parametrize("shape, r", [((6, 5, 4), 3), ((6, 5, 4), 5), ((7, 4, 6), 4),
+                                          ((10, 8, 3), 8), ((24, 21, 20), 20)])
+    def test_same_draw_pivots_maps_and_family(self, shape, r, scalars):
+        from cpdhnf import random_cpd
+        t, _ = random_cpd(shape, r, seed=r, scalars=scalars)
+        N, m, n = pencil_cokernel(t, r)
+        pnf = prenormal_general(N, m, n, (1, 1), rng=np.random.default_rng(r))
+        h0, piv, maps, family = pencil_slices(N, m, n, np.random.default_rng(r))
+        assert np.array_equal(pnf.h0, h0) and np.array_equal(pnf.h, [1.0])
+        assert np.array_equal(pnf.pivots, piv)
+        # with q = I and an identity pivot block the family is the maps
+        bare = PreNormalForm(N, m, n, (1, 1), h0, pnf.h, np.eye(r),
+                             np.eye(r, N.shape[1] // (m + 1)), piv, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the bare maps need not commute
+            assert np.array_equal(multiplication_matrices(bare).matrices, maps)
+        got = multiplication_matrices(pnf).matrices
+        assert np.all(np.abs(got - family) <= 8 * np.finfo(float).eps * np.abs(family).max())
+
+    def test_pencil_prenormal_is_the_general_form(self):
+        from cpdhnf import random_cpd
+        t, _ = random_cpd((9, 6, 5), 5, seed=1)
+        N, m, n = pencil_cokernel(t, 5)
+        a = pencil_prenormal(N, m, n, rng=np.random.default_rng(2))
+        b = prenormal_general(N, m, n, (1, 1), rng=np.random.default_rng(2))
+        assert a.degree == b.degree == (1, 1)
+        for field in ("h0", "h", "q", "tri", "pivots"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    @pytest.mark.parametrize("degree", [(1, 2), (1, 3), (0, 1)])
+    def test_general_form_rejects_other_x_degree_one(self, degree):
+        N = np.random.default_rng(3).standard_normal((2, len(monomial_basis(2, 2, (1, 3)))))
+        with pytest.raises(ValueError, match=r"x-degree >= 2 or degree \(1, 1\)"):
+            prenormal_general(N, 2, 2, degree, rng=np.random.default_rng(4))
 
 
 class TestPencilPrenormal:

@@ -572,3 +572,24 @@ class TestOptionChecks:
         t, _ = random_cpd(shape, r, seed=62)
         with pytest.raises(ValueError, match="unknown"):
             decompose_with_info(t, r, DecomposeOptions(**bad))
+
+    @pytest.mark.parametrize("degree, path", [((2, 1), "pencil"), ((1, 3), "pencil"),
+                                              ((1, 1), "normal-form")])
+    def test_forced_degree_contradicting_path_rejected(self, degree, path):
+        with pytest.raises(ValueError, match="contradicts the forced degree"):
+            DecomposeOptions(degree=degree, path=path)
+
+    @pytest.mark.parametrize("degree, path", [((1, 1), "pencil"), ((2, 1), "normal-form"),
+                                              ((1, 2), "normal-form"), ((1, 1), "auto"),
+                                              ((2, 1), "auto")])
+    def test_forced_degree_agreeing_with_path_runs(self, degree, path):
+        t, _ = random_cpd((9, 6, 5), 5, seed=1)
+        _, info = decompose_with_info(t, 5, DecomposeOptions(degree=degree, path=path))
+        assert info["degree_used"] == degree
+        assert info["path"] == ("pencil" if degree == (1, 1) else "normal-form")
+        assert info["backward_error"] <= 1e-12
+
+    @pytest.mark.parametrize("iters", [-1, -2])
+    def test_negative_newton_iters_rejected(self, iters):
+        with pytest.raises(ValueError, match=f"newton_iters must be at least 0, got {iters}"):
+            DecomposeOptions(newton_iters=iters)
