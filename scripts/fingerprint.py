@@ -18,7 +18,10 @@ a copy of the script in another checkout records that checkout.
 ``compare`` reads two recordings and prints which runs are identical, the
 largest relative factor difference, the backward errors of the runs that
 differ, the info keys that differ, any error run whose type, stage or
-message changed, and every certifier outcome that changed.
+message changed, and every certifier outcome that changed.  A run whose
+factors differ by more than 1e-12 has its columns matched, and one that is
+the same CPD with its rank-1 terms reordered is reported as the same up to
+a column permutation, with the factor difference after matching.
 
     python3 scripts/fingerprint.py record --output before.npz
     python3 scripts/fingerprint.py compare before.npz after.npz
@@ -142,6 +145,22 @@ def compare_certifier(cert_a, cert_b):
     return len(changed)
 
 
+def column_permutation(fac_a, fac_b):
+    """Matches the columns of two normalized factor sets; returns the
+    permutation perm with fac_b[k][:, perm] closest to fac_a[k] and the
+    largest relative factor difference after it."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.zeros((fac_a[0].shape[1], fac_b[0].shape[1]))
+    for x, y in zip(fac_a, fac_b):
+        cost = np.maximum(cost, np.linalg.norm(x[:, :, None] - y[:, None, :], axis=0)
+                          / np.linalg.norm(x, axis=0)[:, None])
+    perm = linear_sum_assignment(cost)[1]
+    rel = max(float(np.linalg.norm(x - y[:, perm]) / np.linalg.norm(x))
+              for x, y in zip(fac_a, fac_b))
+    return perm, rel
+
+
 def compare(path_a, path_b):
     meta_a, cert_a, fac_a = load(path_a)
     meta_b, cert_b, fac_b = load(path_b)
@@ -187,6 +206,13 @@ def compare(path_a, path_b):
         if not same or "backward_error" in info_keys:
             print(f"  {key}: factor diff {rel:.3e}, backward error "
                   f"{berr_a:.4e} -> {berr_b:.4e}")
+        # two joint eigenvalues that come out in the other order reorder
+        # the rank-1 terms, which reads as an O(1) factor difference
+        if rel > 1e-12:
+            perm, matched = column_permutation(fac_a[key], fac_b[key])
+            if np.any(perm != np.arange(len(perm))):
+                print(f"    same up to a column permutation {perm.tolist()}: "
+                      f"factor diff {matched:.3e} after matching")
     for key, ea, eb in errors_changed:
         print(f"  error changed {key}: {ea} -> {eb}")
     certifier_changed = compare_certifier(cert_a, cert_b)

@@ -11,6 +11,7 @@ with a warning, when it cannot certify the corank.
 The remaining values are engineering defaults.
 """
 
+import operator
 from dataclasses import dataclass
 
 # kernel extraction from the flattening
@@ -55,7 +56,8 @@ class DecomposeOptions:
 
     An unknown path or kernel, a degree below (1, 1) or contradicting the
     path ("pencil" is (1, 1), "normal-form" any other), or a negative
-    newton_iters raises ValueError when the options are built.
+    newton_iters raises ValueError when the options are built; a degree
+    entry or newton_iters that is not an integer raises TypeError.
     """
 
     degree: tuple | None = None
@@ -71,10 +73,11 @@ class DecomposeOptions:
         if self.kernel not in ("auto", "svd", "eigs"):
             raise ValueError(f"unknown nullspace method {self.kernel!r}")
         if self.degree is not None:
-            self.degree = tuple(int(x) for x in self.degree)
+            self.degree = tuple(operator.index(x) for x in self.degree)
             if len(self.degree) != 2 or min(self.degree) < 1:
                 raise ValueError("forced degree must be at least (1, 1) componentwise")
             if self.path != "auto" and (self.path == "pencil") != (self.degree == (1, 1)):
                 raise ValueError(f"path {self.path!r} contradicts the forced degree {self.degree}")
+        self.newton_iters = operator.index(self.newton_iters)
         if self.newton_iters < 0:
             raise ValueError(f"newton_iters must be at least 0, got {self.newton_iters}")

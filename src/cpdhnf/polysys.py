@@ -115,19 +115,20 @@ def kernel_flattening(M, r, dims):
 
 
 def evaluate(system, beta, gamma):
-    """Residual vector (f_1(beta, gamma), ..., f_s(beta, gamma))."""
-    beta = np.asarray(beta)
-    gamma = np.asarray(gamma)
-    return np.einsum("jkl,k,l->j", system.coeffs, beta, gamma)
+    """Residuals f_j(beta, gamma).  Points are columns: beta (m+1,) and
+    gamma (n+1,) give the s-vector, (m+1, k) and (n+1, k) an s x k matrix."""
+    return np.einsum("jkl,k...,l...->j...", system.coeffs, beta, gamma)
 
 
 def jacobian(system, beta, gamma):
-    """s x (m+n+2) Jacobian; derivatives w.r.t. beta first, then gamma."""
-    beta = np.asarray(beta)
-    gamma = np.asarray(gamma)
-    dbeta = np.einsum("jkl,l->jk", system.coeffs, gamma)
-    dgamma = np.einsum("jkl,k->jl", system.coeffs, beta)
-    return np.concatenate([dbeta, dgamma], axis=1)
+    """Jacobian of the forms, derivatives w.r.t. beta first, then gamma.
+
+    One point gives the s x (m+n+2) matrix; points as columns, (m+1, k)
+    and (n+1, k), give the k x s x (m+n+2) stack, one matrix per point.
+    """
+    dbeta = np.einsum("jkl,l...->...jk", system.coeffs, gamma)
+    dgamma = np.einsum("jkl,k...->...jl", system.coeffs, beta)
+    return np.concatenate([dbeta, dgamma], axis=-1)
 
 
 # shifts per gather in projected_gram.  At (40,8,8) r=39 (120 shifts of 64

@@ -1,5 +1,6 @@
-"""Back end of the solver: per-point recovery, Newton refinement, first-mode
-factors, and the end-to-end decomposition driver."""
+"""Back end of the solver: per-point recovery and Newton refinement, with
+all points as the columns of stacked calls, first-mode factors, and the
+end-to-end decomposition driver."""
 
 import operator
 import time
@@ -27,84 +28,112 @@ __all__ = [
 ]
 
 
-def solve_gamma(system, beta):
-    """Second-point coordinates from the forms at a fixed first point.
+def solve_gamma(system, betas):
+    """Second-point coordinates from the forms at fixed first points.
 
-    Stacks the rows beta^T F_j and takes the right singular vector of the
-    smallest singular value; a clear gap between the two smallest singular
-    values certifies the one-dimensional kernel the genericity assumption
-    promises.
+    Points are columns: betas (m+1, k) give gammas (n+1, k), and a 1-D
+    beta is the k = 1 case.  For each point the rows beta^T F_j are
+    stacked, and the right singular vector of the smallest singular value
+    is its gamma; a clear gap between the two smallest singular values
+    certifies the one-dimensional kernel the genericity assumption
+    promises.  One stacked SVD serves all points, and an AmbiguousKernel
+    names the first point that fails.
     """
     if system.s < 1:
         raise ValueError("need at least one form")
-    beta = np.asarray(beta)
-    if not np.any(beta):
+    betas = np.asarray(betas)
+    cols = betas.reshape(len(betas), -1)
+    if not np.all(np.any(cols, axis=0)):
         raise ValueError("zero point")
-    A = np.einsum("jkl,k->jl", system.coeffs, beta)
     n1 = system.n + 1
     if system.s < system.n:
         raise AmbiguousKernel(
             f"only {system.s} forms for {n1} unknowns: kernel cannot be one-dimensional"
         )
-    _, sv, vh = np.linalg.svd(A, full_matrices=True)
-    if len(sv) >= n1:
-        small, nxt = sv[n1 - 1], sv[n1 - 2]
+    # at s == n the kernel vector is the row that only the full V holds
+    _, sv, vh = np.linalg.svd(np.einsum("jkl,ki->ijl", system.coeffs, cols),
+                              full_matrices=system.s < n1)
+    if sv.shape[1] >= n1:
+        small, nxt = sv[:, n1 - 1], sv[:, n1 - 2]
     else:
         # s == n: square-ish system, kernel dimension is 1 iff full row rank
-        small, nxt = 0.0, sv[-1]
+        small, nxt = np.zeros(len(sv)), sv[:, -1]
     # one-dimensional kernel: exactly one singular value collapses
-    if sv[0] == 0 or nxt <= RANK_REL * sv[0]:
+    vanishes = (sv[:, 0] == 0) | (nxt <= RANK_REL * sv[:, 0])
+    failed = vanishes | (small > SOLVE_GAP * nxt)
+    if failed.any():
+        i = int(np.argmax(failed))
         raise AmbiguousKernel(
-            f"second-smallest singular value {nxt:.3e} vanishes: kernel has "
-            "dimension greater than one"
+            f"point {i}: second-smallest singular value {nxt[i]:.3e} vanishes: kernel "
+            "has dimension greater than one" if vanishes[i] else
+            f"point {i}: two smallest singular values {small[i]:.3e}, {nxt[i]:.3e} "
+            "not separated"
         )
-    if small > SOLVE_GAP * nxt:
-        raise AmbiguousKernel(
-            f"two smallest singular values {small:.3e}, {nxt:.3e} not separated"
-        )
-    return vh[-1, :].conj()
+    return vh[:, -1, :].T.conj().reshape((n1,) + betas.shape[1:])
 
 
-def newton_refine(system, beta, gamma, iters=3):
-    """Gauss-Newton refinement of an approximate simple zero.
+def newton_refine(system, betas, gammas, iters=3):
+    """Gauss-Newton refinement of approximate simple zeros.
 
-    The forms are bihomogeneous, so by Euler's relation the Jacobian J maps
-    both scaling directions (b, 0) and (0, g) onto the residual, and a
-    naive step merely rescales the point.  Each step therefore solves with
-    the projected Jacobian J - res [b; g]^H, which is J restricted to the
-    directions orthogonal to the current unit point, by least squares with
-    singular values below NEWTON_RCOND * sigma_1 cut off: the projective
-    Newton step.  The projected Jacobian has rank m + n exactly when the
-    zero is simple.  A step is only accepted if the residual does not
-    increase, keeping refinement monotone.
+    Points are columns, (m+1, k) and (n+1, k); 1-D vectors are the k = 1
+    case.  The forms are bihomogeneous, so by Euler's relation the
+    Jacobian J maps both scaling directions (b, 0) and (0, g) onto the
+    residual, and a naive step merely rescales the point.  Each step
+    therefore solves with the projected Jacobian J - res [b; g]^H, which
+    is J restricted to the directions orthogonal to the current unit
+    point, by least squares with singular values at or below
+    NEWTON_RCOND * sigma_1 cut off: the projective Newton step.  The
+    projected Jacobian has rank m + n exactly when the zero is simple.  A
+    step is only accepted if the residual does not increase, keeping
+    refinement monotone.  A point stops at its first rejected step or
+    once its residual reaches the rounding floor; every step takes the
+    points still moving through one stacked SVD.
     """
-    b = np.asarray(beta) / np.linalg.norm(beta)
-    g = np.asarray(gamma) / np.linalg.norm(gamma)
+    shape = np.shape(betas), np.shape(gammas)
+    dtype = np.result_type(betas, gammas, system.coeffs, float)
+    b = np.asarray(betas, dtype).reshape(shape[0][0], -1)
+    g = np.asarray(gammas, dtype).reshape(shape[1][0], -1)
+    b = b / np.linalg.norm(b, axis=0)
+    g = g / np.linalg.norm(g, axis=0)
     res = evaluate(system, b, g)
-    rnorm = np.linalg.norm(res)
+    rnorm = np.linalg.norm(res, axis=0)
     needed = system.m + system.n
     # unit points on unit-norm forms: residuals at this level are rounding
     # noise and stepping on them only jitters the output
     floor = 10 * np.finfo(float).eps * np.sqrt(max(system.s, 1))
+    moving = np.ones(b.shape[1], dtype=bool)
     for _ in range(iters):
-        if rnorm <= floor:
+        moving &= rnorm > floor
+        idx = np.flatnonzero(moving)
+        if len(idx) == 0:
             break
-        J = jacobian(system, b, g) - np.outer(res, np.concatenate([b, g]).conj())
-        delta, _, rank, _ = np.linalg.lstsq(J, res, rcond=NEWTON_RCOND)
-        if rank < needed:
+        bi, gi, ri = b[:, idx], g[:, idx], res[:, idx].T
+        point = np.concatenate([bi, gi]).T.conj()
+        J = jacobian(system, bi, gi) - ri[:, :, None] * point[:, None, :]
+        u, sv, vh = np.linalg.svd(J, full_matrices=False)
+        kept = sv > NEWTON_RCOND * sv[:, :1]
+        rank = kept.sum(axis=1)
+        if np.any(rank < needed):
+            i = int(np.argmax(rank < needed))
             raise SingularJacobian(
-                f"chart Jacobian rank {rank} < {needed}: zero is not simple"
+                f"point {idx[i]}: chart Jacobian rank {rank[i]} < {needed}: "
+                "zero is not simple"
             )
-        nb = b - delta[: system.m + 1]
-        ng = g - delta[system.m + 1:]
-        nb /= np.linalg.norm(nb)
-        ng /= np.linalg.norm(ng)
+        proj = (ri[:, None, :] @ u.conj())[:, 0]
+        coef = np.divide(proj, sv, out=np.zeros_like(proj), where=kept)
+        delta = (coef[:, None, :] @ vh.conj())[:, 0].T
+        nb = bi - delta[: system.m + 1]
+        ng = gi - delta[system.m + 1:]
+        nb /= np.linalg.norm(nb, axis=0)
+        ng /= np.linalg.norm(ng, axis=0)
         nres = evaluate(system, nb, ng)
-        nnorm = np.linalg.norm(nres)
-        if nnorm > rnorm:
-            break
-        b, g, res, rnorm = nb, ng, nres, nnorm
-    return b, g
+        nnorm = np.linalg.norm(nres, axis=0)
+        taken = nnorm <= rnorm[idx]
+        moving[idx[~taken]] = False
+        step = idx[taken]
+        b[:, step], g[:, step] = nb[:, taken], ng[:, taken]
+        res[:, step], rnorm[step] = nres[:, taken], nnorm[taken]
+    return b.reshape(shape[0]), g.reshape(shape[1])
 
 
 def solve_alpha(flat, betas, gammas):
@@ -211,10 +240,8 @@ def _decompose_order3(t, r, options, rng, timings, info):
 
     # the forms restricted to each point give the other side
     with _stage(timings, "recovery"):
-        xs = coords / [np.linalg.norm(c) for c in coords.T]
-        ys = np.empty((solved.n + 1, r), dtype=coords.dtype)
-        for i in range(r):
-            ys[:, i] = solve_gamma(solved, xs[:, i])
+        xs = coords / np.linalg.norm(coords, axis=0)
+        ys = solve_gamma(solved, xs)
     betas, gammas = (xs, ys) if solved is system else (ys, xs)
 
     # the unrefined points stay a candidate, so that refinement can never
@@ -222,11 +249,7 @@ def _decompose_order3(t, r, options, rng, timings, info):
     point_sets = [(betas, gammas)]
     if options.newton_iters > 0:
         with _stage(timings, "refinement"):
-            refined_b, refined_g = betas.copy(), gammas.copy()
-            for i in range(r):
-                b, g = newton_refine(system, betas[:, i], gammas[:, i], options.newton_iters)
-                refined_b[:, i], refined_g[:, i] = b, g
-        point_sets.insert(0, (refined_b, refined_g))
+            point_sets.insert(0, newton_refine(system, betas, gammas, options.newton_iters))
 
     candidates, error = [], None
     with _stage(timings, "recovery"):
@@ -242,21 +265,15 @@ def _decompose_order3(t, r, options, rng, timings, info):
     return candidates
 
 
-def _ungroup_factors(factors3, grouping, r):
+def _ungroup_factors(factors3, grouping):
     """Split grouped rank-1 factor columns back into per-mode vectors."""
-    d = len(grouping.shape)
-    out = [np.empty(0)] * d
-    scales = np.ones(r, dtype=np.result_type(*[f.dtype for f in factors3]))
+    out = [None] * len(grouping.shape)
+    scales = 1.0
     for part, fac in zip(grouping.parts, factors3):
-        dims = [grouping.shape[i - 1] for i in part]
-        mats = [np.empty((dim, r), dtype=fac.dtype) for dim in dims]
-        for i in range(r):
-            sigma, vecs = rank1_factorization(fac[:, i], dims)
-            scales[i] *= sigma
-            for mat, v in zip(mats, vecs):
-                mat[:, i] = v
-        for mode, mat in zip(part, mats):
-            out[mode - 1] = mat
+        sigma, vecs = rank1_factorization(fac, [grouping.shape[i - 1] for i in part])
+        scales = scales * sigma
+        for mode, vec in zip(part, vecs):
+            out[mode - 1] = vec
     out[0] = out[0] * scales
     return out
 
@@ -290,7 +307,7 @@ def decompose_with_info(t, r, options=None):
                 t3 = reshape_group(t, grouping)
             grouped = _decompose_order3(t3, r, options, rng, timings, info)
             with _stage(timings, "recovery"):
-                candidates = [(_ungroup_factors(fs, grouping, r), resid)
+                candidates = [(_ungroup_factors(fs, grouping), resid)
                               for fs, resid in grouped]
         # return whichever candidate fits the input best in the final metric
         best = None

@@ -275,22 +275,25 @@ def st_hosvd(t, targets):
 
 
 def rank1_factorization(v, shape):
-    """Best-effort rank-1 factorization of a vector reshaped to `shape`.
+    """Best-effort rank-1 factorizations of vectors reshaped to `shape`.
 
     Sequential dominant-SVD peeling: exact for genuinely rank-1 input.
-    Returns (sigma, [unit mode vectors]).
+    Vectors are columns: v of shape (prod(shape), k) gives k sigmas and
+    unit mode vectors of k columns each, and a 1-D v is the k = 1 case,
+    with a 0-d sigma and 1-D mode vectors.  Every peeling step is one
+    stacked SVD over the columns.
     """
     v = np.asarray(v)
-    arr = v.reshape(shape)
-    if np.linalg.norm(v) == 0:
+    cols = v.reshape(len(v), -1).T
+    if not np.all(np.linalg.norm(cols, axis=1)):
         raise ValueError("zero vector has no rank-1 factorization")
     vectors = []
-    rest = arr
+    rest = cols
     for dim in shape[:-1]:
-        mat = rest.reshape(dim, -1)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        vectors.append(u[:, 0])
-        rest = s[0] * vh[0, :]
-    sigma = float(np.linalg.norm(rest))
-    vectors.append(rest / sigma)
-    return sigma, vectors
+        u, s, vh = np.linalg.svd(rest.reshape(len(cols), dim, -1), full_matrices=False)
+        vectors.append(u[:, :, 0])
+        rest = s[:, :1] * vh[:, 0, :]
+    sigma = np.linalg.norm(rest, axis=1)
+    vectors.append(rest / sigma[:, None])
+    return (sigma.reshape(v.shape[1:]),
+            [vec.T.reshape((dim,) + v.shape[1:]) for vec, dim in zip(vectors, shape)])

@@ -1,11 +1,16 @@
 """Reference computations that only the tests use: distances between
 subspaces and factor sets, the inverses of grouping and ST-HOSVD, an
-independent route to the degree-(2, 1) Hilbert value, and the pencil's
-pre-normal form as slices of the reshaped degree-(1, 1) cokernel."""
+independent route to the degree-(2, 1) Hilbert value, the pencil's
+pre-normal form as slices of the reshaped degree-(1, 1) cokernel, and the
+one-point-at-a-time back end that the stacked routines replace: the
+per-point kernel solve and Newton polish, the per-variable multiplication
+matrices and the per-column rank-1 peeling."""
 
 import numpy as np
 
-from cpdhnf import DenseTensor, choose_basis, fp_rank
+from cpdhnf import (AmbiguousKernel, DenseTensor, SingularJacobian, choose_basis,
+                    evaluate, fp_rank, jacobian)
+from cpdhnf.config import NEWTON_RCOND, RANK_REL, SOLVE_GAP
 from cpdhnf.linalg import unitize
 
 
@@ -120,3 +125,114 @@ def pencil_slices(N, m, n, rng):
     family = np.array([scipy.linalg.solve_triangular(tri[:, :r], q.conj().T @ nk)
                        for nk in maps])
     return h0, piv, maps, family
+
+
+def solve_gamma_point(system, beta):
+    """Second-point coordinates from the forms at a fixed first point.
+
+    Stacks the rows beta^T F_j and takes the right singular vector of the
+    smallest singular value; a clear gap between the two smallest singular
+    values certifies the one-dimensional kernel the genericity assumption
+    promises.
+    """
+    if system.s < 1:
+        raise ValueError("need at least one form")
+    beta = np.asarray(beta)
+    if not np.any(beta):
+        raise ValueError("zero point")
+    A = np.einsum("jkl,k->jl", system.coeffs, beta)
+    n1 = system.n + 1
+    if system.s < system.n:
+        raise AmbiguousKernel(
+            f"only {system.s} forms for {n1} unknowns: kernel cannot be one-dimensional"
+        )
+    _, sv, vh = np.linalg.svd(A, full_matrices=True)
+    if len(sv) >= n1:
+        small, nxt = sv[n1 - 1], sv[n1 - 2]
+    else:
+        # s == n: square-ish system, kernel dimension is 1 iff full row rank
+        small, nxt = 0.0, sv[-1]
+    # one-dimensional kernel: exactly one singular value collapses
+    if sv[0] == 0 or nxt <= RANK_REL * sv[0]:
+        raise AmbiguousKernel(
+            f"second-smallest singular value {nxt:.3e} vanishes: kernel has "
+            "dimension greater than one"
+        )
+    if small > SOLVE_GAP * nxt:
+        raise AmbiguousKernel(
+            f"two smallest singular values {small:.3e}, {nxt:.3e} not separated"
+        )
+    return vh[-1, :].conj()
+
+
+def newton_refine_point(system, beta, gamma, iters=3):
+    """Gauss-Newton refinement of an approximate simple zero.
+
+    The forms are bihomogeneous, so by Euler's relation the Jacobian J maps
+    both scaling directions (b, 0) and (0, g) onto the residual, and a
+    naive step merely rescales the point.  Each step therefore solves with
+    the projected Jacobian J - res [b; g]^H, which is J restricted to the
+    directions orthogonal to the current unit point, by least squares with
+    singular values below NEWTON_RCOND * sigma_1 cut off: the projective
+    Newton step.  The projected Jacobian has rank m + n exactly when the
+    zero is simple.  A step is only accepted if the residual does not
+    increase, keeping refinement monotone.
+    """
+    b = np.asarray(beta) / np.linalg.norm(beta)
+    g = np.asarray(gamma) / np.linalg.norm(gamma)
+    res = evaluate(system, b, g)
+    rnorm = np.linalg.norm(res)
+    needed = system.m + system.n
+    # unit points on unit-norm forms: residuals at this level are rounding
+    # noise and stepping on them only jitters the output
+    floor = 10 * np.finfo(float).eps * np.sqrt(max(system.s, 1))
+    for _ in range(iters):
+        if rnorm <= floor:
+            break
+        J = jacobian(system, b, g) - np.outer(res, np.concatenate([b, g]).conj())
+        delta, _, rank, _ = np.linalg.lstsq(J, res, rcond=NEWTON_RCOND)
+        if rank < needed:
+            raise SingularJacobian(
+                f"chart Jacobian rank {rank} < {needed}: zero is not simple"
+            )
+        nb = b - delta[: system.m + 1]
+        ng = g - delta[system.m + 1:]
+        nb /= np.linalg.norm(nb)
+        ng /= np.linalg.norm(ng)
+        nres = evaluate(system, nb, ng)
+        nnorm = np.linalg.norm(nres)
+        if nnorm > rnorm:
+            break
+        b, g, res, rnorm = nb, ng, nres, nnorm
+    return b, g
+
+
+def multiplication_per_variable(pnf):
+    """The multiplication family with one gather and one back-substitution
+    per x-variable."""
+    import scipy.linalg
+    from cpdhnf.bigraded import monomial_basis, monomial_index, shift_table
+    from cpdhnf.normalform import _split_degree
+    r, m, n = pnf.r, pnf.m, pnf.n
+    columns, h_degree = _split_degree(pnf.degree)
+    h_rows = monomial_basis(m, n, h_degree).rows
+    x_rows = monomial_basis(m, n, (1, 0)).rows
+    shifts = monomial_index(m, n, (h_degree.d + 1, h_degree.e), x_rows[:, None, :] + h_rows)
+    maps = (np.tensordot(pnf.h, pnf.N[:, cols], axes=([0], [1]))
+            for cols in shift_table(m, n, pnf.degree, columns)[shifts][..., pnf.basis])
+    return np.array([scipy.linalg.solve_triangular(pnf.tri[:, :r], pnf.q.conj().T @ nk)
+                     for nk in maps])
+
+
+def rank1_factorization_column(v, shape):
+    """Dominant-SVD peeling of one vector reshaped to `shape`; returns
+    (sigma, [unit mode vectors])."""
+    vectors = []
+    rest = np.asarray(v).reshape(shape)
+    for dim in shape[:-1]:
+        u, s, vh = np.linalg.svd(rest.reshape(dim, -1), full_matrices=False)
+        vectors.append(u[:, 0])
+        rest = s[0] * vh[0, :]
+    sigma = float(np.linalg.norm(rest))
+    vectors.append(rest / sigma)
+    return sigma, vectors

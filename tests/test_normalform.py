@@ -12,7 +12,7 @@ from cpdhnf import (BasisDeficient, DefectiveEigenvectors, build_resultant,
 from cpdhnf.normalform import MultiplicationFamily, PreNormalForm
 from cpdhnf.tensors import CPDecomposition
 
-from oracles import pencil_slices, subspace_distance
+from oracles import multiplication_per_variable, pencil_slices, subspace_distance
 
 
 def evaluation_prenormal(betas, gammas, degree, rng, h0_coeffs=None):
@@ -22,7 +22,7 @@ def evaluation_prenormal(betas, gammas, degree, rng, h0_coeffs=None):
     m, n = betas.shape[0] - 1, gammas.shape[0] - 1
     basis = monomial_basis(m, n, degree)
     r = betas.shape[1]
-    N = np.empty((r, len(basis)))
+    N = np.empty((r, len(basis)), dtype=np.result_type(betas, gammas))
     for i in range(r):
         b, g = betas[:, i], gammas[:, i]
         N[i] = [np.prod(b ** np.array(a)) * np.prod(g ** np.array(bb))
@@ -220,6 +220,25 @@ class TestMultiplicationMatrices:
                 lam = b[k] / h0_val
                 resid = np.linalg.norm(w @ family.matrices[k] - lam * w)
                 assert resid <= 1e-8 * np.linalg.norm(w) * max(1.0, abs(lam))
+
+
+class TestMultiplicationAgainstPerVariable:
+    """One back-substitution on the side-by-side maps of all x-variables
+    gives the family of one gather and one solve per variable."""
+
+    @pytest.mark.parametrize("scalars", ["real", "complex"])
+    @pytest.mark.parametrize("degree", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_family_matches(self, degree, scalars):
+        betas, gammas = random_points(3, 4, 5, seed=14)
+        if scalars == "complex":
+            rng = np.random.default_rng(15)
+            betas = betas + 1j * rng.standard_normal(betas.shape)
+            gammas = gammas + 1j * rng.standard_normal(gammas.shape)
+        pnf = evaluation_prenormal(betas, gammas, degree, np.random.default_rng(16))
+        got = multiplication_matrices(pnf).matrices
+        ref = multiplication_per_variable(pnf)
+        assert got.shape == ref.shape == (4, 5, 5)
+        assert np.all(np.abs(got - ref) <= 8 * np.finfo(float).eps * np.abs(ref).max())
 
 
 class TestSimultaneousDiagonalize:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,13 +12,14 @@ from cpdhnf import (COMPLEX, REAL, AmbiguousKernel, BasisDeficient,
                     cpd_eval, decompose, decompose_with_info, evaluate,
                     flatten_mode1, hilbert_from_points, jacobian,
                     kernel_flattening, newton_refine, normalform, polysys,
-                    random_config, random_cpd, rank_bound, recovery,
-                    solve_alpha, solve_gamma)
+                    random_config, random_cpd, rank1_factorization, rank_bound,
+                    recovery, solve_alpha, solve_gamma)
 from cpdhnf.config import NEWTON_RCOND
 
 from conftest import (GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_GAMMAS,
                       fail_dense_buffers, stacked_rows)
-from oracles import factor_set_distance
+from oracles import (factor_set_distance, newton_refine_point, rank1_factorization_column,
+                     solve_gamma_point)
 
 
 class TestSolveGamma:
@@ -135,6 +138,148 @@ class TestNewtonStepAgainstCharts:
                 assert np.linalg.norm(evaluate(system, nb, ng)) < pre
                 assert np.linalg.norm(nb - rb) <= 1e-13
                 assert np.linalg.norm(ng - rg) <= 1e-13
+
+
+def _draw(rng, shape, scalars):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if scalars == COMPLEX else x
+
+
+def _noisy_system(shape, r, seed, scalars, e):
+    t, dec = random_cpd(shape, r, seed=seed, scalars=scalars)
+    if e is not None:
+        t = recovery.add_noise(t, e, seed=seed + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # e = -5 leaves a visible trailing gap
+        system = kernel_flattening(flatten_mode1(t), r, shape[1:])
+    return system, dec.factors[1], dec.factors[2]
+
+
+class TestStackedAgainstLoops:
+    """The stacked back end against the one-point-at-a-time loops it
+    replaced (``oracles``): each column matches its own call."""
+
+    @pytest.mark.parametrize("e", [None, -10, -5])
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    def test_solve_gamma_columns(self, scalars, e):
+        system, betas, _ = _noisy_system((10, 6, 4), 8, 70, scalars, e)
+        gammas = solve_gamma(system, betas)
+        assert gammas.shape == (4, 8)
+        for i in range(8):
+            assert np.array_equal(gammas[:, i], solve_gamma_point(system, betas[:, i]))
+
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    def test_solve_gamma_square_system(self, scalars):
+        # s == n: four forms in five y-unknowns, a kernel at every beta
+        rng = np.random.default_rng(74)
+        system = BilinearSystem(_draw(rng, (4, 4, 5), scalars))
+        betas = _draw(rng, (4, 6), scalars)
+        gammas = solve_gamma(system, betas)
+        for i in range(6):
+            assert np.array_equal(gammas[:, i], solve_gamma_point(system, betas[:, i]))
+
+    def test_solve_gamma_names_the_first_degenerate_point(self):
+        # columns 1 and 3 share their beta, so beta_1^T F has a 2-dim kernel
+        rng = np.random.default_rng(75)
+        factors = [rng.standard_normal((10, 8)), rng.standard_normal((6, 8)),
+                   rng.standard_normal((4, 8))]
+        factors[1][:, 3] = factors[1][:, 1]
+        system = kernel_flattening(flatten_mode1(cpd_eval(CPDecomposition(factors))), 8, (6, 4))
+        with pytest.raises(AmbiguousKernel, match="second-smallest"):
+            solve_gamma_point(system, factors[1][:, 1])
+        with pytest.raises(AmbiguousKernel, match="point 1: second-smallest"):
+            solve_gamma(system, factors[1])
+
+    @pytest.mark.parametrize("e", [None, -10, -5])
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    def test_newton_mixed_batch(self, scalars, e):
+        """True points (at the rounding floor when exact), a far point whose
+        first step is rejected, and perturbed points, in one call."""
+        system, B, G = _noisy_system((8, 4, 3), 6, 71, scalars, e)
+        rng = np.random.default_rng(73)
+        for k in range(100):
+            b, g = B[:, k % 6] + _draw(rng, 4, scalars), G[:, k % 6] + _draw(rng, 3, scalars)
+            if np.array_equal(newton_refine_point(system, b, g, 1)[0], b / np.linalg.norm(b)):
+                break
+        else:
+            pytest.fail("no rejected step among the drawn points")
+        betas = np.column_stack([B, B + 1e-4 * _draw(rng, B.shape, scalars), b])
+        gammas = np.column_stack([G, G + 1e-4 * _draw(rng, G.shape, scalars), g])
+        unit_b, unit_g = B / np.linalg.norm(B, axis=0), G / np.linalg.norm(G, axis=0)
+        floor = 10 * np.finfo(float).eps * np.sqrt(system.s)
+        at_floor = np.linalg.norm(evaluate(system, unit_b, unit_g), axis=0) <= floor
+        assert at_floor.all() == (e is None)
+        nb, ng = newton_refine(system, betas, gammas, iters=3)
+        if e is None:
+            # points at the floor take no step
+            assert np.array_equal(nb[:, :6], unit_b) and np.array_equal(ng[:, :6], unit_g)
+        for i in range(13):
+            ob, og = newton_refine_point(system, betas[:, i], gammas[:, i], iters=3)
+            assert np.linalg.norm(nb[:, i] - ob) <= 1e-10
+            assert np.linalg.norm(ng[:, i] - og) <= 1e-10
+        # the rejected point stays where it was
+        assert np.linalg.norm(nb[:, -1] - b / np.linalg.norm(b)) <= 1e-15
+
+    def test_newton_one_singular_point_raises(self):
+        # y_0 appears in no form, so at a point with g_0 = 0 the direction
+        # e_{y_0} is a third kernel vector of the projected Jacobian
+        rng = np.random.default_rng(76)
+        coeffs = rng.standard_normal((8, 4, 4))
+        coeffs[:, :, 0] = 0
+        system = BilinearSystem(coeffs)
+        betas, gammas = rng.standard_normal((4, 7)), rng.standard_normal((4, 7))
+        gammas[0, 4] = 0
+        # one step: further steps drift towards g = e_0, where every form
+        # vanishes identically
+        for i in range(7):
+            if i == 4:
+                with pytest.raises(SingularJacobian):
+                    newton_refine_point(system, betas[:, i], gammas[:, i], iters=1)
+            else:
+                newton_refine_point(system, betas[:, i], gammas[:, i], iters=1)
+        with pytest.raises(SingularJacobian, match="point 4: chart Jacobian rank 5 < 6"):
+            newton_refine(system, betas, gammas, iters=1)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4, 2), (5,), (4, 6)])
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    def test_rank1_factorization_columns(self, shape, scalars):
+        rng = np.random.default_rng(77)
+        cols = _draw(rng, (int(np.prod(shape)), 5), scalars)
+        sigma, vecs = rank1_factorization(cols, shape)
+        assert sigma.shape == (5,) and [v.shape for v in vecs] == [(d, 5) for d in shape]
+        for i in range(5):
+            ref_sigma, ref_vecs = rank1_factorization_column(cols[:, i], shape)
+            assert sigma[i] == pytest.approx(ref_sigma, rel=1e-14)
+            for v, ref in zip(vecs, ref_vecs):
+                assert np.linalg.norm(v[:, i] - ref) <= 1e-14
+
+
+class TestBackEndCalls:
+    """A decomposition solves all points in one solve_gamma call and
+    polishes them in one newton_refine call, with one stacked Jacobian per
+    step."""
+
+    @pytest.mark.parametrize("shape, r", [((9, 6, 5), 5), ((12, 7, 3), 12),
+                                          ((4, 4, 3, 3), 6)])
+    @pytest.mark.parametrize("newton_iters", [0, 3])
+    def test_one_call_per_candidate_set(self, monkeypatch, shape, r, newton_iters):
+        calls = {"solve_gamma": 0, "newton_refine": 0, "jacobian": 0}
+
+        def counting(name):
+            original = getattr(recovery, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(recovery, name, counted)
+        for name in calls:
+            counting(name)
+        t, _ = random_cpd(shape, r, seed=78)
+        _, info = decompose_with_info(t, r, DecomposeOptions(newton_iters=newton_iters))
+        assert info["backward_error"] <= 1e-10
+        assert calls["solve_gamma"] == 1
+        assert calls["newton_refine"] == (newton_iters > 0)
+        assert calls["jacobian"] <= newton_iters
 
 
 class TestSolveAlpha:
@@ -587,6 +732,20 @@ class TestOptionChecks:
         _, info = decompose_with_info(t, 5, DecomposeOptions(degree=degree, path=path))
         assert info["degree_used"] == degree
         assert info["path"] == ("pencil" if degree == (1, 1) else "normal-form")
+        assert info["backward_error"] <= 1e-12
+
+    @pytest.mark.parametrize("fields", [{"newton_iters": 1.5}, {"degree": (1.7, 1)},
+                                        {"degree": (2, 1.0)}])
+    def test_non_integer_counts_rejected(self, fields):
+        with pytest.raises(TypeError):
+            DecomposeOptions(**fields)
+
+    def test_numpy_integer_counts_accepted(self):
+        options = DecomposeOptions(newton_iters=np.int64(3), degree=(np.int64(2), 1))
+        assert options.newton_iters == 3 and type(options.newton_iters) is int
+        assert options.degree == (2, 1)
+        t, _ = random_cpd((9, 6, 5), 5, seed=1)
+        _, info = decompose_with_info(t, 5, options)
         assert info["backward_error"] <= 1e-12
 
     @pytest.mark.parametrize("iters", [-1, -2])
