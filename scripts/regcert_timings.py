@@ -16,19 +16,19 @@ The process runs its case once cold (the first call also fills lazy
 caches), then ``--repeats`` times warm, and reports the warm median.  One
 more run splits the time spent in ``regcert._shift_corank`` into
 
-- ``build``: the leading rows P, the columns J that lead at them, and the
-  scatter of the rows Q of the shift matrix (``_leading_split``);
-- ``solve``: the blocked triangular solve of X A = R[Q, J]
-  (``_solve_pivots``);
-- ``schur``: the Schur complement S = R[Q, K] - X R[P, K]
-  (``_schur_complement``);
+- ``build``: the leading rows P, the columns J that lead at them, their
+  dependency levels, and the scatter of the rows Q of the shift matrix
+  (``_leading_split``);
 - ``rank``: the elimination of S, transposed first if it is tall
   (``_rank``);
-- ``other``: the rest, such as the shift-table lookup.
+- ``solve``: the rest, which is the level-scheduled back-substitution
+  that gives X in X A = R[Q, J] and then the Schur complement
+  S = R[Q, K] - X R[P, K], and the cached shift-table lookup.
 
-It also reports |P|, |Q| and the shape |Q| x |K| of S: of the one shift
-matrix of a Hilbert-value case, and for ``cert-sweep`` the sums over its
-shift matrices and the largest S.  The process's peak resident memory is
+It also reports |P|, the number of dependency levels of J, |Q| and the
+shape |Q| x |K| of S: of the one shift matrix of a Hilbert-value case,
+and for ``cert-sweep`` the sums over its shift matrices, the most levels
+of one of them and the largest S.  The process's peak resident memory is
 reported too, with what it imported: ``import_s`` is the time of ``import
 cpdhnf`` in the fresh process, after the script has loaded numpy, and
 ``scipy_loaded`` says whether any ``scipy`` module is loaded at the end of
@@ -56,8 +56,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = ("criterion-11", "cert-large", "cert-sweep")
-PHASES = {"build": "_leading_split", "solve": "_solve_pivots",
-          "schur": "_schur_complement", "rank": "_rank"}
+PHASES = {"build": "_leading_split", "rank": "_rank"}
 PRIME = 8191
 
 
@@ -115,9 +114,10 @@ def measure(name, seed, repeats):
     leading_split = regcert._leading_split
 
     def recorded_split(*args):
-        T, entries, npiv = leading_split(*args)
-        sizes.append((npiv, T.shape[1], len(T) - npiv))
-        return T, entries, npiv
+        T, entries, bounds = leading_split(*args)
+        npiv = bounds[-2]
+        sizes.append((npiv, len(bounds) - 2, T.shape[1], len(T) - npiv))
+        return T, entries, bounds
 
     for phase, func in PHASES.items():
         inner = recorded_split if phase == "build" else getattr(regcert, func)
@@ -125,9 +125,9 @@ def measure(name, seed, repeats):
     regcert._shift_corank = _timed(spent, "total", regcert._shift_corank)
     call()
     split = {phase: round(spent[phase], 1) for phase in PHASES}
-    split["other"] = round(spent["total"] - sum(spent[phase] for phase in PHASES), 1)
-    pivots, q_rows, k_cols = (int(x) for x in np.sum(sizes, axis=0))
-    largest = max(sizes, key=lambda size: size[1] * size[2])
+    split["solve"] = round(spent["total"] - sum(spent[phase] for phase in PHASES), 1)
+    pivots, levels, q_rows, k_cols = (int(x) for x in np.sum(sizes, axis=0))
+    largest = max(sizes, key=lambda size: size[2] * size[3])
     return {
         "value": int(value) if name != "cert-sweep" else sum(c["success"] for c in value),
         "cold_ms": round(cold_ms, 1),
@@ -138,9 +138,11 @@ def measure(name, seed, repeats):
         "split_ms": split,
         "shift_matrices": len(sizes),
         "P": pivots,
+        "levels": levels,
+        "max_levels": max(size[1] for size in sizes),
         "Q": q_rows,
         "S": [q_rows, k_cols],
-        "largest_S": list(largest[1:]),
+        "largest_S": list(largest[2:]),
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "import_s": round(import_s, 3),
         "scipy_loaded": any(mod.partition(".")[0] == "scipy" for mod in sys.modules),

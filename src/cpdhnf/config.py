@@ -4,15 +4,20 @@ Every threshold the pipeline checks is a constant here.  The Gram
 eigensolver stops within 25 steps, once the r nullspace pairs reach
 relative residual 1e-6 and pair r+1, which the gap test reads, reaches
 1e-3; under ``kernel="auto"`` it takes over from the dense SVD at 20,000
-entries (measured at one BLAS thread, ``scripts/cokernel_timings.py
---crossover``: the SVD was faster up to 13,608 entries and the Gram
-eigensolver from 22,500, with 18,522 a near tie), and hands back to it,
-with a warning, when it cannot certify the corank.
+entries, and hands back to it, with a warning, when it cannot certify the
+corank.  That crossover was measured again after the Gram route came to
+apply the shift matrix through its shift table and to split it along x_0,
+in three runs of ``scripts/cokernel_timings.py --crossover --seeds 101
+--repeats 7`` at one BLAS thread: the SVD was faster up to 12,000 entries,
+13,608 was a tie (1.30-1.44 against 1.33-1.35 ms), and the Gram
+eigensolver was faster from 18,522 (1.63-1.64 against 1.79-1.81 ms).
 The remaining values are engineering defaults.
 """
 
 import operator
 from dataclasses import dataclass
+
+from .tensors import Grouping
 
 # kernel extraction from the flattening
 RANK_REL = 1e-8        # sigma_r / sigma_1 must exceed this
@@ -52,12 +57,13 @@ class DecomposeOptions:
     path          "auto" routes ranks r <= m+1 to the pencil shortcut
     newton_iters  Gauss-Newton steps per recovered point; 0 turns them off
     seed          seed of the random combinations; fixes the result
-    grouping      forced mode partition for tensors of order > 3
+    grouping      forced mode partition, a Grouping, for tensors of order > 3
 
     An unknown path or kernel, a degree below (1, 1) or contradicting the
     path ("pencil" is (1, 1), "normal-form" any other), or a negative
     newton_iters raises ValueError when the options are built; a degree
-    entry or newton_iters that is not an integer raises TypeError.
+    entry or newton_iters that is not an integer, or a grouping that is not
+    a Grouping, raises TypeError.
     """
 
     degree: tuple | None = None
@@ -65,7 +71,7 @@ class DecomposeOptions:
     path: str = "auto"
     newton_iters: int = 3
     seed: int = 0
-    grouping: object = None
+    grouping: Grouping | None = None
 
     def __post_init__(self):
         if self.path not in ("auto", "pencil", "normal-form"):
@@ -81,3 +87,5 @@ class DecomposeOptions:
         self.newton_iters = operator.index(self.newton_iters)
         if self.newton_iters < 0:
             raise ValueError(f"newton_iters must be at least 0, got {self.newton_iters}")
+        if self.grouping is not None and not isinstance(self.grouping, Grouping):
+            raise TypeError(f"grouping must be a Grouping, got {type(self.grouping).__name__}")

@@ -341,13 +341,14 @@ def left_nullspace(res, r, method="auto"):
     return N
 
 
-def _dense_too_large(nrows, dtype):
-    """The typed error for a dense nrows x nrows buffer that could not be
+def dense_too_large(shape, dtype):
+    """The typed error for a dense rows x cols buffer that could not be
     allocated."""
     dtype = np.dtype(dtype)
-    nbytes = nrows * nrows * dtype.itemsize
+    rows, cols = shape
+    nbytes = rows * cols * dtype.itemsize
     return InsufficientMemory(
-        f"cannot allocate a dense {nrows} x {nrows} {dtype.name} matrix "
+        f"cannot allocate a dense {rows} x {cols} {dtype.name} matrix "
         f"({nbytes / 2 ** 30:.2f} GiB)",
         nbytes,
     )
@@ -361,13 +362,14 @@ def _physical_memory():
         return None
 
 
-def check_dense_fits(nrows, dtype):
-    """Raise InsufficientMemory when a dense nrows x nrows buffer, which
-    every nullspace method needs, exceeds the machine's physical memory.
-    Lets the driver fail from the degree plan alone."""
+def check_dense_fits(shape, dtype):
+    """Raise InsufficientMemory when a dense rows x cols buffer exceeds the
+    machine's physical memory.  Lets ``decompose`` and the certifier fail
+    from their plan alone."""
     memory = _physical_memory()
-    if memory is not None and nrows * nrows * np.dtype(dtype).itemsize > memory:
-        raise _dense_too_large(nrows, dtype)
+    rows, cols = shape
+    if memory is not None and rows * cols * np.dtype(dtype).itemsize > memory:
+        raise dense_too_large(shape, dtype)
 
 
 def _nullspace_svd(res, r):
@@ -375,7 +377,7 @@ def _nullspace_svd(res, r):
     try:
         u, sv, _ = np.linalg.svd(res.toarray(), full_matrices=True)
     except MemoryError as exc:
-        raise _dense_too_large(nrows, res.forms.dtype) from exc
+        raise dense_too_large((nrows, nrows), res.forms.dtype) from exc
     expected_rank = nrows - r
     if expected_rank < len(sv):
         small, large = sv[expected_rank], sv[expected_rank - 1]
@@ -466,7 +468,7 @@ def _block_iteration(res, r):
         # Fortran order, so the Cholesky below overwrites it in place
         gram = res.gram()
     except MemoryError as exc:
-        raise _dense_too_large(nrows, res.forms.dtype) from exc
+        raise dense_too_large((nrows, nrows), res.forms.dtype) from exc
     k = min(r + 3, nrows - 1)
     # small positive shift keeps the factorization definite
     shift = 1e-8 * np.linalg.norm(gram)

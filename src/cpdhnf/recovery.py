@@ -219,7 +219,8 @@ def _decompose_order3(t, r, options, rng, timings, info):
     with _stage(timings, "cokernel"):
         # the cokernel needs a dense rows x rows buffer; when that cannot
         # fit, fail before the shift matrix is built
-        check_dense_fits(hilbert_dim(solved.m, solved.n, *degree), solved.coeffs.dtype)
+        rows = hilbert_dim(solved.m, solved.n, *degree)
+        check_dense_fits((rows, rows), solved.coeffs.dtype)
     with _stage(timings, "resultant"):
         res = build_resultant(solved, degree)
     with _stage(timings, "cokernel"):
@@ -299,6 +300,8 @@ def decompose_with_info(t, r, options=None):
         if t.order < 3:
             raise ValueError("decompose expects a tensor of order >= 3")
         if t.order == 3:
+            if options.grouping is not None:
+                raise ValueError("grouping applies to tensors of order >= 4")
             candidates = _decompose_order3(t, r, options, rng, timings, info)
         else:
             with _stage(timings, "grouping"):

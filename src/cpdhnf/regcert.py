@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bigraded import hilbert_dim, rank_bound, shift_table
-from .errors import ConfigNotInW, RankOutOfRange
+from .errors import ConfigNotInW, InsufficientMemory, RankOutOfRange
+from .polysys import check_dense_fits, dense_too_large
 
 DEFAULT_PRIME = 8191
 
@@ -32,11 +33,11 @@ _PANEL = 32
 # slower (median of 4 seeds at 1 thread) and took 1.9 MiB more peak memory.
 _ROW_BLOCK = 64
 
-# Shift-matrix columns per block of the triangular solve, and per chunk of
-# the Schur complement, in _shift_corank; the inner dimension of the
-# products by the inverse of a diagonal block.  On one core, 16 made the
-# largest Hilbert value of criterion 11 slower by half, and 64 tied with 32
-# but took 0.8 MiB more peak memory on a 1260 x 2100 shift matrix.
+# Shift-matrix columns per chunk of a level in the back-substitution of
+# _shift_corank; it bounds only the rows of one gather.  On one core, 16
+# made the largest Hilbert value of criterion 11 40% slower; 64 made it 20%
+# faster but a 1260 x 2100 shift matrix 5% slower, with 0.5 MiB more peak
+# memory.
 _GATHER_BLOCK = 32
 
 
@@ -263,45 +264,89 @@ def _shift_corank(forms, m, n, degree, p):
         rank R = |P| + rank(R[Q, K] - X R[P, K]),  where X A = R[Q, J],
 
     the A/B/C/D split of Faugere and Lachartre (PASCO 2010).  Only R[Q, :]
-    is built; X and then the Schur complement S overwrite it in place, and
-    ``_rank`` eliminates only S.  Every product has both factors reduced to
-    at most p in magnitude, and at most (m+1)(n+1) or ``_GATHER_BLOCK``
-    nonzero terms in each sum, so every sum is an integer below 2^52 that
-    float64 holds exactly.
+    is built, transposed, and one back-substitution overwrites it in place
+    with X^T and then S^T, the Schur complement: each row of T less the
+    rows of X^T at the other rows of P where its column is nonzero.  The
+    columns of J come ordered by dependency level, so those rows all lie in
+    earlier ranges, and the K rows, which need only X^T, form the last
+    range; each range is solved in chunks of ``_GATHER_BLOCK`` rows by one
+    gather (level scheduling; Anderson and Saad, IJHSC 1989).  ``_rank``
+    eliminates only S.  Every product has both factors reduced to at most p
+    in magnitude and at most (m+1)(n+1) nonzero terms in each sum, so every
+    sum is an integer below 2^52 that float64 holds exactly.  Raises
+    InsufficientMemory when the shift table or T cannot be allocated, and
+    before T is allocated when it exceeds physical memory.
     """
-    table = shift_table(m, n, degree)
     nrows = hilbert_dim(m, n, *degree)
-    T, entries, npiv = _leading_split(forms, table, nrows)
-    _solve_pivots(T, entries, npiv, p)
-    _schur_complement(T, entries, npiv, p)
-    return nrows - npiv - _rank(T[npiv:], p)
+    try:
+        table = shift_table(m, n, degree)
+    except MemoryError as exc:
+        shifts, cols = hilbert_dim(m, n, degree[0] - 1, degree[1] - 1), (m + 1) * (n + 1)
+        raise InsufficientMemory(f"cannot build the {shifts} x {cols} shift table of "
+                                 f"degree {tuple(degree)}", shifts * cols * 8) from exc
+    T, entries, bounds = _leading_split(forms, table, nrows)
+    # the first range, level 0 or K when P is empty, depends on no row
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        for t0 in range(lo, hi, _GATHER_BLOCK):
+            t1 = min(t0 + _GATHER_BLOCK, hi)
+            rows, coefs = entries(t0, t1)
+            T[t0:t1] = _reduce(T[t0:t1] - _gathered(T, rows, coefs, lo), p)
+    return nrows - bounds[-2] - _rank(T[bounds[-2]:], p)
 
 
 def _leading_split(forms, table, nrows):
     """R[Q, :] transposed, and the shift-table view of its columns.
 
-    Returns T, the float64 transpose of R[Q, :] with its rows in the column
-    order J then K, where J[t] is the first column that leads at the t-th
-    smallest leading row P[t]; a function ``entries(t0, t1)`` that gives,
-    for the columns of rows t0:t1 of T, the position in P of each row of R
-    where they can be nonzero (-1 for rows in Q) and their coefficients
-    there; and |P|.  T is scattered one form at a time, so no index array
-    is larger than the shift table.
+    J[t] is the first column that leads at the t-th smallest leading row.
+    It is at level 0 if it is nonzero at no later row of P, and otherwise
+    one above the highest level of the columns of J that lead at the later
+    rows of P where it is nonzero.  Returns T, the float64 transpose of
+    R[Q, :] with its rows in the column order J, stably by level, then K; a
+    function ``entries(t0, t1)`` that gives, for the columns of rows t0:t1
+    of T, the row of T of the column of J that leads at each row of R where
+    they can be nonzero (-1 for rows in Q) and their coefficients there;
+    and the bounds of every level's rows of T and then of K's.  T is
+    scattered one form at a time, so no index array of the scatter is
+    larger than the shift table, and those of the levels have one row per
+    column of J and one column per nonzero entry of the densest form.
     """
     nshift = len(table)
-    leading = table[:, (forms != 0).argmax(axis=1)].T.ravel()
+    nonzero = forms != 0
+    leading = table[:, nonzero.argmax(axis=1)].T.ravel()
     pivots, first = np.unique(leading, return_index=True)
-    order = np.concatenate([first, np.delete(np.arange(len(leading)), first)])
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
+    shape = (len(leading), nrows - len(pivots))
+    check_dense_fits(shape, np.float64)
     pivot_index = np.full(nrows, -1)
     pivot_index[pivots] = np.arange(len(pivots))
+    # each form's nonzero entries, padded with its first one, give the rows
+    # of P each column of J reaches; those after its own are dependencies
+    lists = np.argsort(~nonzero, axis=1, kind="stable")[:, :nonzero.sum(axis=1).max(initial=0)]
+    lists = np.where(np.take_along_axis(nonzero, lists, axis=1), lists, lists[:, :1])
+    form_of, shift_of = np.divmod(first, nshift)
+    reach = pivot_index[table[shift_of[:, None], lists[form_of]]]
+    col, k = np.nonzero(reach > np.arange(len(first))[:, None])
+    dep = reach[col, k]
+    # relaxed until no level changes, one pass more than the deepest level;
+    # np.nonzero lists each column's dependencies together, from ``heads``
+    heads = np.flatnonzero(np.diff(col, prepend=-1))
+    level, relaxed = None, np.zeros(len(first), dtype=np.int64)
+    while not np.array_equal(level, relaxed):
+        level, relaxed = relaxed, np.zeros_like(relaxed)
+        relaxed[col[heads]] = np.maximum.reduceat(level[dep] + 1, heads)
+    by_level = np.argsort(level, kind="stable")
+    pivot_index[pivots[by_level]] = np.arange(len(pivots))
+    order = np.concatenate([first[by_level], np.delete(np.arange(len(leading)), first)])
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
     q_index = np.full(nrows, -1)
     q_index[pivot_index < 0] = np.arange(nrows - len(pivots))
     q_table = q_index[table]
     shift, entry = np.nonzero(q_table >= 0)
     q_cols = q_table[shift, entry]
-    T = np.zeros((len(order), nrows - len(pivots)))
+    try:
+        T = np.zeros(shape)
+    except MemoryError as exc:
+        raise dense_too_large(shape, np.float64) from exc
     for j, form in enumerate(forms):
         T[position[j * nshift + shift], q_cols] = form[entry]
     form_of, shift_of = np.divmod(order, nshift)
@@ -309,69 +354,23 @@ def _leading_split(forms, table, nrows):
     def entries(t0, t1):
         return pivot_index[table[shift_of[t0:t1]]], forms[form_of[t0:t1]]
 
-    return T, entries, len(pivots)
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(level)), [len(order)]])
+    return T, entries, bounds.tolist()
 
 
 def _gathered(T, rows, coefs, lo):
     """For each column, the sum of its coefficients times the rows of T at
-    its positions ``rows`` >= lo.
+    its positions 0 <= ``rows`` < lo.
 
     The rows used are gathered once and multiplied by the columns'
     coefficient matrix.  A column has at most (m+1)(n+1) nonzero
     coefficients, so each sum has at most that many nonzero terms.
     """
-    col, k = np.nonzero((rows >= lo) & (coefs != 0))
+    col, k = np.nonzero((rows >= 0) & (rows < lo) & (coefs != 0))
     used, inverse = np.unique(rows[col, k], return_inverse=True)
     C = np.zeros((len(rows), len(used)))
     C[col, inverse] = coefs[col, k]
     return C @ T[used]
-
-
-def _solve_pivots(T, entries, npiv, p):
-    """Overwrite the first |P| rows of T, R[Q, J] transposed, with X^T.
-
-    X A = R[Q, J] is A^T X^T = R[Q, J]^T with A^T unit upper triangular.
-    It is solved back to front in blocks of ``_GATHER_BLOCK`` rows: each
-    block subtracts the rows of X^T already solved, gathered through the
-    shift table, and is multiplied by the inverse mod p of its diagonal
-    block of A^T.  The rows of X^T are reduced as they are solved.
-    """
-    for t0 in reversed(range(0, npiv, _GATHER_BLOCK)):
-        t1 = min(t0 + _GATHER_BLOCK, npiv)
-        rows, coefs = entries(t0, t1)
-        block = _reduce(T[t0:t1] - _gathered(T, rows, coefs, t1), p)
-        col, k = np.nonzero((rows >= t0) & (rows < t1))
-        U = np.zeros((t1 - t0, t1 - t0))
-        U[col, rows[col, k] - t0] = coefs[col, k]
-        T[t0:t1] = _reduce(_unit_upper_inverse(U, p) @ block, p)
-
-
-def _unit_upper_inverse(U, p):
-    """Inverse mod p of a unit upper triangular float64 matrix of residues.
-
-    U = I - M with M strictly upper triangular, so M is nilpotent and
-    U^-1 = I + M + M^2 + ... = (I + M)(I + M^2)(I + M^4)...; the product
-    stops at the first power of M that is zero, at most log2 of U's size
-    factors and mostly one or two.  Every product has inner dimension the
-    size of U and reduced factors.
-    """
-    M = _reduce(np.eye(len(U)) - U, p)
-    inverse = np.eye(len(U)) + M
-    M = _reduce(M @ M, p)
-    while M.any():
-        inverse = _reduce(inverse + inverse @ M, p)
-        M = _reduce(M @ M, p)
-    return inverse
-
-
-def _schur_complement(T, entries, npiv, p):
-    """Overwrite the rows of T after the first |P|, R[Q, K] transposed,
-    with S^T = R[Q, K]^T - R[P, K]^T X^T, reduced, in blocks of
-    ``_GATHER_BLOCK`` rows, each by one gather of the rows of X^T."""
-    for t0 in range(npiv, len(T), _GATHER_BLOCK):
-        t1 = min(t0 + _GATHER_BLOCK, len(T))
-        rows, coefs = entries(t0, t1)
-        T[t0:t1] = _reduce(T[t0:t1] - _gathered(T, rows, coefs, 0), p)
 
 
 def certify_regularity(m, n, d, r, p=DEFAULT_PRIME, trials=3, seed=0):

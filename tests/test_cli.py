@@ -148,6 +148,13 @@ class TestDecompose:
         assert "error[cokernel]: InsufficientMemory" in err
         assert "Traceback" not in err
 
+    def test_certify_plan_check_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(polysys, "_physical_memory", lambda: 1)
+        assert run(["certify", "--m", "5", "--n", "4", "--d", "2", "--r", "auto"]) == 1
+        err = capsys.readouterr().err
+        assert "]: InsufficientMemory: cannot allocate a dense" in err
+        assert err.startswith("error[") and "Traceback" not in err
+
     def test_negative_newton_is_an_input_error(self, tmp_path, capsys):
         tensor = tmp_path / "t.txt"
         run(["generate", "--dims", "4,3,3", "--rank", "4", "--seed", "6",

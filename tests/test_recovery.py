@@ -752,3 +752,18 @@ class TestOptionChecks:
     def test_negative_newton_iters_rejected(self, iters):
         with pytest.raises(ValueError, match=f"newton_iters must be at least 0, got {iters}"):
             DecomposeOptions(newton_iters=iters)
+
+    def test_grouping_that_is_not_a_grouping_rejected(self):
+        # the parts alone, without the Grouping that checks them
+        with pytest.raises(TypeError, match="grouping must be a Grouping, got tuple"):
+            DecomposeOptions(grouping=((1, 3), (2,), (4,)))
+        t, _ = random_cpd((4, 4, 3, 3), 6, seed=46)
+        grouping = Grouping(((1, 3), (2,), (4,)), t.shape)
+        _, info = decompose_with_info(t, 6, DecomposeOptions(grouping=grouping))
+        assert info["grouping"] == [[1, 3], [2], [4]]
+
+    def test_grouping_on_order_three_rejected(self):
+        t, _ = random_cpd((6, 5, 4), 3, seed=46)
+        grouping = Grouping(((1,), (2,), (3,)), t.shape)
+        with pytest.raises(ValueError, match="grouping applies to tensors of order >= 4"):
+            decompose_with_info(t, 3, DecomposeOptions(grouping=grouping))

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdhnf import (ConfigNotInW, PointConfigFp, RankOutOfRange,
-                    certify_regularity, fp_rank, hilbert_from_points,
+from cpdhnf import (ConfigNotInW, InsufficientMemory, PointConfigFp, RankOutOfRange,
+                    certify_regularity, fp_rank, hilbert_from_points, polysys,
                     random_config, rank_bound, regcert)
 from cpdhnf.bigraded import hilbert_dim, shift_table
-from cpdhnf.regcert import (_GATHER_BLOCK, _PANEL, _fp_kernel, _row_echelon, _shift_corank,
-                             _unit_upper_inverse)
+from cpdhnf.regcert import _PANEL, _fp_kernel, _leading_split, _row_echelon, _shift_corank
 
 from conftest import NO_SCIPY, run_fresh
 from oracles import catalecticant_corank
@@ -374,15 +373,110 @@ class TestShiftCorank:
                 assert value == dense_shift_corank(forms, m, n, (1, 1), p)
                 assert value == w.shape[1] - len(forms)
 
-    @pytest.mark.parametrize("p", [2, 3, 8191, 32749])
-    def test_unit_upper_inverse(self, p):
-        rng = np.random.default_rng(p)
-        for b in (1, 2, 3, 17, _GATHER_BLOCK - 1, _GATHER_BLOCK):
-            U = np.triu(rng.integers(0, p, size=(b, b)), 1) + np.eye(b, dtype=np.int64)
-            inverse = _unit_upper_inverse(U.astype(np.float64), p)
-            assert np.all(inverse == np.round(inverse)) and np.abs(inverse).max() <= p
-            product = (U @ inverse.astype(np.int64)) % p
-            assert np.array_equal(product, np.eye(b, dtype=np.int64))
+
+def _split(p, m, n, r, degree, seed):
+    """The kernel forms of a seeded configuration and their split."""
+    forms = _fp_kernel(random_config(m, n, r, p, seed=seed).w_matrix(), p)
+    return forms, _leading_split(forms, shift_table(m, n, degree), hilbert_dim(m, n, *degree))
+
+
+class TestLevelSolve:
+    """The ranges of the back-substitution: one per dependency level of J,
+    then K."""
+
+    def test_levels_order_the_dependencies(self):
+        rng = np.random.default_rng(23)
+        for p, m, n, r, degree in _random_cells(rng, 90):
+            _, (T, entries, bounds) = _split(p, m, n, r, degree, int(rng.integers(1 << 30)))
+            npiv = bounds[-2]
+            # the bounds partition the rows of T, and no level is empty
+            assert bounds[0] == 0 and bounds[-1] == len(T)
+            assert all(lo < hi for lo, hi in zip(bounds[:-2], bounds[1:-1]))
+            assert bounds[-2] <= bounds[-1]
+            rows, coefs = entries(0, len(T))
+            t = np.arange(len(T))
+            ranges = np.searchsorted(bounds, t, side="right") - 1
+            lo = np.asarray(bounds)[ranges]
+            # each J row leads with a 1 at its own row of P
+            own = (rows == t[:, None]) & (coefs == 1)
+            assert own[:npiv].any(axis=1).all() and not own[npiv:].any()
+            # every other row of P it reaches lies in an earlier range, and
+            # a row above level 0 reaches the level just below its own
+            dep = (rows >= 0) & (coefs != 0) & ~own
+            assert not (dep & (rows >= lo[:, None])).any()
+            below = np.asarray(bounds)[np.maximum(ranges - 1, 0)]
+            reaches_below = (dep & (rows >= below[:, None])).any(axis=1)
+            assert reaches_below[bounds[1]:npiv].all()
+
+    def test_deepest_cells_match_dense_oracle(self):
+        # small primes make many dependent shifts, so the deepest cells of
+        # a scan have far more levels than the usual two or three
+        rng = np.random.default_rng(24)
+        cells = []
+        for trial, (_, m, n, r, degree) in enumerate(_random_cells(rng, 300)):
+            p, seed = (2, 3)[trial % 2], int(rng.integers(1 << 30))
+            forms, (_, _, bounds) = _split(p, m, n, r, degree, seed)
+            cells.append((len(bounds) - 2, p, m, n, degree, forms))
+        cells.sort(key=lambda cell: -cell[0])
+        for levels, p, m, n, degree, forms in cells[:5]:
+            assert levels >= 8
+            expected = dense_shift_corank(forms, m, n, degree, p)
+            assert _shift_corank(forms, m, n, degree, p) == expected
+
+
+class TestMemoryPlan:
+    """The certifier checks T, the transposed rows Q of the shift matrix,
+    against physical memory before it allocates it, and types a failed
+    allocation.  (6, 2) at r = 12 and degree (3, 1) is the README cell."""
+
+    def _t_shape(self, seed=0):
+        _, (T, _, _) = _split(8191, 6, 2, 12, (3, 1), seed)
+        return T.shape
+
+    def _check(self, exc, shape):
+        assert exc.value.nbytes == shape[0] * shape[1] * 8
+        assert f"{shape[0]} x {shape[1]} float64" in str(exc.value)
+
+    def test_hilbert_value_fails_from_its_plan(self, monkeypatch):
+        shape = self._t_shape()
+        config = random_config(6, 2, 12, seed=0)
+        monkeypatch.setattr(polysys, "_physical_memory", lambda: shape[0] * shape[1] * 8 - 1)
+        with pytest.raises(InsufficientMemory) as exc:
+            hilbert_from_points(config, (3, 1))
+        self._check(exc, shape)
+        monkeypatch.setattr(polysys, "_physical_memory", lambda: shape[0] * shape[1] * 8)
+        assert hilbert_from_points(config, (3, 1)) == 12
+
+    def test_certificate_fails_from_its_plan(self, monkeypatch):
+        # trial 0 of seed 0 is the first configuration split
+        shape = self._t_shape()
+        monkeypatch.setattr(polysys, "_physical_memory", lambda: shape[0] * shape[1] * 8 - 1)
+        with pytest.raises(InsufficientMemory) as exc:
+            certify_regularity(6, 2, 3, 12)
+        self._check(exc, shape)
+
+    def test_failed_allocation_of_t_is_typed(self, monkeypatch):
+        shape = self._t_shape()
+        zeros = np.zeros
+
+        def no_t(size, *args, **kwargs):
+            if size == shape:
+                raise MemoryError
+            return zeros(size, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", no_t)
+        with pytest.raises(InsufficientMemory) as exc:
+            hilbert_from_points(random_config(6, 2, 12, seed=0), (3, 1))
+        self._check(exc, shape)
+
+    def test_failed_shift_table_is_typed(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(regcert, "shift_table", no_table)
+        with pytest.raises(InsufficientMemory, match="the 28 x 21 shift table") as exc:
+            hilbert_from_points(random_config(6, 2, 12, seed=0), (3, 1))
+        assert exc.value.nbytes == 28 * 21 * 8
 
 
 class TestHilbertFromPoints:
