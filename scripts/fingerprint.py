@@ -5,9 +5,9 @@
 real/complex) and saves, per run, the returned factors and ``info`` with
 the timings dropped (only the names of the timed stages are kept), or the
 type, stage and message of the ``CpdError`` it raised.  The set covers the
-automatic degrees, forced degrees, both nullspace methods (on the normal
-form and on the pencil), noisy inputs, Newton off, orders 4 and 5, rank 1
-and every typed failure the driver tags with a stage.  It also saves a
+automatic degrees, forced degrees and paths, both nullspace methods (on
+the normal form and on the pencil), noisy inputs, Newton off, orders 4 and
+5, rank 1 and every typed failure ``decompose`` tags with a stage.  It also saves a
 fixed set of certifier outcomes, which are exact: the 81 degree-2
 certificates of acceptance criterion 5 and the Hilbert values of
 (m, n, r) = (6, 4, 20) at degree (3, 2) (seeds 0-2) and of criterion 11's
@@ -50,6 +50,10 @@ RUNS = {
     "pencil-20x8x4-r8-noisy": ((20, 8, 4), 8, {}, -8),
     "degree-1x5": ((12, 7, 3), 12, {"degree": (1, 5)}, None),
     "degree-4x1": ((12, 7, 3), 12, {"degree": (4, 1)}, None),
+    "degree-1x1": ((9, 6, 5), 5, {"degree": (1, 1)}, None),
+    # a forced degree skips the range check that the (3, 3, 2) core fails
+    "degree-2x1-n2": ((5, 6, 2), 3, {"degree": (2, 1)}, None),
+    "path-normal-form": ((9, 6, 5), 5, {"path": "normal-form"}, None),
     "kernel-svd": ((20, 8, 4), 20, {"kernel": "svd"}, None),
     "kernel-eigs": ((12, 7, 3), 12, {"kernel": "eigs"}, None),
     "pencil-kernel-eigs": ((9, 6, 5), 5, {"kernel": "eigs"}, None),
@@ -59,6 +63,7 @@ RUNS = {
     "rank1": ((6, 5, 4), 1, {}, None),
     "error-validation": ((5, 4, 3), 20, {}, None),
     "error-degree": ((9, 6, 5), 8, {"path": "pencil"}, None),
+    "error-degree-range": ((5, 6, 2), 3, {"path": "normal-form"}, None),
     "error-cokernel-corank": ((12, 7, 3), 12, {"degree": (2, 1)}, None),
     "error-kernel": ((8, 5, 4), (6, 7), {}, None),
     "error-cokernel-noisy": ((8, 5, 4), 6, {}, -1),

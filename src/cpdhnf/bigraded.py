@@ -2,7 +2,7 @@
 
 Monomial bases of the graded pieces, the ring's Hilbert function, the
 rational rank bound controlling which bidegrees can work for a given
-number of points, and automatic degree selection for the solver.
+number of points, and the solver's rank range check and degree plan.
 
 The monomial order lives here alone: ``monomial_index`` ranks exponent rows
 in it, and ``shift_table`` maps each shift monomial times each column
@@ -149,11 +149,20 @@ def shift_table(m, n, degree, columns=(1, 1)):
     return _shift_table(m, n, Bidegree(*degree), Bidegree(*columns))
 
 
+def _product_ranks(nvars, total, col):
+    """Ranks among the degree-``total`` exponents of each shift of degree
+    total - col times each column of degree col, one block of variables."""
+    shifts = np.array(_exponents(nvars, total - col), dtype=np.int64)
+    return np.stack([_lex_rank(shifts + c, total) for c in _exponents(nvars, col)], axis=1)
+
+
 @lru_cache(maxsize=256)
 def _shift_table(m, n, degree, columns):
-    shifts = monomial_basis(m, n, (degree.d - columns.d, degree.e - columns.e)).rows
-    cols = monomial_basis(m, n, columns).rows
-    table = monomial_index(m, n, degree, shifts[:, None, :] + cols)
+    # x^a y^b sits at rank_x(a) * C(n+e, e) + rank_y(b), so the x and the
+    # y products are ranked apart and added by broadcasting
+    rx = _product_ranks(m + 1, degree.d, columns.d) * math.comb(n + degree.e, degree.e)
+    ry = _product_ranks(n + 1, degree.e, columns.e)
+    table = (rx[:, None, :, None] + ry[None, :, None, :]).reshape(len(rx) * len(ry), -1)
     table.flags.writeable = False
     return table
 
@@ -195,29 +204,34 @@ def _plan(m, n, r, degree):
     return DegreePlan(Bidegree(d, e), path, rows, cols)
 
 
-def select_degree(m, n, r, ell, beta_independent=True):
-    """Pick the bidegree for the solver.
+def check_rank(shape, r):
+    """Raise RankOutOfRange unless rank r is at most min(l+1, m*n) for the
+    order-3 shape (l+1, m+1, n+1): the ranks the solver can reach."""
+    l1, m1, n1 = shape
+    bound = min(l1, (m1 - 1) * (n1 - 1))
+    if r > bound:
+        raise RankOutOfRange(f"rank {r} exceeds min(l+1, m*n) = {bound} for shape {tuple(shape)}")
 
-    Ranks up to m+1 with independent second-mode factors go to the pencil
-    shortcut at (1, 1).  Otherwise the smallest workable (d, 1) and (1, e)
-    are compared: the lower raised degree wins, matrix size breaks ties,
-    and a residual tie goes to (d, 1).  Mixed degrees with both entries
-    >= 2 are never selected automatically.
+
+def select_degree(m, n, r, ell, degree=None, path="auto"):
+    """Plan the bidegree and path of a solve on an (ell+1, m+1, n+1) core.
+
+    A forced degree is taken as given.  Otherwise path "pencil", or "auto"
+    at ranks up to m+1, takes the pencil shortcut at (1, 1); every other
+    case checks the rank range and compares the smallest workable (d, 1)
+    and (1, e): the lower raised degree wins, matrix size breaks ties, and
+    a residual tie goes to (d, 1).  Mixed degrees with both entries >= 2
+    are never selected automatically.  The pencil needs r <= m+1.
     """
     if r < 1:
         raise ValueError("rank must be positive")
-    if r > min(ell + 1, m * n):
-        raise RankOutOfRange(
-            f"rank {r} exceeds min(l+1, m*n) = {min(ell + 1, m * n)} "
-            f"for shape ({ell + 1}, {m + 1}, {n + 1})"
-        )
-    if r <= m + 1 and beta_independent:
-        return _plan(m, n, r, (1, 1))
-
-    d = next(d for d in range(2, n + 2) if rank_bound(m, n, d, 1) >= r)
-    e = next(e for e in range(2, m + 2) if rank_bound(m, n, 1, e) >= r)
-    plan_d = _plan(m, n, r, (d, 1))
-    plan_e = _plan(m, n, r, (1, e))
-    if (d, plan_d.rows * plan_d.cols) <= (e, plan_e.rows * plan_e.cols):
-        return plan_d
-    return plan_e
+    if degree is None and (path == "normal-form" or (path == "auto" and r > m + 1)):
+        check_rank((ell + 1, m + 1, n + 1), r)
+        d = next(d for d in range(2, n + 2) if rank_bound(m, n, d, 1) >= r)
+        e = next(e for e in range(2, m + 2) if rank_bound(m, n, 1, e) >= r)
+        return min(_plan(m, n, r, (d, 1)), _plan(m, n, r, (1, e)),
+                   key=lambda plan: (max(plan.degree), plan.rows * plan.cols))
+    degree = (1, 1) if degree is None else tuple(degree)
+    if degree == (1, 1) and r > m + 1:
+        raise RankOutOfRange(f"pencil degree (1, 1) needs rank <= {m + 1}, got {r}")
+    return _plan(m, n, r, degree)

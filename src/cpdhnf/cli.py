@@ -73,22 +73,9 @@ def cmd_decompose(args):
         newton_iters=args.newton, seed=args.seed,
     )
     dec, info = decompose_with_info(tensor, args.rank, options)
-    result = {
-        "format": RESULT_FORMAT,
-        "shape": list(tensor.shape),
-        "rank": args.rank,
-        "degree_used": list(info["degree_used"]),
-        "path": info["path"],
-        "backward_error": info["backward_error"],
-        "alpha_residual": info["alpha_residual"],
-        "basis_cond": info.get("basis_cond"),
-        "stage_timings_ms": info["stage_timings_ms"],
-        "factors": _factor_payload(dec.factors),
-        "seed": args.seed,
-        "warnings": info["warnings"],
-    }
-    if "grouping" in info:
-        result["grouping"] = info["grouping"]
+    # the rank-1 path fits no basis, so its result reads "basis_cond": null
+    result = {"format": RESULT_FORMAT, "shape": list(tensor.shape), "rank": args.rank,
+              "basis_cond": None, **info, "factors": _factor_payload(dec.factors)}
     _emit(result, args.output)
     return 0
 

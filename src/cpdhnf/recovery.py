@@ -9,10 +9,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .bigraded import hilbert_dim, select_degree
+from .bigraded import check_rank, select_degree
 from .config import NEWTON_RCOND, RANK_REL, SOLVE_GAP, DecomposeOptions
 from .errors import (AmbiguousKernel, BasisDeficient, CpdError, RankDeficientKR,
-                     RankOutOfRange, SingularJacobian)
+                     SingularJacobian)
 from .linalg import khatri_rao
 from .normalform import (multiplication_matrices, prenormal_general,
                          simultaneous_diagonalize)
@@ -168,34 +168,25 @@ def _stage(timings, name):
     timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start) * 1e3
 
 
-def _resolve_degree(options, r, mc, nc, lc):
-    """Degree plan for the compressed core; returns (degree, path)."""
-    if options.degree is not None:
-        degree = options.degree
-    elif options.path == "pencil" or (options.path == "auto" and r <= mc):
-        degree = (1, 1)
-    else:
-        degree = select_degree(mc - 1, nc - 1, r, lc - 1, beta_independent=False).degree
-    if degree != (1, 1):
-        return tuple(degree), "normal-form"
-    if r > mc:
-        raise RankOutOfRange(f"pencil degree (1, 1) needs rank <= {mc}, got {r}")
-    return (1, 1), "pencil"
-
-
 def _decompose_order3(t, r, options, rng, timings, info):
     """Rank-r candidates for an order-3 tensor, as (factors, alpha residual)
     pairs; the residual is None on the rank-1 path, which fits no alphas."""
-    l1, m1, n1 = t.shape
     with _stage(timings, "validation"):
-        if r > min(l1, (m1 - 1) * (n1 - 1)):
-            raise RankOutOfRange(
-                f"rank {r} exceeds min(l+1, m*n) = {min(l1, (m1 - 1) * (n1 - 1))} "
-                f"for shape {t.shape}"
-            )
+        check_rank(t.shape, r)
+    # st_hosvd compresses to exactly these targets, so the plan and its
+    # memory check run before any arithmetic
+    targets = tuple(min(dim, r) for dim in t.shape)
+    if r > 1:
+        lc, mc, nc = targets
+        with _stage(timings, "degree"):
+            plan = select_degree(mc - 1, nc - 1, r, lc - 1, options.degree, options.path)
+        info["degree_used"] = tuple(plan.degree)
+        info["path"] = plan.path
+        with _stage(timings, "cokernel"):
+            # the cokernel needs a dense rows x rows buffer
+            check_dense_fits((plan.rows, plan.rows), t.data.dtype)
 
     with _stage(timings, "compression"):
-        targets = (min(l1, r), min(m1, r), min(n1, r))
         core, us = st_hosvd(t, targets)
     if r == 1:
         info["degree_used"] = (1, 1)
@@ -203,24 +194,14 @@ def _decompose_order3(t, r, options, rng, timings, info):
         scale = core.data.reshape(())
         return [([us[0] * scale, us[1].copy(), us[2].copy()], None)]
 
-    lc, mc, nc = core.shape
-    with _stage(timings, "degree"):
-        (d, e), path = _resolve_degree(options, r, mc, nc, lc)
-    info["degree_used"] = (d, e)
-    info["path"] = path
-
     flat = flatten_mode1(core)
     with _stage(timings, "kernel"):
         system = kernel_flattening(flat, r, (mc, nc))
     # the joint eigenvalues give the x side of the solved system; degrees
     # (1, e), the pencil's (1, 1) among them, solve the transposed forms
     # at (e, 1)
+    d, e = plan.degree
     solved, degree = (system.transposed(), (e, d)) if d == 1 else (system, (d, e))
-    with _stage(timings, "cokernel"):
-        # the cokernel needs a dense rows x rows buffer; when that cannot
-        # fit, fail before the shift matrix is built
-        rows = hilbert_dim(solved.m, solved.n, *degree)
-        check_dense_fits((rows, rows), solved.coeffs.dtype)
     with _stage(timings, "resultant"):
         res = build_resultant(solved, degree)
     with _stage(timings, "cokernel"):

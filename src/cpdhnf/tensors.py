@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bigraded import select_degree
+from .bigraded import check_rank, select_degree
 from .errors import NoFeasibleGrouping, RankOutOfRange
 from .linalg import khatri_rao, normalize_columns
 
@@ -15,6 +15,10 @@ COMPLEX = "complex"
 
 
 def _as_array(data, scalars):
+    if scalars == REAL and np.iscomplexobj(data):
+        if np.any(np.imag(data)):
+            raise ValueError("real scalars given data with a nonzero imaginary part")
+        data = np.real(data)
     dtype = np.complex128 if scalars == COMPLEX else np.float64
     return np.ascontiguousarray(np.asarray(data, dtype=dtype))
 
@@ -234,9 +238,10 @@ def choose_grouping(shape, r):
         seen.add(ordered)
         l1, m1, n1 = (math.prod(shape[i - 1] for i in p) for p in ordered)
         try:
-            plan = select_degree(m1 - 1, n1 - 1, r, l1 - 1)
+            check_rank((l1, m1, n1), r)
         except RankOutOfRange:
             continue
+        plan = select_degree(m1 - 1, n1 - 1, r, l1 - 1)
         cost = plan.rows * plan.rows * plan.cols
         key = (cost, (l1, m1, n1), ordered)
         if best is None or key < best[0]:

@@ -4,7 +4,9 @@ independent route to the degree-(2, 1) Hilbert value, the pencil's
 pre-normal form as slices of the reshaped degree-(1, 1) cokernel, and the
 one-point-at-a-time back end that the stacked routines replace: the
 per-point kernel solve and Newton polish, the per-variable multiplication
-matrices and the per-column rank-1 peeling."""
+matrices and the per-column rank-1 peeling, the shift table ranked one
+full exponent row at a time, and the degree planning of
+``_decompose_order3`` before ``select_degree`` took over its rules."""
 
 import numpy as np
 
@@ -236,3 +238,78 @@ def rank1_factorization_column(v, shape):
     sigma = float(np.linalg.norm(rest))
     vectors.append(rest / sigma)
     return sigma, vectors
+
+
+def shift_table_rows(m, n, degree, columns):
+    """The shift table with every shift x column exponent row ranked whole
+    by ``monomial_index``."""
+    from cpdhnf.bigraded import monomial_basis, monomial_index
+    shifts = monomial_basis(m, n, (degree[0] - columns[0], degree[1] - columns[1])).rows
+    cols = monomial_basis(m, n, columns).rows
+    return monomial_index(m, n, degree, shifts[:, None, :] + cols)
+
+
+def select_degree_flagged(m, n, r, ell, beta_independent=True):
+    """Degree selection with the range check up front and a flag that only
+    decides whether small ranks go to the pencil."""
+    from cpdhnf import RankOutOfRange
+    from cpdhnf.bigraded import _plan, rank_bound
+    if r < 1:
+        raise ValueError("rank must be positive")
+    if r > min(ell + 1, m * n):
+        raise RankOutOfRange(
+            f"rank {r} exceeds min(l+1, m*n) = {min(ell + 1, m * n)} "
+            f"for shape ({ell + 1}, {m + 1}, {n + 1})"
+        )
+    if r <= m + 1 and beta_independent:
+        return _plan(m, n, r, (1, 1))
+    d = next(d for d in range(2, n + 2) if rank_bound(m, n, d, 1) >= r)
+    e = next(e for e in range(2, m + 2) if rank_bound(m, n, 1, e) >= r)
+    plan_d = _plan(m, n, r, (d, 1))
+    plan_e = _plan(m, n, r, (1, e))
+    if (d, plan_d.rows * plan_d.cols) <= (e, plan_e.rows * plan_e.cols):
+        return plan_d
+    return plan_e
+
+
+def resolve_degree(options, r, mc, nc, lc):
+    """The degree and path ``_decompose_order3`` chose for an (lc, mc, nc)
+    core on top of ``select_degree_flagged``; returns (degree, path)."""
+    from cpdhnf import RankOutOfRange
+    if options.degree is not None:
+        degree = options.degree
+    elif options.path == "pencil" or (options.path == "auto" and r <= mc):
+        degree = (1, 1)
+    else:
+        degree = select_degree_flagged(mc - 1, nc - 1, r, lc - 1, beta_independent=False).degree
+    if degree != (1, 1):
+        return tuple(degree), "normal-form"
+    if r > mc:
+        raise RankOutOfRange(f"pencil degree (1, 1) needs rank <= {mc}, got {r}")
+    return (1, 1), "pencil"
+
+
+def choose_grouping_flagged(shape, r):
+    """The mode partition of ``choose_grouping``, with feasibility read
+    from ``select_degree_flagged``'s range error; returns the parts."""
+    import itertools
+    import math
+    from cpdhnf import RankOutOfRange
+    best, seen = None, set()
+    for labels in itertools.product(range(3), repeat=len(shape)):
+        parts = tuple(tuple(i + 1 for i, lab in enumerate(labels) if lab == k) for k in range(3))
+        if not all(parts):
+            continue
+        ordered = tuple(sorted(parts, key=lambda p: (-math.prod(shape[i - 1] for i in p), p)))
+        if ordered in seen:
+            continue
+        seen.add(ordered)
+        l1, m1, n1 = (math.prod(shape[i - 1] for i in p) for p in ordered)
+        try:
+            plan = select_degree_flagged(m1 - 1, n1 - 1, r, l1 - 1)
+        except RankOutOfRange:
+            continue
+        key = (plan.rows * plan.rows * plan.cols, (l1, m1, n1), ordered)
+        if best is None or key < best[0]:
+            best = (key, ordered)
+    return None if best is None else best[1]

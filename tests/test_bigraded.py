@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdhnf import (RankOutOfRange, hilbert_dim, monomial_basis, rank_bound,
-                    select_degree)
-from cpdhnf.bigraded import monomial_index, shift_table
+from cpdhnf import (DecomposeOptions, RankOutOfRange, hilbert_dim, monomial_basis,
+                    rank_bound, select_degree)
+from cpdhnf.bigraded import Bidegree, _plan, _shift_table, check_rank, monomial_index, shift_table
+
+from oracles import resolve_degree, select_degree_flagged, shift_table_rows
 
 
 def loop_shift_table(m, n, degree):
@@ -167,6 +171,28 @@ class TestShiftTable:
             table[0, 0] = 1
 
 
+    def test_matches_whole_row_ranking(self):
+        degrees = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (4, 1)]
+        for m, n, degree in itertools.product(range(1, 6), range(1, 6), degrees):
+            for columns in [(1, 1), (0, 1), (1, 0), (2, 1)]:
+                if min(degree[0] - columns[0], degree[1] - columns[1]) < 0:
+                    continue
+                expected = shift_table_rows(m, n, degree, columns)
+                assert np.array_equal(shift_table(m, n, degree, columns), expected), \
+                    (m, n, degree, columns)
+
+    def test_peak_memory_stays_near_the_table(self):
+        """The x and y products are ranked apart, so no intermediate holds
+        an exponent row per table entry."""
+        tracemalloc.start()
+        try:
+            table = _shift_table.__wrapped__(20, 20, Bidegree(4, 1), Bidegree(1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (hilbert_dim(20, 20, 3, 0), 21 * 21)
+        assert peak <= 4 * table.nbytes
+
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 4), (5, 3)])
     def test_pencil_columns_index_the_bilinear_piece(self, m, n):
         """At (1, 1) with y-variable columns, row k holds x_k y_l for every
@@ -198,7 +224,7 @@ class TestSelectDegree:
         assert (plan.rows, plan.cols) == (18, 15)
 
     def test_pencil_when_rank_small(self):
-        plan = select_degree(5, 4, 4, 9, beta_independent=True)
+        plan = select_degree(5, 4, 4, 9, path="auto")
         assert plan.path == "pencil"
         assert tuple(plan.degree) == (1, 1)
 
@@ -217,7 +243,7 @@ class TestSelectDegree:
 
     def test_minimality_of_degree(self):
         for m, n, r, ell in [(6, 2, 12, 20), (9, 4, 30, 40), (7, 3, 16, 30)]:
-            plan = select_degree(m, n, r, ell, beta_independent=False)
+            plan = select_degree(m, n, r, ell, path="normal-form")
             d, e = plan.degree
             if d >= 2:
                 assert rank_bound(m, n, d, e) >= r
@@ -233,7 +259,72 @@ class TestSelectDegree:
         for m, n, ell in [(4, 3, 30), (6, 2, 30), (5, 5, 40)]:
             for r in range(2, m * n + 1):
                 try:
-                    plan = select_degree(m, n, r, ell, beta_independent=False)
+                    plan = select_degree(m, n, r, ell, path="normal-form")
                 except RankOutOfRange:
                     continue
                 assert rank_bound(m, n, *plan.degree) >= r
+
+    def test_forced_degree_skips_the_range_check(self):
+        # the (3, 3, 2) core fails the range check (m*n = 2 < 3), yet a
+        # forced (2, 1) and the automatic pencil both plan it
+        assert select_degree(2, 1, 3, 2, degree=(2, 1)) == _plan(2, 1, 3, (2, 1))
+        assert select_degree(2, 1, 3, 2).path == "pencil"
+        with pytest.raises(RankOutOfRange, match=r"= 2 for shape \(3, 3, 2\)"):
+            select_degree(2, 1, 3, 2, path="normal-form")
+
+    def test_pencil_above_its_rank(self):
+        for kwargs in [{"path": "pencil"}, {"degree": (1, 1)}]:
+            with pytest.raises(RankOutOfRange, match=r"^pencil degree \(1, 1\) needs rank <= 6, got 8$"):
+                select_degree(5, 4, 8, 8, **kwargs)
+
+    def test_matches_the_rules_it_replaces(self):
+        """Every compressed shape with m, n <= 7, every admissible rank and
+        the two above it, each path and forced degree: the same plan, or
+        the same error type and message."""
+        degrees = [None, (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]
+        cases = 0
+        for m, n in itertools.product(range(1, 8), repeat=2):
+            for ell in range(0, 9):
+                for r in range(1, min(ell + 1, m * n) + 3):
+                    for path, degree in itertools.product(["auto", "pencil", "normal-form"], degrees):
+                        try:
+                            options = DecomposeOptions(degree=degree, path=path)
+                        except ValueError:
+                            continue
+                        cases += 1
+                        assert _outcome(lambda: _reference_plan(options, r, m, n, ell)) == \
+                            _outcome(lambda: select_degree(m, n, r, ell, degree, path)), \
+                            (m, n, r, ell, path, degree)
+        assert cases > 20000
+
+    def test_default_matches_the_flagged_selection(self):
+        for m, n, ell in itertools.product(range(1, 8), range(1, 8), range(0, 9)):
+            for r in range(1, min(ell + 1, m * n) + 1):
+                assert select_degree(m, n, r, ell) == select_degree_flagged(m, n, r, ell)
+
+
+def _reference_plan(options, r, m, n, ell):
+    degree, path = resolve_degree(options, r, m + 1, n + 1, ell + 1)
+    plan = _plan(m, n, r, degree)
+    assert plan.path == path
+    return plan
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (RankOutOfRange, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestCheckRank:
+    def test_message(self):
+        with pytest.raises(RankOutOfRange) as exc:
+            check_rank((5, 4, 3), 20)
+        assert str(exc.value) == "rank 20 exceeds min(l+1, m*n) = 5 for shape (5, 4, 3)"
+
+    @pytest.mark.parametrize("shape, largest", [((5, 4, 3), 5), ((12, 7, 3), 12), ((9, 3, 3), 4)])
+    def test_largest_rank_in_range(self, shape, largest):
+        check_rank(shape, largest)
+        with pytest.raises(RankOutOfRange):
+            check_rank(shape, largest + 1)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cpdhnf import polysys
+from cpdhnf import decompose_with_info, polysys, read_tensor
 from cpdhnf.cli import main
 
 from conftest import NO_SCIPY, fail_dense_buffers, run_fresh, stacked_rows
@@ -87,6 +87,23 @@ class TestDecompose:
         else:
             assert 0 <= res["alpha_residual"] <= 1e-12
             assert res["basis_cond"] >= 1
+
+    @pytest.mark.parametrize("dims, rank, path", [
+        ("12,7,3", 12, "normal-form"), ("9,6,5", 5, "pencil"),
+        ("6,5,4", 1, "rank-1"), ("4,4,3,3", 6, "normal-form")])
+    def test_result_carries_every_info_key(self, tmp_path, dims, rank, path):
+        tensor = tmp_path / "t.txt"
+        result = tmp_path / "res.json"
+        run(["generate", "--dims", dims, "--rank", str(rank), "--seed", "3",
+             "--output", str(tensor)])
+        assert run(["decompose", "--input", str(tensor), "--rank", str(rank),
+                    "--output", str(result)]) == 0
+        res = json.loads(result.read_text())
+        _, info = decompose_with_info(read_tensor(tensor), rank)
+        assert info["path"] == path
+        assert set(info) <= set(res)
+        info.pop("stage_timings_ms")
+        assert {key: res[key] for key in info} == json.loads(json.dumps(info))
 
     def test_kernel_paths_agree(self, tmp_path):
         tensor = tmp_path / "t.txt"

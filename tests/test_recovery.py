@@ -13,7 +13,7 @@ from cpdhnf import (COMPLEX, REAL, AmbiguousKernel, BasisDeficient,
                     flatten_mode1, hilbert_from_points, jacobian,
                     kernel_flattening, newton_refine, normalform, polysys,
                     random_config, random_cpd, rank1_factorization, rank_bound,
-                    recovery, solve_alpha, solve_gamma)
+                    recovery, solve_alpha, solve_gamma, st_hosvd)
 from cpdhnf.config import NEWTON_RCOND
 
 from conftest import (GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_GAMMAS,
@@ -689,6 +689,34 @@ class TestPlanMemoryCheck:
         run, built = self._decompose(monkeypatch, memory)
         run()
         assert built == [(3, 1)]
+
+
+class TestPlanBeforeCompression:
+    """The degree plan and its memory check run before the HOSVD, so a plan
+    that fails costs no arithmetic."""
+
+    @pytest.mark.parametrize("case", ["pencil-above-rank", "no-memory"])
+    def test_no_hosvd_when_the_plan_fails(self, monkeypatch, case):
+        t, _ = random_cpd((9, 6, 5), 8, seed=54)
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return st_hosvd(*args)
+
+        monkeypatch.setattr(recovery, "st_hosvd", recording)
+        if case == "no-memory":
+            monkeypatch.setattr(polysys, "_physical_memory", lambda: 1)
+            error, stage, options = InsufficientMemory, "cokernel", DecomposeOptions()
+        else:
+            error, stage, options = RankOutOfRange, "degree", DecomposeOptions(path="pencil")
+        with pytest.raises(error) as exc:
+            decompose(t, 8, options)
+        assert exc.value.stage == stage
+        assert calls == []
+        monkeypatch.setattr(polysys, "_physical_memory", lambda: None)
+        decompose(t, 8)
+        assert len(calls) == 1
 
 
 class TestDegreeGuards:

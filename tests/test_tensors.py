@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from cpdhnf import (CPDecomposition, DenseTensor, Grouping, NoFeasibleGrouping,
 from cpdhnf.recovery import add_noise
 
 from conftest import GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_FLATTENING, GOLDEN_GAMMAS
-from oracles import st_hosvd_expand, ungroup
+from oracles import choose_grouping_flagged, st_hosvd_expand, ungroup
 
 
 def golden_cpd():
@@ -183,6 +184,19 @@ class TestChooseGrouping:
         with pytest.raises(ValueError):
             choose_grouping((4, 3, 3), 2)
 
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_matches_feasibility_from_the_degree_error(self, order):
+        """Skipping the groupings that fail the range check picks what
+        catching the degree selection's range error picked."""
+        for shape in itertools.product(range(2, 5), repeat=order):
+            for r in range(2, 25):
+                expected = choose_grouping_flagged(shape, r)
+                if expected is None:
+                    with pytest.raises(NoFeasibleGrouping):
+                        choose_grouping(shape, r)
+                else:
+                    assert choose_grouping(shape, r).parts == expected, (shape, r)
+
 
 class TestStHosvd:
     def test_lossless_at_rank_targets(self):
@@ -308,6 +322,13 @@ class TestDenseTensorInvariants:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             DenseTensor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_rejects_imaginary_part_under_real_scalars(self):
+        with pytest.raises(ValueError, match="nonzero imaginary part"):
+            DenseTensor(np.ones((2, 2, 2)) * (1 + 1j))
+        t = DenseTensor(np.ones((2, 2, 2)) + 0j)
+        assert t.data.dtype == np.float64 and np.all(t.data == 1)
+        assert DenseTensor(np.ones((2, 2, 2)) * 1j, scalars="complex").data.imag.all()
 
     def test_rejects_unknown_field(self):
         with pytest.raises(ValueError):
