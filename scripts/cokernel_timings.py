@@ -19,11 +19,12 @@ nullspace one degree lower), ``cholesky`` (``cho_factor``),
 ``_rayleigh_ritz``), ``gram`` (the rest of ``_nullspace_eigs``: the Gram
 matrix, its norm for the shift, the start block and the lift) and
 ``residual_check`` (the rest of ``left_nullspace``: the ||N R|| check),
-each a total per decomposition.  The same wrapping works on older
-checkouts, whose Gram has no function of its own and which have no
-``lower_chain``; that part then reads 0.  The package is imported from
-the ``src`` directory next to this script, so a copy of the script in
-another checkout measures that checkout.
+each a total per decomposition.  ``cho_factor`` and ``cho_solve`` count
+only inside ``left_nullspace``, because the refinement calls them too.
+The same wrapping works on older checkouts, whose Gram has no function
+of its own and which have no ``lower_chain``; that part then reads 0.
+The package is imported from the ``src`` directory next to this script,
+so a copy of the script in another checkout measures that checkout.
 
 ``--crossover`` instead times ``left_nullspace`` by ``svd`` and by ``eigs``
 on the shift matrix of every normal-form instance of the perfbench
@@ -58,14 +59,19 @@ def measure(shape, r, seeds, repeats):
     from cpdhnf import decompose_with_info, hilbert_dim, polysys, random_cpd, recovery
 
     spent, calls = {}, {}
+    depth = [0]    # left_nullspace calls in progress
 
-    def timed(name, fn):
+    def timed(name, fn, cokernel_only=False):
         def wrapper(*args, **kwargs):
+            if cokernel_only and not depth[0]:
+                return fn(*args, **kwargs)
             calls[name] = calls.get(name, 0) + 1
+            depth[0] += name == "left_nullspace"
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
+                depth[0] -= name == "left_nullspace"
                 spent[name] = spent.get(name, 0.0) + 1e3 * (time.perf_counter() - t0)
         return wrapper
 
@@ -73,13 +79,14 @@ def measure(shape, r, seeds, repeats):
     cho_factor = scipy.linalg.cho_factor
 
     def recording(a, *args, **kwargs):
-        factored.append(a.shape[0])
+        if depth[0]:
+            factored.append(a.shape[0])
         return cho_factor(a, *args, **kwargs)
 
-    scipy.linalg.cho_factor = timed("cholesky", recording)
+    scipy.linalg.cho_factor = timed("cholesky", recording, cokernel_only=True)
     if hasattr(polysys, "lower_chain"):
         polysys.lower_chain = timed("lower_chain", polysys.lower_chain)
-    scipy.linalg.cho_solve = timed("block_solves", scipy.linalg.cho_solve)
+    scipy.linalg.cho_solve = timed("block_solves", scipy.linalg.cho_solve, cokernel_only=True)
     polysys._rayleigh_ritz = timed("rayleigh_ritz", polysys._rayleigh_ritz)
     polysys._nullspace_eigs = timed("nullspace_eigs", polysys._nullspace_eigs)
     recovery.left_nullspace = timed("left_nullspace", recovery.left_nullspace)

@@ -6,9 +6,9 @@ real/complex) and saves, per run, the returned factors and ``info`` with
 the timings dropped (only the names of the timed stages are kept), or the
 type, stage and message of the ``CpdError`` it raised.  The set covers the
 automatic degrees, forced degrees and paths, both nullspace methods (on
-the normal form and on the pencil), noisy inputs, Newton off, orders 4 and
-5, rank 1 and every typed failure ``decompose`` tags with a stage.  It also saves a
-fixed set of certifier outcomes, which are exact: the 81 degree-2
+the normal form and on the pencil), noisy inputs, refinement off, orders 4
+and 5, rank 1 and every typed failure ``decompose`` tags with a stage.  It
+also saves a fixed set of certifier outcomes, which are exact: the 81 degree-2
 certificates of acceptance criterion 5 and the Hilbert values of
 (m, n, r) = (6, 4, 20) at degree (3, 2) (seeds 0-2) and of criterion 11's
 (5, 5, 3) cell at degree (3, 3).
@@ -17,11 +17,12 @@ a copy of the script in another checkout records that checkout.
 
 ``compare`` reads two recordings and prints which runs are identical, the
 largest relative factor difference, the backward errors of the runs that
-differ, the info keys that differ, any error run whose type, stage or
-message changed, and every certifier outcome that changed.  A run whose
-factors differ by more than 1e-12 has its columns matched, and one that is
-the same CPD with its rank-1 terms reordered is reported as the same up to
-a column permutation, with the factor difference after matching.
+differ, the runs whose backward error rose, the info keys that differ,
+any error run whose type, stage or message changed, and every certifier
+outcome that changed.  A run whose factors differ by more than 1e-12 has
+its columns matched, and one that is the same CPD with its rank-1 terms
+reordered is reported as the same up to a column permutation, with the
+factor difference after matching.
 
     python3 scripts/fingerprint.py record --output before.npz
     python3 scripts/fingerprint.py compare before.npz after.npz
@@ -60,6 +61,9 @@ RUNS = {
     "newton-0": ((12, 7, 3), 12, {"newton_iters": 0}, None),
     "order4": ((4, 4, 3, 3), 6, {}, None),
     "order5": ((5, 5, 4, 4, 4), 20, {}, None),
+    # noisy inputs that the recovered factors fit well above the noise level
+    "order5-noisy": ((4, 4, 3, 3, 3), 16, {}, -10),
+    "nf-50x10x5-r10-e15": ((50, 10, 5), 10, {}, -15),
     "rank1": ((6, 5, 4), 1, {}, None),
     "error-validation": ((5, 4, 3), 20, {}, None),
     "error-degree": ((9, 6, 5), 8, {"path": "pencil"}, None),
@@ -200,6 +204,10 @@ def compare(path_a, path_b):
         print(f"runs in only one recording: {', '.join(missing)}")
     print(f"largest relative factor difference: {worst[0]:.3e}"
           + (f" ({worst[1]})" if worst[1] else ""))
+    rose = [key for key, _, _, _, berr_a, berr_b in differ
+            if berr_a is not None and berr_b is not None and berr_b > berr_a]
+    print(f"{len(rose)} runs with a higher backward error"
+          + (f": {', '.join(rose)}" if rose else ""))
     by_keys = {}
     for _, same, _, info_keys, _, _ in differ:
         label = ("factors identical" if same else "factors differ") \

@@ -8,8 +8,7 @@ from .config import DecomposeOptions
 from .errors import (AmbiguousKernel, BasisDeficient, ConfigNotInW,
                      CorankMismatch, CpdError, DefectiveEigenvectors,
                      FlatteningRankMismatch, InsufficientMemory,
-                     NoFeasibleGrouping, RankDeficientKR, RankOutOfRange,
-                     SingularJacobian)
+                     NoFeasibleGrouping, RankDeficientKR, RankOutOfRange)
 from .linalg import khatri_rao
 from .polysys import (BilinearSystem, ResultantMatrix, build_resultant,
                       evaluate, jacobian, kernel_flattening, left_nullspace)

@@ -164,7 +164,7 @@ def _build_parser():
     p.add_argument("--degree", type=_parse_degree, default=None,
                    help="auto or D,E")
     p.add_argument("--kernel", choices=["svd", "eigs", "auto"], default="auto")
-    p.add_argument("--newton", type=int, default=3)
+    p.add_argument("--newton", type=int, default=3, help="most refinement steps; 0: none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_decompose)

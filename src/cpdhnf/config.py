@@ -43,9 +43,10 @@ DIAG_REL = 1e-6        # off-diagonal residual that triggers a reseed
 DIAG_FAIL = 0.3        # best residual above this is a hard failure
 DIAG_RETRIES = 3
 
-# per-point recovery
+# per-point recovery and the joint Gauss-Newton refinement
 SOLVE_GAP = 0.1        # sigma_min/sigma_next certifying a 1-dim kernel
-NEWTON_RCOND = 1e-12   # pseudo-inverse cutoff relative to sigma_1
+GN_DAMPING = 1e-10     # damping relative to the trace of the mode-1 block
+GN_FLOOR = 2.0 ** -51  # stop at 2 eps, the least at which no measured exact run took 2 steps
 
 
 @dataclass
@@ -55,7 +56,7 @@ class DecomposeOptions:
     degree        forced bidegree (d, e) >= (1, 1), or None for automatic choice
     kernel        nullspace method: "auto", "svd" or "eigs"
     path          "auto" routes ranks r <= m+1 to the pencil shortcut
-    newton_iters  Gauss-Newton steps per recovered point; 0 turns them off
+    newton_iters  most joint Gauss-Newton steps on all factors; 0 turns them off
     seed          seed of the random combinations; fixes the result
     grouping      forced mode partition, a Grouping, for tensors of order > 3
 

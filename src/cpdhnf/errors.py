@@ -62,10 +62,6 @@ class AmbiguousKernel(CpdError):
     """The per-point linear system does not have a one-dimensional kernel."""
 
 
-class SingularJacobian(CpdError):
-    """Jacobian rank-deficient at a root: the point is not a simple zero."""
-
-
 class RankDeficientKR(CpdError):
     """Khatri-Rao matrix of the recovered points is rank deficient."""
 

@@ -232,7 +232,7 @@ def simultaneous_diagonalize(family, seed=0, rng=None):
         )
         raise DefectiveEigenvectors(f"simultaneous diagonalization failed: {detail}")
     # Approximately commuting input (e.g. a noisy tensor): the diagonal
-    # entries are still the right estimates and Newton refinement follows.
+    # entries are still the right estimates and refinement follows.
     warnings.warn(
         f"off-diagonal residual {best[0]:.2e} above {DIAG_REL:.0e}; "
         "continuing with the best attempt", stacklevel=2,

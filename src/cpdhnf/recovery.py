@@ -1,26 +1,26 @@
-"""Back end of the solver: per-point recovery and Newton refinement, with
-all points as the columns of stacked calls, first-mode factors, and the
-end-to-end decomposition driver."""
+"""Back end of the solver: per-point recovery, with all points as the
+columns of stacked calls, first-mode factors, a joint Gauss-Newton
+refinement of all factors against the input tensor, and the end-to-end
+decomposition driver."""
 
 import operator
 import time
 import warnings
 from contextlib import contextmanager
+from functools import reduce
 
 import numpy as np
 
 from .bigraded import check_rank, select_degree
-from .config import NEWTON_RCOND, RANK_REL, SOLVE_GAP, DecomposeOptions
-from .errors import (AmbiguousKernel, BasisDeficient, CpdError, RankDeficientKR,
-                     SingularJacobian)
+from .config import GN_DAMPING, GN_FLOOR, RANK_REL, SOLVE_GAP, DecomposeOptions
+from .errors import AmbiguousKernel, BasisDeficient, CpdError, InsufficientMemory, RankDeficientKR
 from .linalg import khatri_rao
 from .normalform import (multiplication_matrices, prenormal_general,
                          simultaneous_diagonalize)
-from .polysys import (build_resultant, check_dense_fits, evaluate, jacobian,
-                      kernel_flattening, left_nullspace)
-from .tensors import (REAL, CPDecomposition, add_noise,
-                      backward_error, choose_grouping, flatten_mode1,
-                      rank1_factorization, reshape_group, st_hosvd)
+from .polysys import (build_resultant, check_dense_fits, kernel_flattening,
+                      left_nullspace)
+from .tensors import (REAL, CPDecomposition, add_noise, choose_grouping, flatten_mode1,
+                      rank1_factorization, reshape_group, residual, st_hosvd)
 
 __all__ = [
     "solve_gamma", "newton_refine", "solve_alpha", "decompose",
@@ -72,68 +72,91 @@ def solve_gamma(system, betas):
     return vh[:, -1, :].T.conj().reshape((n1,) + betas.shape[1:])
 
 
-def newton_refine(system, betas, gammas, iters=3):
-    """Gauss-Newton refinement of approximate simple zeros.
+def _gn_step(factors, res):
+    """Damped Gauss-Newton step for all factors of a CPD at residual res.
 
-    Points are columns, (m+1, k) and (n+1, k); 1-D vectors are the k = 1
-    case.  The forms are bihomogeneous, so by Euler's relation the
-    Jacobian J maps both scaling directions (b, 0) and (0, g) onto the
-    residual, and a naive step merely rescales the point.  Each step
-    therefore solves with the projected Jacobian J - res [b; g]^H, which
-    is J restricted to the directions orthogonal to the current unit
-    point, by least squares with singular values at or below
-    NEWTON_RCOND * sigma_1 cut off: the projective Newton step.  The
-    projected Jacobian has rank m + n exactly when the zero is simple.  A
-    step is only accepted if the residual does not increase, keeping
-    refinement monotone.  A point stops at its first rejected step or
-    once its residual reaches the rounding floor; every step takes the
-    points still moving through one stacked SVD.
+    Solves (J^H J + lam I) delta = J^H res, J the Jacobian in the factor
+    entries.  With G_k = A_k^H A_k and W_K the Hadamard product of the G_j,
+    j not in K, J^H J has blocks I (x) W_{k} on its diagonal and A_k(i, s)
+    conj(A_l(j, r)) W_{k,l}(r, s) off it; J^H res is the MTTKRP of res.  A
+    mode k >= 2 with n_k > r couples only through the span of A_k = Q_k R_k,
+    so its step off that span solves its diagonal block alone.  Eliminating
+    mode 1's block I (x) P, P = W_{1} + lam I, lam = GN_DAMPING trace(W_{1}),
+    leaves a Schur complement S of order r * sum_{k>=2} min(n_k, r): G_1(r, s)
+    (U P^-1 U^H)[(j, r), (j', s)], U[(l, j, r), t] = A_l(j, t) W_{1,l}(r, t),
+    corrects it.  InsufficientMemory: S too large; LinAlgError: not definite.
     """
-    shape = np.shape(betas), np.shape(gammas)
-    dtype = np.result_type(betas, gammas, system.coeffs, float)
-    b = np.asarray(betas, dtype).reshape(shape[0][0], -1)
-    g = np.asarray(gammas, dtype).reshape(shape[1][0], -1)
-    b = b / np.linalg.norm(b, axis=0)
-    g = g / np.linalg.norm(g, axis=0)
-    res = evaluate(system, b, g)
-    rnorm = np.linalg.norm(res, axis=0)
-    needed = system.m + system.n
-    # unit points on unit-norm forms: residuals at this level are rounding
-    # noise and stepping on them only jitters the output
-    floor = 10 * np.finfo(float).eps * np.sqrt(max(system.s, 1))
-    moving = np.ones(b.shape[1], dtype=bool)
-    for _ in range(iters):
-        moving &= rnorm > floor
-        idx = np.flatnonzero(moving)
-        if len(idx) == 0:
+    from scipy.linalg import cho_factor, cho_solve, get_blas_funcs
+    first, rest, r = factors[0], list(factors[1:]), factors[0].shape[1]
+    grams = [f.conj().T @ f for f in factors]
+
+    def hadamard(*skip):
+        return reduce(np.multiply, (g for k, g in enumerate(grams) if k not in skip),
+                      np.ones((r, r)))
+
+    grad = [np.moveaxis(res, k, 0).reshape(res.shape[k], -1)
+            @ khatri_rao([f.conj() for j, f in enumerate(factors) if j != k])
+            for k in range(len(factors))]
+    W = [hadamard(0, l) for l in range(1, len(factors))]
+    lam = GN_DAMPING * np.trace(W[0] * grams[1]).real
+    tall = {}
+    for k, f in enumerate(rest, 1):
+        if len(f) > r:
+            (q, rest[k - 1]), full = np.linalg.qr(f), grad[k]
+            grad[k] = q.conj().T @ full
+            tall[k] = q, np.linalg.solve(hadamard(k) + lam * np.eye(r), (full - q @ grad[k]).T).T
+    Linv = np.linalg.inv(np.linalg.cholesky(W[0] * grams[1] + lam * np.eye(r)))
+    Pinv_t = (Linv.conj().T @ Linv).T
+    U = np.concatenate([f[:, None, :] * w for f, w in zip(rest, W)])
+    check_dense_fits((len(U) * r,) * 2, U.dtype)
+    # U P^-1 U^H = V V^H, V^H = L^-1 U^H, fills the upper triangle of the
+    # Fortran-ordered S, factored in place; its transpose St holds conj(S) in
+    # the lower one, where the rest goes in conjugated, all times G_1(r, s)
+    Vh = Linv @ U.reshape(-1, r).conj().T
+    S = get_blas_funcs("herk" if np.iscomplexobj(Vh) else "syrk", (Vh,))(-1.0, Vh, trans=2)
+    St = S.T.reshape(len(U), r, len(U), r)
+    g1 = grams[0].conj()
+    St *= g1[None, :, None, :]
+    ends = np.cumsum([len(f) for f in rest])
+    for a, (fa, end, w) in enumerate(zip(rest, ends, W), 1):
+        rows = slice(end - len(fa), end)
+        np.einsum("jrjs->jrs", St[rows, :, rows, :])[...] += g1 * w.conj()
+        for b, (fb, stop) in enumerate(zip(rest[:a - 1], ends), 1):
+            St[rows, :, stop - len(fb):stop, :] += (
+                fa.conj()[:, None, None, :] * fb.T[None, :, :, None]
+                * (g1 * hadamard(0, a, b).conj())[None, :, None, :])
+    S[np.diag_indices(len(S))] += lam
+    rhs = np.concatenate(grad[1:]) - np.einsum("nrt,rt->nr", U, first.conj().T @ grad[0] @ Pinv_t)
+    x = cho_solve(cho_factor(S, overwrite_a=True, check_finite=False), rhs.reshape(-1),
+                  check_finite=False).reshape(-1, r)
+    coupled = first @ np.einsum("nsr,ns->sr", U.conj(), x)
+    steps = [(grad[0] - coupled) @ Pinv_t] + np.split(x, ends[:-1])
+    return [tall[k][0] @ s + tall[k][1] if k in tall else s for k, s in enumerate(steps)]
+
+
+def newton_refine(t, factors, iters=3):
+    """Damped Gauss-Newton refinement of all factors against the tensor t.
+
+    Keeps a :func:`_gn_step` step only if the normalized factors' backward
+    error strictly falls; stops after ``iters`` steps, at the first rejected
+    or failed step (not definite, or too large), or at an error <= GN_FLOOR.
+    Returns (normalized CPDecomposition, error, steps kept, unrefined error).
+    """
+    def fit(factors):
+        dec = CPDecomposition(factors).normalize()
+        return (dec, *residual(t, dec))
+
+    (dec, res, err), steps = fit(factors), 0
+    unrefined = err
+    while steps < iters and err > GN_FLOOR:
+        try:
+            trial = fit([f + d for f, d in zip(dec.factors, _gn_step(dec.factors, res))])
+        except (np.linalg.LinAlgError, InsufficientMemory):
             break
-        bi, gi, ri = b[:, idx], g[:, idx], res[:, idx].T
-        point = np.concatenate([bi, gi]).T.conj()
-        J = jacobian(system, bi, gi) - ri[:, :, None] * point[:, None, :]
-        u, sv, vh = np.linalg.svd(J, full_matrices=False)
-        kept = sv > NEWTON_RCOND * sv[:, :1]
-        rank = kept.sum(axis=1)
-        if np.any(rank < needed):
-            i = int(np.argmax(rank < needed))
-            raise SingularJacobian(
-                f"point {idx[i]}: chart Jacobian rank {rank[i]} < {needed}: "
-                "zero is not simple"
-            )
-        proj = (ri[:, None, :] @ u.conj())[:, 0]
-        coef = np.divide(proj, sv, out=np.zeros_like(proj), where=kept)
-        delta = (coef[:, None, :] @ vh.conj())[:, 0].T
-        nb = bi - delta[: system.m + 1]
-        ng = gi - delta[system.m + 1:]
-        nb /= np.linalg.norm(nb, axis=0)
-        ng /= np.linalg.norm(ng, axis=0)
-        nres = evaluate(system, nb, ng)
-        nnorm = np.linalg.norm(nres, axis=0)
-        taken = nnorm <= rnorm[idx]
-        moving[idx[~taken]] = False
-        step = idx[taken]
-        b[:, step], g[:, step] = nb[:, taken], ng[:, taken]
-        res[:, step], rnorm[step] = nres[:, taken], nnorm[taken]
-    return b.reshape(shape[0]), g.reshape(shape[1])
+        if not trial[2] < err:
+            break
+        (dec, res, err), steps = trial, steps + 1
+    return dec, err, steps, unrefined
 
 
 def solve_alpha(flat, betas, gammas):
@@ -169,8 +192,9 @@ def _stage(timings, name):
 
 
 def _decompose_order3(t, r, options, rng, timings, info):
-    """Rank-r candidates for an order-3 tensor, as (factors, alpha residual)
-    pairs; the residual is None on the rank-1 path, which fits no alphas."""
+    """Rank-r factors of an order-3 tensor from the recovered points, with
+    their alpha residual; the residual is None on the rank-1 path, which
+    fits no alphas."""
     with _stage(timings, "validation"):
         check_rank(t.shape, r)
     # st_hosvd compresses to exactly these targets, so the plan and its
@@ -180,8 +204,7 @@ def _decompose_order3(t, r, options, rng, timings, info):
         lc, mc, nc = targets
         with _stage(timings, "degree"):
             plan = select_degree(mc - 1, nc - 1, r, lc - 1, options.degree, options.path)
-        info["degree_used"] = tuple(plan.degree)
-        info["path"] = plan.path
+        info.update(degree_used=tuple(plan.degree), path=plan.path)
         with _stage(timings, "cokernel"):
             # the cokernel needs a dense rows x rows buffer
             check_dense_fits((plan.rows, plan.rows), t.data.dtype)
@@ -189,10 +212,8 @@ def _decompose_order3(t, r, options, rng, timings, info):
     with _stage(timings, "compression"):
         core, us = st_hosvd(t, targets)
     if r == 1:
-        info["degree_used"] = (1, 1)
-        info["path"] = "rank-1"
-        scale = core.data.reshape(())
-        return [([us[0] * scale, us[1].copy(), us[2].copy()], None)]
+        info.update(degree_used=(1, 1), path="rank-1")
+        return [us[0] * core.data.reshape(()), us[1].copy(), us[2].copy()], None
 
     flat = flatten_mode1(core)
     with _stage(timings, "kernel"):
@@ -224,27 +245,9 @@ def _decompose_order3(t, r, options, rng, timings, info):
     with _stage(timings, "recovery"):
         xs = coords / np.linalg.norm(coords, axis=0)
         ys = solve_gamma(solved, xs)
-    betas, gammas = (xs, ys) if solved is system else (ys, xs)
-
-    # the unrefined points stay a candidate, so that refinement can never
-    # degrade the returned fit
-    point_sets = [(betas, gammas)]
-    if options.newton_iters > 0:
-        with _stage(timings, "refinement"):
-            point_sets.insert(0, newton_refine(system, betas, gammas, options.newton_iters))
-
-    candidates, error = [], None
-    with _stage(timings, "recovery"):
-        for bs, gs in point_sets:
-            try:
-                alphas, resid = solve_alpha(flat, bs, gs)
-            except RankDeficientKR as exc:
-                error = error or exc
-                continue
-            candidates.append(([us[0] @ alphas, us[1] @ bs, us[2] @ gs], resid))
-        if not candidates:
-            raise error
-    return candidates
+        betas, gammas = (xs, ys) if solved is system else (ys, xs)
+        alphas, resid = solve_alpha(flat, betas, gammas)
+    return [us[0] @ alphas, us[1] @ betas, us[2] @ gammas], resid
 
 
 def _ungroup_factors(factors3, grouping):
@@ -263,12 +266,12 @@ def _ungroup_factors(factors3, grouping):
 def decompose_with_info(t, r, options=None):
     """Full decomposition pipeline; returns (CPDecomposition, info dict).
 
-    info carries the degree used, the path taken, the backward error and
-    the alpha residual of the returned candidate (None on the rank-1 path),
-    the basis condition number, per-stage timings in milliseconds, and any
-    warnings raised along the way.  A CpdError carries the stage that
-    raised it.  A rank that is not an integer raises TypeError, one below 1
-    ValueError.  Deterministic for fixed options.seed.
+    info carries the degree used, the path taken, the backward errors after
+    and before refinement, the refinement steps kept, the unrefined points'
+    alpha residual (None on the rank-1 path), the basis condition number,
+    per-stage timings in milliseconds, and any warnings raised.  A CpdError
+    carries the stage that raised it; a non-integer rank raises TypeError,
+    one below 1 ValueError.  Deterministic for fixed options.seed.
     """
     if operator.index(r) < 1:
         raise ValueError(f"rank must be positive, got {r}")
@@ -283,24 +286,19 @@ def decompose_with_info(t, r, options=None):
         if t.order == 3:
             if options.grouping is not None:
                 raise ValueError("grouping applies to tensors of order >= 4")
-            candidates = _decompose_order3(t, r, options, rng, timings, info)
+            factors, resid = _decompose_order3(t, r, options, rng, timings, info)
         else:
             with _stage(timings, "grouping"):
                 grouping = options.grouping or choose_grouping(t.shape, r)
                 info["grouping"] = [list(p) for p in grouping.parts]
                 t3 = reshape_group(t, grouping)
-            grouped = _decompose_order3(t3, r, options, rng, timings, info)
+            factors, resid = _decompose_order3(t3, r, options, rng, timings, info)
             with _stage(timings, "recovery"):
-                candidates = [(_ungroup_factors(fs, grouping), resid)
-                              for fs, resid in grouped]
-        # return whichever candidate fits the input best in the final metric
-        best = None
-        for factors, resid in candidates:
-            dec = CPDecomposition(factors).normalize()
-            err = backward_error(t, dec)
-            if best is None or err < best[1]:
-                best = (dec, err, resid)
-        dec, info["backward_error"], info["alpha_residual"] = best
+                factors = _ungroup_factors(factors, grouping)
+        with _stage(timings, "refinement"):
+            dec, err, steps, unrefined = newton_refine(t, factors, options.newton_iters)
+        info.update(backward_error=err, unrefined_backward_error=unrefined,
+                    refinement_steps=steps, alpha_residual=resid)
     info["warnings"] = [str(w.message) for w in caught]
     info["stage_timings_ms"] = {k: round(v, 3) for k, v in timings.items()}
     return dec, info

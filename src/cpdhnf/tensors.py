@@ -118,15 +118,20 @@ def cpd_eval(dec, shape=None):
     return DenseTensor(data, scalars)
 
 
-def backward_error(t, dec):
-    """Relative residual ||A - eval(D)||_F / ||A||_F."""
+def residual(t, dec):
+    """The residual A - eval(D) and its relative norm, the backward error."""
     if dec.shape != t.shape:
         raise ValueError("shape mismatch between tensor and decomposition")
     denom = t.norm()
     if denom == 0:
         raise ValueError("zero tensor has no relative error")
-    approx = cpd_eval(dec)
-    return float(np.linalg.norm((t.data - approx.data).ravel())) / denom
+    res = t.data - cpd_eval(dec).data
+    return res, float(np.linalg.norm(res.ravel())) / denom
+
+
+def backward_error(t, dec):
+    """Relative residual ||A - eval(D)||_F / ||A||_F."""
+    return residual(t, dec)[1]
 
 
 def random_cpd(shape, r, seed=0, scalars=REAL):

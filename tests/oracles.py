@@ -3,16 +3,16 @@ subspaces and factor sets, the inverses of grouping and ST-HOSVD, an
 independent route to the degree-(2, 1) Hilbert value, the pencil's
 pre-normal form as slices of the reshaped degree-(1, 1) cokernel, and the
 one-point-at-a-time back end that the stacked routines replace: the
-per-point kernel solve and Newton polish, the per-variable multiplication
-matrices and the per-column rank-1 peeling, the shift table ranked one
-full exponent row at a time, and the degree planning of
-``_decompose_order3`` before ``select_degree`` took over its rules."""
+per-point kernel solve, the per-variable multiplication matrices and the
+per-column rank-1 peeling, the shift table ranked one full exponent row
+at a time, the degree planning of ``_decompose_order3`` before
+``select_degree`` took over its rules, and the Gauss-Newton step from an
+explicit Jacobian."""
 
 import numpy as np
 
-from cpdhnf import (AmbiguousKernel, DenseTensor, SingularJacobian, choose_basis,
-                    evaluate, fp_rank, jacobian)
-from cpdhnf.config import NEWTON_RCOND, RANK_REL, SOLVE_GAP
+from cpdhnf import AmbiguousKernel, DenseTensor, choose_basis, fp_rank
+from cpdhnf.config import RANK_REL, SOLVE_GAP
 from cpdhnf.linalg import unitize
 
 
@@ -167,46 +167,30 @@ def solve_gamma_point(system, beta):
     return vh[-1, :].conj()
 
 
-def newton_refine_point(system, beta, gamma, iters=3):
-    """Gauss-Newton refinement of an approximate simple zero.
-
-    The forms are bihomogeneous, so by Euler's relation the Jacobian J maps
-    both scaling directions (b, 0) and (0, g) onto the residual, and a
-    naive step merely rescales the point.  Each step therefore solves with
-    the projected Jacobian J - res [b; g]^H, which is J restricted to the
-    directions orthogonal to the current unit point, by least squares with
-    singular values below NEWTON_RCOND * sigma_1 cut off: the projective
-    Newton step.  The projected Jacobian has rank m + n exactly when the
-    zero is simple.  A step is only accepted if the residual does not
-    increase, keeping refinement monotone.
-    """
-    b = np.asarray(beta) / np.linalg.norm(beta)
-    g = np.asarray(gamma) / np.linalg.norm(gamma)
-    res = evaluate(system, b, g)
-    rnorm = np.linalg.norm(res)
-    needed = system.m + system.n
-    # unit points on unit-norm forms: residuals at this level are rounding
-    # noise and stepping on them only jitters the output
-    floor = 10 * np.finfo(float).eps * np.sqrt(max(system.s, 1))
-    for _ in range(iters):
-        if rnorm <= floor:
-            break
-        J = jacobian(system, b, g) - np.outer(res, np.concatenate([b, g]).conj())
-        delta, _, rank, _ = np.linalg.lstsq(J, res, rcond=NEWTON_RCOND)
-        if rank < needed:
-            raise SingularJacobian(
-                f"chart Jacobian rank {rank} < {needed}: zero is not simple"
-            )
-        nb = b - delta[: system.m + 1]
-        ng = g - delta[system.m + 1:]
-        nb /= np.linalg.norm(nb)
-        ng /= np.linalg.norm(ng)
-        nres = evaluate(system, nb, ng)
-        nnorm = np.linalg.norm(nres)
-        if nnorm > rnorm:
-            break
-        b, g, res, rnorm = nb, ng, nres, nnorm
-    return b, g
+def gauss_newton_step(factors, res, damping):
+    """Damped Gauss-Newton step for all factors of a CPD from the explicit
+    Jacobian: column (k, i, r) is the model's derivative in A_k(i, r), the
+    rank-one tensor of the r-th columns with e_i in mode k.  Solves
+    (J^H J + lam I) delta = J^H res with lam = damping times the trace of
+    the Hadamard product of the Grams of modes 2..d, and returns the
+    increments per factor together with J."""
+    r = factors[0].shape[1]
+    cols = []
+    for k, f in enumerate(factors):
+        for i in range(len(f)):
+            for c in range(r):
+                vecs = [g[:, c] for g in factors]
+                vecs[k] = np.eye(len(f))[i]
+                col = vecs[0]
+                for v in vecs[1:]:
+                    col = np.multiply.outer(col, v)
+                cols.append(col.ravel())
+    J = np.array(cols).T
+    block = np.prod([f.conj().T @ f for f in factors[1:]], axis=0)
+    lam = damping * np.trace(block).real
+    delta = np.linalg.solve(J.conj().T @ J + lam * np.eye(J.shape[1]),
+                            J.conj().T @ res.ravel())
+    return np.split(delta, np.cumsum([f.size for f in factors])[:-1]), J
 
 
 def multiplication_per_variable(pnf):

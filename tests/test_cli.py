@@ -105,6 +105,25 @@ class TestDecompose:
         info.pop("stage_timings_ms")
         assert {key: res[key] for key in info} == json.loads(json.dumps(info))
 
+    def test_refinement_keys(self, tmp_path):
+        """Both refinement keys reach the JSON; --newton 0 takes no step and
+        reports the unrefined error as the backward error."""
+        tensor = tmp_path / "t.txt"
+        run(["generate", "--dims", "12,7,3", "--rank", "12", "--seed", "3",
+             "--output", str(tensor)])
+        results = {}
+        for newton in ("3", "0"):
+            path = tmp_path / f"newton{newton}.json"
+            assert run(["decompose", "--input", str(tensor), "--rank", "12",
+                        "--newton", newton, "--output", str(path)]) == 0
+            results[newton] = json.loads(path.read_text())
+        on, off = results["3"], results["0"]
+        assert 0 <= on["refinement_steps"] <= 3
+        assert on["backward_error"] <= on["unrefined_backward_error"]
+        assert off["refinement_steps"] == 0
+        assert off["backward_error"] == off["unrefined_backward_error"]
+        assert off["unrefined_backward_error"] == on["unrefined_backward_error"]
+
     def test_kernel_paths_agree(self, tmp_path):
         tensor = tmp_path / "t.txt"
         run(["generate", "--dims", "12,7,3", "--rank", "12", "--seed", "5",

@@ -8,17 +8,17 @@ from cpdhnf import (COMPLEX, REAL, AmbiguousKernel, BasisDeficient,
                     BilinearSystem, CorankMismatch, CPDecomposition,
                     DecomposeOptions, DenseTensor, Grouping,
                     InsufficientMemory, RankDeficientKR, RankOutOfRange,
-                    SingularJacobian, backward_error, build_resultant,
-                    cpd_eval, decompose, decompose_with_info, evaluate,
-                    flatten_mode1, hilbert_from_points, jacobian,
-                    kernel_flattening, newton_refine, normalform, polysys,
-                    random_config, random_cpd, rank1_factorization, rank_bound,
-                    recovery, solve_alpha, solve_gamma, st_hosvd)
-from cpdhnf.config import NEWTON_RCOND
+                    add_noise, backward_error, build_resultant, cpd_eval,
+                    decompose, decompose_with_info, flatten_mode1,
+                    hilbert_from_points, kernel_flattening, newton_refine,
+                    normalform, polysys, random_config, random_cpd,
+                    rank1_factorization, rank_bound, recovery, solve_alpha,
+                    solve_gamma, st_hosvd)
+from cpdhnf.config import GN_DAMPING, GN_FLOOR
 
 from conftest import (GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_GAMMAS,
                       fail_dense_buffers, stacked_rows)
-from oracles import (factor_set_distance, newton_refine_point, rank1_factorization_column,
+from oracles import (factor_set_distance, gauss_newton_step, rank1_factorization_column,
                      solve_gamma_point)
 
 
@@ -50,94 +50,130 @@ class TestSolveGamma:
             solve_gamma(golden_system, np.zeros(3))
 
 
+GOLDEN_FACTORS = [GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_GAMMAS]
+
+
+def _perturbed(factors, scale, rng):
+    return [f + scale * rng.standard_normal(f.shape) for f in factors]
+
+
 class TestNewtonRefine:
-    def test_exact_zero_is_fixed_point(self, golden_system):
-        b = np.array([1.0, 0.0, 2.0]) / np.sqrt(5)
-        g = np.array([1.0, 0.0, 0.0])
-        nb, ng = newton_refine(golden_system, b, g, iters=3)
-        assert np.allclose(nb, b, atol=1e-15) and np.allclose(ng, g, atol=1e-15)
+    """The joint Gauss-Newton refinement of all factors against the tensor."""
 
-    def test_perturbed_golden_point_converges(self, golden_system):
+    def test_exact_zero_is_fixed_point(self, golden_tensor):
+        # exact factors fit to the floor: no step, and the given factors
+        # come back normalized
+        dec, err, steps, unrefined = newton_refine(golden_tensor, GOLDEN_FACTORS, iters=3)
+        ref = CPDecomposition(GOLDEN_FACTORS).normalize()
+        assert steps == 0 and err == unrefined <= GN_FLOOR
+        assert all(np.array_equal(a, b) for a, b in zip(dec.factors, ref.factors))
+
+    def test_perturbed_golden_point_converges(self, golden_tensor):
         rng = np.random.default_rng(31)
-        b = np.array([1.0, 0.0, 2.0]) + 1e-4 * rng.standard_normal(3)
-        g = np.array([1.0, 0.0, 0.0]) + 1e-4 * rng.standard_normal(3)
-        nb, ng = newton_refine(golden_system, b, g, iters=3)
-        assert np.linalg.norm(evaluate(golden_system, nb, ng)) <= 1e-12
+        factors = _perturbed(GOLDEN_FACTORS, 1e-4, rng)
+        dec, err, steps, unrefined = newton_refine(golden_tensor, factors, iters=3)
+        assert steps >= 1 and err <= 1e-12 < unrefined
+        assert dec.normalized and err == backward_error(golden_tensor, dec)
 
-    def test_residual_reduction_factor(self, golden_system):
+    def test_residual_reduction_factor(self, golden_tensor):
         rng = np.random.default_rng(32)
         for _ in range(10):
-            b = np.array([1.0, 0.0, 2.0]) + 1e-5 * rng.standard_normal(3)
-            g = np.array([1.0, 0.0, 0.0]) + 1e-5 * rng.standard_normal(3)
-            pre = np.linalg.norm(evaluate(golden_system, b / np.linalg.norm(b),
-                                          g / np.linalg.norm(g)))
-            nb, ng = newton_refine(golden_system, b, g, iters=3)
-            post = np.linalg.norm(evaluate(golden_system, nb, ng))
-            if pre >= 1e-10:
-                assert post <= 0.1 * pre
+            factors = _perturbed(GOLDEN_FACTORS, 1e-5, rng)
+            _, pre, _, unrefined = newton_refine(golden_tensor, factors, iters=0)
+            _, post, steps, _ = newton_refine(golden_tensor, factors, iters=1)
+            assert pre == unrefined and steps == 1 and post <= 0.1 * pre
 
-    def test_monotone_per_point(self, golden_system):
+    def test_monotone_per_point(self, golden_tensor):
+        """From near and far starting points the error never rises, and each
+        kept step lowers it strictly."""
         rng = np.random.default_rng(33)
         for scale in (1e-1, 1e-3, 1e-6):
-            b = np.array([1.0, 0.0, 2.0]) + scale * rng.standard_normal(3)
-            g = np.array([1.0, 0.0, 0.0]) + scale * rng.standard_normal(3)
-            b /= np.linalg.norm(b)
-            g /= np.linalg.norm(g)
-            pre = np.linalg.norm(evaluate(golden_system, b, g))
-            nb, ng = newton_refine(golden_system, b, g, iters=3)
-            assert np.linalg.norm(evaluate(golden_system, nb, ng)) <= pre
-
-    def test_singular_jacobian_detected(self):
-        f = np.random.default_rng(1).standard_normal((4, 4))
-        system = BilinearSystem(np.array([f, 3 * f]))
-        rng = np.random.default_rng(2)
-        with pytest.raises(SingularJacobian):
-            newton_refine(system, rng.standard_normal(4), rng.standard_normal(4))
+            factors = _perturbed(GOLDEN_FACTORS, scale, rng)
+            errs = [newton_refine(golden_tensor, factors, iters=k)[1:3] for k in range(4)]
+            for (before, kept), (after, more) in zip(errs, errs[1:]):
+                assert after < before if more > kept else after == before
 
 
-def chart_step_reference(system, beta, gamma):
-    """One refinement step in product-of-charts coordinates: the Jacobian
-    restricted to QR bases of the hyperplanes orthogonal to the unit point,
-    applied through an SVD pseudo-inverse cut at NEWTON_RCOND * sigma_1."""
-    def complement(v):
-        return np.linalg.qr(np.column_stack([v, np.eye(v.shape[0])]))[0][:, 1:]
+class TestGaussNewtonStep:
+    """The step with the first mode eliminated against the damped normal
+    equations of the explicit Jacobian (``oracles.gauss_newton_step``)."""
 
-    b = beta / np.linalg.norm(beta)
-    g = gamma / np.linalg.norm(gamma)
-    res = evaluate(system, b, g)
-    chart = scipy.linalg.block_diag(complement(b), complement(g))
-    u, sv, vh = np.linalg.svd(jacobian(system, b, g) @ chart, full_matrices=False)
-    rank = int(np.sum(sv > NEWTON_RCOND * sv[0]))
-    delta = chart @ (vh[:rank].conj().T @ ((u.conj().T @ res)[:rank] / sv[:rank]))
-    nb, ng = b - delta[:system.m + 1], g - delta[system.m + 1:]
-    return nb / np.linalg.norm(nb), ng / np.linalg.norm(ng)
-
-
-class TestNewtonStepAgainstCharts:
-    """The projected-Jacobian step against the product-of-charts step."""
-
-    @pytest.mark.parametrize("shape, r", [((10, 6, 4), 8), ((12, 7, 3), 12),
-                                          ((8, 5, 5), 8)])
+    @pytest.mark.parametrize("shape, r", [((10, 6, 4), 8), ((6, 5, 4, 3), 12),
+                                          ((4, 3, 3, 2, 2), 8), ((3, 9, 7), 4),
+                                          ((4, 8, 3, 6), 3)])
     @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
-    def test_one_step_matches(self, shape, r, scalars):
+    def test_one_step_matches(self, monkeypatch, shape, r, scalars):
         t, dec = random_cpd(shape, r, seed=40, scalars=scalars)
-        system = kernel_flattening(flatten_mode1(t), r, shape[1:])
-        rng = np.random.default_rng(41)
-        for i in range(r):
-            for scale in (1e-2, 1e-4, 1e-6):
-                b, g = (f[:, i] + scale * rng.standard_normal(f.shape[0])
-                        for f in dec.factors[1:])
-                if scalars == COMPLEX:
-                    b = b + 1j * scale * rng.standard_normal(b.shape)
-                    g = g + 1j * scale * rng.standard_normal(g.shape)
-                pre = np.linalg.norm(evaluate(system, b / np.linalg.norm(b),
-                                              g / np.linalg.norm(g)))
-                nb, ng = newton_refine(system, b, g, iters=1)
-                rb, rg = chart_step_reference(system, b, g)
-                # the step was taken, not rejected by the monotone rule
-                assert np.linalg.norm(evaluate(system, nb, ng)) < pre
-                assert np.linalg.norm(nb - rb) <= 1e-13
-                assert np.linalg.norm(ng - rg) <= 1e-13
+        t = add_noise(t, -3, seed=41)
+        rng = np.random.default_rng(42)
+        factors = _perturbed(dec.factors, 0.1, rng)
+        res = t.data - cpd_eval(CPDecomposition(factors)).data
+        # the model change J delta at the default damping; the step itself
+        # is only fixed up to rounding divided by the damping along the
+        # scaling directions, where J vanishes
+        ref, J = gauss_newton_step(factors, res, GN_DAMPING)
+        step = np.concatenate([d.ravel() for d in recovery._gn_step(factors, res)])
+        assert np.linalg.norm(J @ (step - np.concatenate(ref))) <= 1e-12 * np.linalg.norm(
+            J @ np.concatenate(ref))
+        # the step itself where the damping makes the equations well posed
+        monkeypatch.setattr(recovery, "GN_DAMPING", 1e-2)
+        ref, _ = gauss_newton_step(factors, res, 1e-2)
+        for d, e in zip(recovery._gn_step(factors, res), ref):
+            assert np.linalg.norm(d.ravel() - e) <= 1e-12 * np.linalg.norm(np.concatenate(ref))
+
+    def test_noisy_order5_reaches_the_noise(self):
+        """Recovered through a grouping, this draw fits to 2.96e-8; one joint
+        step on the ungrouped factors brings it under the noise level."""
+        t, _ = random_cpd((4, 4, 3, 3, 3), 16, seed=300)
+        noisy = add_noise(t, -10, seed=400)
+        _, info = decompose_with_info(noisy, 16, DecomposeOptions(seed=0))
+        assert info["unrefined_backward_error"] > 1e-8
+        assert info["backward_error"] <= 1e-10
+
+    def test_complex_reaches_the_noise(self):
+        t, _ = random_cpd((50, 10, 5), 10, seed=700, scalars=COMPLEX)
+        noisy = add_noise(t, -15, seed=800)
+        _, info = decompose_with_info(noisy, 10, DecomposeOptions(seed=0))
+        assert info["backward_error"] <= 1e-15
+
+    def test_schur_complement_that_does_not_fit_keeps_the_iterate(self, monkeypatch):
+        """(9, 6, 5) at rank 5 takes the pencil, whose 25 x 25 cokernel buffer
+        fits in 10 kB; the 50 x 50 Schur complement of a step does not, so
+        refinement returns the recovered factors."""
+        t, _ = random_cpd((9, 6, 5), 5, seed=1)
+        noisy = add_noise(t, -8, seed=2)
+        monkeypatch.setattr(polysys, "_physical_memory", lambda: 10_000)
+        plain, plain_info = decompose_with_info(noisy, 5, DecomposeOptions(newton_iters=0))
+        dec, info = decompose_with_info(noisy, 5)
+        assert info["path"] == "pencil" and info["refinement_steps"] == 0
+        assert info["backward_error"] == plain_info["backward_error"]
+        assert all(np.array_equal(a, b) for a, b in zip(dec.factors, plain.factors))
+
+    def test_tall_modes_keep_the_schur_complement_small(self, monkeypatch):
+        """Modes 2 and 3 of (6, 40, 30) at rank 5 enter the Schur complement
+        with 5 rows each: 50 x 50 fits in 100 kB, where the 350 x 350 of the
+        raw dimensions would not."""
+        t, _ = random_cpd((6, 40, 30), 5, seed=3)
+        noisy = add_noise(t, -8, seed=4)
+        monkeypatch.setattr(polysys, "_physical_memory", lambda: 100_000)
+        _, info = decompose_with_info(noisy, 5)
+        assert info["refinement_steps"] >= 1
+        assert info["backward_error"] < info["unrefined_backward_error"]
+
+    def test_factorization_failure_keeps_the_iterate(self, monkeypatch):
+        t, _ = random_cpd((12, 7, 3), 12, seed=53)
+        noisy = add_noise(t, -8, seed=54)
+        # the SVD cokernel, so that only the refinement factors anything
+        plain, plain_info = decompose_with_info(
+            noisy, 12, DecomposeOptions(kernel="svd", newton_iters=0))
+
+        def not_definite(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+        monkeypatch.setattr(scipy.linalg, "cho_factor", not_definite)
+        dec, info = decompose_with_info(noisy, 12, DecomposeOptions(kernel="svd"))
+        assert info["refinement_steps"] == 0
+        assert info["backward_error"] == plain_info["backward_error"]
+        assert all(np.array_equal(a, b) for a, b in zip(dec.factors, plain.factors))
 
 
 def _draw(rng, shape, scalars):
@@ -190,56 +226,6 @@ class TestStackedAgainstLoops:
         with pytest.raises(AmbiguousKernel, match="point 1: second-smallest"):
             solve_gamma(system, factors[1])
 
-    @pytest.mark.parametrize("e", [None, -10, -5])
-    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
-    def test_newton_mixed_batch(self, scalars, e):
-        """True points (at the rounding floor when exact), a far point whose
-        first step is rejected, and perturbed points, in one call."""
-        system, B, G = _noisy_system((8, 4, 3), 6, 71, scalars, e)
-        rng = np.random.default_rng(73)
-        for k in range(100):
-            b, g = B[:, k % 6] + _draw(rng, 4, scalars), G[:, k % 6] + _draw(rng, 3, scalars)
-            if np.array_equal(newton_refine_point(system, b, g, 1)[0], b / np.linalg.norm(b)):
-                break
-        else:
-            pytest.fail("no rejected step among the drawn points")
-        betas = np.column_stack([B, B + 1e-4 * _draw(rng, B.shape, scalars), b])
-        gammas = np.column_stack([G, G + 1e-4 * _draw(rng, G.shape, scalars), g])
-        unit_b, unit_g = B / np.linalg.norm(B, axis=0), G / np.linalg.norm(G, axis=0)
-        floor = 10 * np.finfo(float).eps * np.sqrt(system.s)
-        at_floor = np.linalg.norm(evaluate(system, unit_b, unit_g), axis=0) <= floor
-        assert at_floor.all() == (e is None)
-        nb, ng = newton_refine(system, betas, gammas, iters=3)
-        if e is None:
-            # points at the floor take no step
-            assert np.array_equal(nb[:, :6], unit_b) and np.array_equal(ng[:, :6], unit_g)
-        for i in range(13):
-            ob, og = newton_refine_point(system, betas[:, i], gammas[:, i], iters=3)
-            assert np.linalg.norm(nb[:, i] - ob) <= 1e-10
-            assert np.linalg.norm(ng[:, i] - og) <= 1e-10
-        # the rejected point stays where it was
-        assert np.linalg.norm(nb[:, -1] - b / np.linalg.norm(b)) <= 1e-15
-
-    def test_newton_one_singular_point_raises(self):
-        # y_0 appears in no form, so at a point with g_0 = 0 the direction
-        # e_{y_0} is a third kernel vector of the projected Jacobian
-        rng = np.random.default_rng(76)
-        coeffs = rng.standard_normal((8, 4, 4))
-        coeffs[:, :, 0] = 0
-        system = BilinearSystem(coeffs)
-        betas, gammas = rng.standard_normal((4, 7)), rng.standard_normal((4, 7))
-        gammas[0, 4] = 0
-        # one step: further steps drift towards g = e_0, where every form
-        # vanishes identically
-        for i in range(7):
-            if i == 4:
-                with pytest.raises(SingularJacobian):
-                    newton_refine_point(system, betas[:, i], gammas[:, i], iters=1)
-            else:
-                newton_refine_point(system, betas[:, i], gammas[:, i], iters=1)
-        with pytest.raises(SingularJacobian, match="point 4: chart Jacobian rank 5 < 6"):
-            newton_refine(system, betas, gammas, iters=1)
-
     @pytest.mark.parametrize("shape", [(3, 2, 4, 2), (5,), (4, 6)])
     @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
     def test_rank1_factorization_columns(self, shape, scalars):
@@ -255,15 +241,14 @@ class TestStackedAgainstLoops:
 
 
 class TestBackEndCalls:
-    """A decomposition solves all points in one solve_gamma call and
-    polishes them in one newton_refine call, with one stacked Jacobian per
-    step."""
+    """A decomposition solves all points in one solve_gamma call and fits the
+    factors, refining them or not, in one newton_refine call."""
 
     @pytest.mark.parametrize("shape, r", [((9, 6, 5), 5), ((12, 7, 3), 12),
                                           ((4, 4, 3, 3), 6)])
     @pytest.mark.parametrize("newton_iters", [0, 3])
     def test_one_call_per_candidate_set(self, monkeypatch, shape, r, newton_iters):
-        calls = {"solve_gamma": 0, "newton_refine": 0, "jacobian": 0}
+        calls = {"solve_gamma": 0, "newton_refine": 0}
 
         def counting(name):
             original = getattr(recovery, name)
@@ -278,8 +263,7 @@ class TestBackEndCalls:
         _, info = decompose_with_info(t, r, DecomposeOptions(newton_iters=newton_iters))
         assert info["backward_error"] <= 1e-10
         assert calls["solve_gamma"] == 1
-        assert calls["newton_refine"] == (newton_iters > 0)
-        assert calls["jacobian"] <= newton_iters
+        assert calls["newton_refine"] == 1
 
 
 class TestSolveAlpha:
@@ -527,53 +511,40 @@ class TestNoise:
 
 
 class TestCandidates:
-    """The driver fits every candidate point set, refined first, and returns
-    the one with the smallest backward error together with its own alpha
-    residual."""
+    """The driver returns one factor set: the recovered factors, refined when
+    a step lowers the backward error.  The alpha residual is that of the
+    recovered, unrefined points."""
 
     def _run(self, newton_iters=3):
         t, _ = random_cpd((12, 7, 3), 12, seed=53)
-        return decompose_with_info(t, 12, DecomposeOptions(seed=2, newton_iters=newton_iters))
+        noisy = add_noise(t, -8, seed=54)
+        return decompose_with_info(noisy, 12, DecomposeOptions(seed=2, newton_iters=newton_iters))
 
     def test_alpha_residual_describes_the_returned_factors(self, monkeypatch):
         unrefined, plain = self._run(newton_iters=0)
-        refine = recovery.newton_refine
+        _, refined = self._run()
+        assert refined["refinement_steps"] >= 1
+        assert refined["backward_error"] < plain["backward_error"]
+        assert refined["alpha_residual"] == plain["alpha_residual"]
+        assert refined["unrefined_backward_error"] == plain["backward_error"]
+        step = recovery._gn_step
 
-        def worse(system, beta, gamma, iters=3):
-            b, g = refine(system, beta, gamma, iters)
-            return b + 1e-3, g
-        monkeypatch.setattr(recovery, "newton_refine", worse)
+        def worse(factors, res):
+            return [d + 1e-3 for d in step(factors, res)]
+        monkeypatch.setattr(recovery, "_gn_step", worse)
         dec, info = self._run()
+        assert info["refinement_steps"] == 0
         assert all(np.array_equal(a, b) for a, b in zip(dec.factors, unrefined.factors))
         assert info["backward_error"] == plain["backward_error"]
         assert info["alpha_residual"] == plain["alpha_residual"]
 
-    def test_candidate_that_cannot_be_fitted_is_skipped(self, monkeypatch):
-        unrefined, plain = self._run(newton_iters=0)
-        fit = recovery.solve_alpha
-        calls = []
-
-        def first_fails(flat, betas, gammas):
-            calls.append(1)
-            if len(calls) == 1:
-                raise RankDeficientKR("injected")
-            return fit(flat, betas, gammas)
-        monkeypatch.setattr(recovery, "solve_alpha", first_fails)
-        dec, info = self._run()
-        assert len(calls) == 2
-        assert all(np.array_equal(a, b) for a, b in zip(dec.factors, unrefined.factors))
-        assert info["alpha_residual"] == plain["alpha_residual"]
-
     def test_error_when_no_candidate_fits(self, monkeypatch):
-        messages = iter(["refined", "unrefined"])
-
         def never_fits(flat, betas, gammas):
-            raise RankDeficientKR(next(messages))
+            raise RankDeficientKR("injected")
         monkeypatch.setattr(recovery, "solve_alpha", never_fits)
-        with pytest.raises(RankDeficientKR) as exc:
+        with pytest.raises(RankDeficientKR, match="injected") as exc:
             self._run()
         assert exc.value.stage == "recovery"
-        assert "refined" in str(exc.value) and "unrefined" not in str(exc.value)
 
     def test_rank_one_has_no_alpha_residual(self):
         t, _ = random_cpd((6, 5, 4), 1, seed=40)
