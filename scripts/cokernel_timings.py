@@ -26,12 +26,17 @@ of its own and which have no ``lower_chain``; that part then reads 0.
 The package is imported from the ``src`` directory next to this script,
 so a copy of the script in another checkout measures that checkout.
 
-``--crossover`` instead times ``left_nullspace`` by ``svd`` and by ``eigs``
-on the shift matrix of every normal-form instance of the perfbench
-``nf-small`` workload, plus (12,7,3) r=12 and (50,10,5) r=20, drawn with
-the first seed: the warm median of ``--repeats`` calls after one cold call,
-in one fresh process with one BLAS thread.  The entry count where ``eigs``
-becomes the faster method sets ``EIGS_ENTRY_THRESHOLD``.
+``--crossover`` instead times ``left_nullspace`` by ``svd``, by ``eigs``
+and by ``auto`` on the shift matrix of every normal-form instance of the
+perfbench ``nf-small`` workload, plus (12,7,3) r=12 and (50,10,5) r=20,
+drawn with the first seed: the warm median of ``--repeats`` calls after
+one cold call, in one fresh process with one BLAS thread.  The entry count
+where ``eigs`` becomes the faster method sets ``EIGS_ENTRY_THRESHOLD``.
+Each cell also gives rows - cols - r of its shift matrix (0 at the rank
+bound) and the route ``auto`` took, seen from the functions it called:
+``cokernel`` (the known row space), ``svd``, ``gram`` (the block
+iteration; ``gram+svd`` when it fell back) or ``complement`` (neither; at
+the bound, ``svd`` means the complement fell back).
 
     python3 scripts/cokernel_timings.py --seeds 101,102,103,104,105 --repeats 3
     python3 scripts/cokernel_timings.py --crossover --seeds 101 --repeats 7
@@ -148,7 +153,7 @@ def measure(shape, r, seeds, repeats):
 
 def crossover(seed, repeats):
     sys.path.insert(0, str(ROOT / "src"))
-    from cpdhnf import (DecomposeOptions, decompose_with_info, left_nullspace,
+    from cpdhnf import (DecomposeOptions, decompose_with_info, left_nullspace, polysys,
                         random_cpd, rank_bound, recovery)
 
     cases = []
@@ -166,14 +171,28 @@ def crossover(seed, repeats):
         return built[-1]
 
     recovery.build_resultant = recording
+    route = []
+
+    def routed(name, fn):
+        def wrapper(*args, **kwargs):
+            route.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    polysys._nullspace_svd = routed("svd", polysys._nullspace_svd)
+    polysys._block_iteration = routed("gram", polysys._block_iteration)
     rows = []
     for shape, r in cases:
         built.clear()
         decompose_with_info(random_cpd(shape, r, seed=seed)[0], r, DecomposeOptions(kernel="svd"))
         res = built[0]
+        route.clear()
+        N = left_nullspace(res, r)
+        taken = "cokernel" if N is res.cokernel else "+".join(route) or "complement"
         row = {"shape": list(shape), "rank": r, "shift_matrix": list(res.shape),
-               "entries": res.shape[0] * res.shape[1]}
-        for method in ("svd", "eigs"):
+               "entries": res.shape[0] * res.shape[1],
+               "excess_over_rank": res.shape[0] - res.shape[1] - r, "auto_route": taken}
+        for method in ("svd", "eigs", "auto"):
             times = []
             for _ in range(repeats + 1):
                 t0 = time.perf_counter()
@@ -190,7 +209,7 @@ def main():
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--shape", default=None, help="measure one shape in this process")
     parser.add_argument("--crossover", action="store_true",
-                        help="time svd against eigs on the nf-small shift matrices")
+                        help="time svd, eigs and auto on the nf-small shift matrices")
     parser.add_argument("--in-process", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     seeds = [int(tok) for tok in args.seeds.split(",")]

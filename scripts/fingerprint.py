@@ -6,10 +6,11 @@ real/complex) and saves, per run, the returned factors and ``info`` with
 the timings dropped (only the names of the timed stages are kept), or the
 type, stage and message of the ``CpdError`` it raised.  The set covers the
 automatic degrees, forced degrees and paths, both nullspace methods (on
-the normal form and on the pencil), noisy inputs, refinement off, orders 4
-and 5, rank 1 and every typed failure ``decompose`` tags with a stage.  It
-also saves a fixed set of certifier outcomes, which are exact: the 81 degree-2
-certificates of acceptance criterion 5 and the Hilbert values of
+the normal form and on the pencil), shift matrices at the rank bound, noisy
+inputs, refinement off, orders 4 and 5, rank 1 and every typed failure
+``decompose`` tags with a stage.  It also saves a fixed set of certifier
+outcomes, which are exact: the 81 degree-2 certificates of acceptance
+criterion 5 and the Hilbert values of
 (m, n, r) = (6, 4, 20) at degree (3, 2) (seeds 0-2) and of criterion 11's
 (5, 5, 3) cell at degree (3, 3).
 The package is imported from the ``src`` directory next to this script, so
@@ -47,6 +48,10 @@ RUNS = {
     "nf-20x8x4-r20": ((20, 8, 4), 20, {}, None),
     "nf-50x10x5-r30": ((50, 10, 5), 30, {}, None),
     "nf-12x7x3-r12-noisy": ((12, 7, 3), 12, {}, -10),
+    # at the rank bound: shift matrices with exactly r more rows than
+    # columns, one above the Gram route's entry count and one noisy
+    "bound-32x8x8-r32": ((32, 8, 8), 32, {}, None),
+    "bound-21x7x6-r21-noisy": ((21, 7, 6), 21, {}, -8),
     "pencil-9x6x5-r5": ((9, 6, 5), 5, {}, None),
     "pencil-20x8x4-r8-noisy": ((20, 8, 4), 8, {}, -8),
     "degree-1x5": ((12, 7, 3), 12, {"degree": (1, 5)}, None),

@@ -4,7 +4,8 @@ Every threshold the pipeline checks is a constant here.  The Gram
 eigensolver stops within 25 steps, once the r nullspace pairs reach
 relative residual 1e-6 and pair r+1, which the gap test reads, reaches
 1e-3; under ``kernel="auto"`` it takes over from the dense SVD at 20,000
-entries, and hands back to it, with a warning, when it cannot certify the
+entries off the rank bound (at it, one QR gives the cokernel at any
+size), and hands back to it, with a warning, when it cannot certify the
 corank.  That crossover was measured again after the Gram route came to
 apply the shift matrix through its shift table and to split it along x_0,
 in three runs of ``scripts/cokernel_timings.py --crossover --seeds 101
@@ -34,7 +35,7 @@ EIGS_TOL = 1e-6        # relative residual ||F^-1 x - mu x|| / |mu| of the r
                        # returned Ritz pairs of the block inverse iteration;
                        # pair r+1 stops at its square root
 EIGS_MAXITER = 25      # step cap of the block iteration; then it gives up
-EIGS_ENTRY_THRESHOLD = 20_000   # auto uses the Gram eigensolver from here
+EIGS_ENTRY_THRESHOLD = 20_000   # off the rank bound, auto uses the Gram eigensolver from here
 
 # basis choice and multiplication matrices
 PIV_REL = 1e-8         # smallest/largest pivot ratio in the QR

@@ -11,7 +11,9 @@ with d >= 2 the basis puts x_0 first, so R = [[R_{d-1}, B], [0, D]]
 after a column reordering, and the Gram is that of the smaller stacked
 matrix [N B; D], with N from a chain of exact QR steps down the degrees
 (the recursive orthogonalization of Batselier, Dreesen and De Moor, J.
-Comput. Appl. Math. 2014); R is the stacked matrix with no border.  The
+Comput. Appl. Math. 2014); R is the stacked matrix with no border.  At
+the rank bound, where R has exactly r more rows than columns, the same
+exact QR step on the top level gives the nullspace, with no Gram.  The
 Gram, its projections and the nullspace residual are formed one block
 per shift, with no sparse matrix.  At degree (1, 1) the nullspace is the
 flattening row space, which the kernel's SVD already holds.  scipy is
@@ -155,7 +157,8 @@ class StackedMatrix:
         return self.nrows, self.table.shape[0] * self.forms.shape[0]
 
     def toarray(self):
-        out = np.zeros(self.shape, dtype=self.forms.dtype)
+        """Dense S in Fortran order, so a QR can overwrite it in place."""
+        out = np.zeros(self.shape, dtype=self.forms.dtype, order="F")
         if self.top is not None:
             out[:len(self.top)] = self.top.reshape(len(self.top), -1)
         cols = np.arange(self.shape[1]).reshape(len(self.table), -1, 1)
@@ -277,31 +280,34 @@ def left_nullspace(res, r, method="auto"):
     """Orthonormal rows spanning the left nullspace of the shift matrix.
 
     ``svd`` runs a full dense SVD and keeps the last r left singular
-    vectors.  ``eigs`` forms a dense Gram matrix G from the shift table:
-    S S^H of the top level's stacked matrix S = [N B; D] when R splits
-    along x_0 (``lower_chain``, which gives N), else R R^H for forced
-    degrees where it does not.  It adds 1e-8 ||G||_F to the diagonal and
-    Cholesky-factors G in place, then runs inverse subspace iteration on a
-    block of 2k columns (k = r + 3) with Rayleigh-Ritz on Q^H G Q, also
-    formed per shift, until the r smallest Ritz pairs have relative
-    residual EIGS_TOL and pair r + 1, whose Ritz value the gap test reads,
-    has EIGS_TOL ** 0.5; S's null rows [c, v] lift to [c N, v].  The gap
-    test reads the factored G: S S^H = P R R^H P^H with P = diag(N, I) of
-    orthonormal rows, so it has R's corank, and by Cauchy interlacing each
-    eigenvalue is at least R R^H's of the same index.
+    vectors.  ``eigs`` works on the top level's stacked matrix S = [N B; D]
+    when R splits along x_0 (``lower_chain``, which gives N), else on R
+    itself for forced degrees where it does not; S's null rows [c, v] lift
+    to [c N, v].  At the rank bound, where R (and so S) has exactly r more
+    rows than columns, the nullspace is the ``_complement`` of S's
+    columns: one Householder QR and no gap decision.  Off the bound it
+    forms the dense Gram G = S S^H from the shift table, adds 1e-8 ||G||_F
+    to the diagonal and Cholesky-factors G in place, then runs inverse
+    subspace iteration on a block of 2k columns (k = r + 3) with
+    Rayleigh-Ritz on Q^H G Q, also formed per shift, until the r smallest
+    Ritz pairs have relative residual EIGS_TOL and pair r + 1, whose Ritz
+    value the gap test reads, has EIGS_TOL ** 0.5.  The gap test reads the
+    factored G: S S^H = P R R^H P^H with P = diag(N, I) of orthonormal
+    rows, so it has R's corank, and by Cauchy interlacing each eigenvalue
+    is at least R R^H's of the same index.
     ``auto`` returns a known ``cokernel`` of r rows (at (1, 1), the row
     space ``kernel_flattening`` computed and certified), else uses
-    ``eigs`` at or above ``EIGS_ENTRY_THRESHOLD`` (in ``config``) matrix
-    entries and ``svd`` below; when the eigensolver cannot certify the
-    corank (no gap, a failed factorization, or no convergence in
-    EIGS_MAXITER steps) it falls back to the dense SVD and warns with the
-    eigensolver's detail.
+    ``eigs`` at the rank bound or at or above ``EIGS_ENTRY_THRESHOLD`` (in
+    ``config``) matrix entries and ``svd`` below; when ``eigs`` cannot
+    certify the corank (a small QR diagonal, no gap, a failed
+    factorization, or no convergence in EIGS_MAXITER steps) it falls back
+    to the dense SVD and warns with the detail.
     Raises CorankMismatch when the spectrum does not show a corank-r gap,
     which signals a degree outside the regularity or a misspecified rank;
     under ``auto`` only when the SVD agrees.  Raises InsufficientMemory,
-    with no fallback, when the dense Gram or the dense SVD cannot be
-    allocated.  Every method's result is checked by ||N R||_F / ||R||_F,
-    computed from the shift table; above NULL_REL it warns.
+    with no fallback, when the dense S, Gram or SVD cannot be allocated.
+    Every method's result is checked by ||N R||_F / ||R||_F, computed from
+    the shift table; above NULL_REL it warns.
     """
     nrows, ncols = res.shape
     if res.s == 0 or ncols == 0:
@@ -318,7 +324,8 @@ def left_nullspace(res, r, method="auto"):
         raise ValueError(f"unknown nullspace method {method!r}")
     if method == "auto" and res.cokernel is not None and len(res.cokernel) == r:
         N = res.cokernel
-    elif method == "svd" or (method == "auto" and nrows * ncols < EIGS_ENTRY_THRESHOLD):
+    elif method == "svd" or (method == "auto" and nrows - ncols < r
+                             and nrows * ncols < EIGS_ENTRY_THRESHOLD):
         N = _nullspace_svd(res, r)
     else:
         try:
@@ -424,39 +431,50 @@ def lower_chain(res, r):
     r more rows than columns.  Level 1, (1, e), has no column on its rows
     with x_0, so the chain starts from the identity there.  Each level is
     tall and of full column rank, so its left nullspace needs no rank
-    decision: it is the last rows - cols columns of the Q of a Householder
-    QR of the dense stacked matrix, applied to those columns only.  A QR
-    diagonal below RANK_REL times its largest entry raises CorankMismatch.
+    decision: it is the ``_complement`` of its stacked matrix.
     """
-    import scipy.linalg
     (d, e), m, n = res.degree, res.m, res.n
     if d < 2 or any(hilbert_dim(m, n, k, e) - res.s * hilbert_dim(m, n, k - 1, e - 1) < r
                     for k in range(1, d)):
         return None
     N = np.eye(hilbert_dim(m, n, 0, e), dtype=res.forms.dtype)
     for k in range(1, d):
-        S = _stacked(res, k, N).toarray()
-        rows, cols = S.shape
-        (qr, tau), _ = scipy.linalg.qr(S, mode="raw", overwrite_a=True, check_finite=False)
-        diag = np.abs(np.diagonal(qr))
-        if diag.min() < RANK_REL * diag.max():
-            raise CorankMismatch(f"degree-({k}, {e}) level is rank deficient: QR diagonal "
-                                 f"{diag.min():.2e} below {RANK_REL:.0e} x {diag.max():.2e}")
-        ormqr = scipy.linalg.get_lapack_funcs("ormqr", (qr,))
-        trailing = np.zeros((rows, rows - cols), dtype=qr.dtype, order="F")
-        trailing[cols:] = np.eye(rows - cols)
-        lwork = int(ormqr("L", "N", qr, tau, trailing, -1)[1][0].real)
-        trailing = ormqr("L", "N", qr, tau, trailing, lwork, overwrite_c=True)[0]
-        N = _lift(trailing.conj().T, N)
+        N = _lift(_complement(_stacked(res, k, N), f"degree-({k}, {e}) level"), N)
     return N
 
 
+def _complement(S, name):
+    """Orthonormal rows spanning the left nullspace of a StackedMatrix S of
+    full column rank: the last rows - cols columns of the Q of a
+    Householder QR of dense S, applied to those columns only.  A QR
+    diagonal below RANK_REL times its largest entry raises CorankMismatch
+    naming S; a dense S that cannot be allocated, InsufficientMemory."""
+    import scipy.linalg
+    rows, cols = S.shape
+    try:
+        (qr, tau), _ = scipy.linalg.qr(S.toarray(), mode="raw", overwrite_a=True,
+                                       check_finite=False)
+    except MemoryError as exc:
+        raise dense_too_large(S.shape, S.forms.dtype) from exc
+    diag = np.abs(np.diagonal(qr))
+    if diag.min() < RANK_REL * diag.max():
+        raise CorankMismatch(f"{name} is rank deficient: QR diagonal "
+                             f"{diag.min():.2e} below {RANK_REL:.0e} x {diag.max():.2e}")
+    ormqr = scipy.linalg.get_lapack_funcs("ormqr", (qr,))
+    trailing = np.zeros((rows, rows - cols), dtype=qr.dtype, order="F")
+    trailing[cols:] = np.eye(rows - cols)
+    lwork = int(ormqr("L", "N", qr, tau, trailing, -1)[1][0].real)
+    return ormqr("L", "N", qr, tau, trailing, lwork, overwrite_c=True)[0].conj().T
+
+
 def _nullspace_eigs(res, r):
-    """Block iteration on R, or on its stacked top level when R splits."""
+    """The complement of the columns of R's stacked top level at the rank
+    bound, else block iteration on it; R itself when R does not split."""
     lower = lower_chain(res, r)
-    if lower is None:
-        return _block_iteration(res, r)
-    return _lift(_block_iteration(_stacked(res, res.degree.d, lower), r), lower)
+    top = res if lower is None else _stacked(res, res.degree.d, lower)
+    N = (_complement(top, f"degree-{tuple(res.degree)} shift matrix")
+         if res.shape[0] - res.shape[1] == r else _block_iteration(top, r))
+    return N if lower is None else _lift(N, lower)
 
 
 def _block_iteration(res, r):

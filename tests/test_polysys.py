@@ -6,7 +6,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from cpdhnf import (COMPLEX, REAL, BilinearSystem, CorankMismatch,
-                    DecomposeOptions, FlatteningRankMismatch, build_resultant,
+                    DecomposeOptions, FlatteningRankMismatch, InsufficientMemory,
+                    build_resultant,
                     decompose_with_info, evaluate, flatten_mode1, jacobian,
                     kernel_flattening, left_nullspace, monomial_basis, polysys,
                     random_cpd, recovery)
@@ -460,9 +461,11 @@ class TestSplitAlongX0:
             assert subspace_distance(split, exact) <= 3 * subspace_distance(svd, exact)
 
     def test_nf_small_gram_cells(self, monkeypatch):
-        """The cells of the nf-small benchmark workload that auto sends to
-        the Gram route: four at (2, 1) and the grouped order-5 one at
-        (3, 1)."""
+        """The cells of the nf-small benchmark workload at or above the Gram
+        route's entry count: four at (2, 1) and the grouped order-5 one at
+        (3, 1).  (24,8,6), (28,8,7) and (32,8,8) sit at the rank bound, so
+        eigs takes the complement of the stacked matrix's columns there;
+        (24,7,7) and the order-5 cell take the Gram."""
         built = []
         build = recovery.build_resultant
 
@@ -579,6 +582,108 @@ class TestSplitAlongX0:
         SHQ = dense.conj().T @ Q
         want = SHQ.conj().T @ SHQ
         assert np.linalg.norm(S.projected_gram(Q) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def at_bound(res, r):
+    return res.shape[0] - res.shape[1] == r
+
+
+class TestComplementAtTheBound:
+    """At the rank bound, where the shift matrix has exactly r more rows
+    than columns, auto and eigs take the complement of the columns of its
+    stacked top level (of R itself when R does not split), against the
+    dense SVD nullspace."""
+
+    @pytest.mark.parametrize("shape, r", [((12, 6, 4), 12), ((21, 7, 6), 21),
+                                          ((32, 8, 8), 32)])
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    @pytest.mark.parametrize("e", [None, -12, -8, -5])
+    @pytest.mark.filterwarnings("ignore:nullspace residual")
+    def test_matches_svd(self, shape, r, scalars, e):
+        t, _ = random_cpd(shape, r, seed=12, scalars=scalars)
+        res = solved_resultant(add_noise(t, e, seed=13), shape, r, (2, 1))
+        assert at_bound(res, r) and polysys.lower_chain(res, r) is not None
+        svd = left_nullspace(res, r, "svd")
+        for method in ("auto", "eigs"):
+            N = left_nullspace(res, r, method)
+            assert np.linalg.norm(N @ N.conj().T - np.eye(r)) <= 1e-12
+            assert np.isrealobj(N) == (scalars == REAL)
+            assert subspace_distance(N, svd) <= 1e-10
+
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    def test_pencil_matrix_under_eigs(self, scalars):
+        """The pencil's (1, 1) matrix is always at the bound and does not
+        split: eigs factors R itself."""
+        t, _ = random_cpd((30, 20, 20), 20, seed=25, scalars=scalars)
+        res = build_resultant(kernel_flattening(flatten_mode1(t), 20, (20, 20)), (1, 1))
+        assert at_bound(res, 20) and polysys.lower_chain(res, 20) is None
+        N = left_nullspace(res, 20, "eigs")
+        assert np.linalg.norm(N @ N.conj().T - np.eye(20)) <= 1e-12
+        assert subspace_distance(N, res.cokernel) <= 1e-10
+        assert subspace_distance(N, left_nullspace(res, 20, "svd")) <= 1e-10
+
+    @pytest.mark.parametrize("shape, r", [((12, 6, 4), 12), ((32, 8, 8), 32)])
+    def test_auto_takes_neither_svd_nor_gram(self, shape, r, monkeypatch):
+        """(12,6,4) is below the Gram route's entry count and (32,8,8)
+        above it; at the bound auto runs neither the SVD nor the block
+        iteration, and warns of nothing."""
+        t, _ = random_cpd(shape, r, seed=14)
+        res = solved_resultant(t, shape, r, (2, 1))
+        want = left_nullspace(res, r, "svd")
+
+        def refuse(*args):
+            raise AssertionError("off the complement route")
+
+        monkeypatch.setattr(polysys, "_nullspace_svd", refuse)
+        monkeypatch.setattr(polysys, "_block_iteration", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            N = left_nullspace(res, r)
+        assert subspace_distance(N, want) <= 1e-10
+
+    @pytest.mark.parametrize("degree", [(1, 1), (2, 1)])
+    def test_lost_column_rank(self, degree, monkeypatch):
+        """Two equal forms cost R a column's rank: eigs raises, and auto
+        hands the decision to the SVD, which raises too.  At (1, 1) the
+        check on R itself decides; at (2, 1) the chain's first level does."""
+        t, _ = random_cpd((12, 6, 4), 12, seed=15)
+        coeffs = solved_resultant(t, (12, 6, 4), 12, (2, 1)).forms.reshape(-1, 6, 4).copy()
+        coeffs[-1] = coeffs[0]
+        res = build_resultant(BilinearSystem(coeffs), degree)
+        assert at_bound(res, 12) and res.cokernel is None
+        with pytest.raises(CorankMismatch, match="rank deficient"):
+            left_nullspace(res, 12, "eigs")
+        with pytest.raises(CorankMismatch):
+            left_nullspace(res, 12, "svd")
+        svd_calls = []
+        nullspace_svd = polysys._nullspace_svd
+
+        def counting_svd(res, r):
+            svd_calls.append(r)
+            return nullspace_svd(res, r)
+
+        monkeypatch.setattr(polysys, "_nullspace_svd", counting_svd)
+        with pytest.raises(CorankMismatch):
+            left_nullspace(res, 12)
+        assert svd_calls == [12]
+
+    def test_dense_stacked_matrix_out_of_memory(self, monkeypatch):
+        """A dense S that cannot be allocated is InsufficientMemory, with no
+        fallback, as for the Gram."""
+        t, _ = random_cpd((12, 6, 4), 12, seed=16)
+        res = solved_resultant(t, (12, 6, 4), 12, (2, 1))
+        qr = scipy.linalg.qr
+
+        def top_out_of_memory(a, *args, **kwargs):
+            # the chain's one level is 24 x 12, the top level 72 x 60
+            if a.shape == (72, 60):
+                raise MemoryError
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", top_out_of_memory)
+        for method in ("auto", "eigs"):
+            with pytest.raises(InsufficientMemory):
+                left_nullspace(res, 12, method)
 
 
 class TestEvaluateJacobian:
