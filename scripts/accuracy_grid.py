@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from cpdhnf import DecomposeOptions, decompose_with_info, random_cpd, rank_bound
+from cpdhnf import DecomposeOptions, certifiable_rank, decompose_with_info, random_cpd
 
 
 def main():
@@ -35,7 +35,7 @@ def main():
     for m1 in range(2, args.max_dim + 1):
         for n1 in range(2, m1 + 1):
             m, n = m1 - 1, n1 - 1
-            r = math.floor(min(rank_bound(m, n, args.degree, 1), m * n))
+            r = certifiable_rank(m, n, args.degree)
             if r < 1:
                 continue
             for seed in range(args.seeds):

@@ -44,7 +44,6 @@ the bound, ``svd`` means the complement fell back).
 
 import argparse
 import json
-import math
 import os
 import platform
 import resource
@@ -153,13 +152,13 @@ def measure(shape, r, seeds, repeats):
 
 def crossover(seed, repeats):
     sys.path.insert(0, str(ROOT / "src"))
-    from cpdhnf import (DecomposeOptions, decompose_with_info, left_nullspace, polysys,
-                        random_cpd, rank_bound, recovery)
+    from cpdhnf import (DecomposeOptions, certifiable_rank, decompose_with_info,
+                        left_nullspace, polysys, random_cpd, recovery)
 
     cases = []
     for m1 in range(2, 9):
         for n1 in range(2, m1 + 1):
-            r = math.floor(min(rank_bound(m1 - 1, n1 - 1, 2, 1), (m1 - 1) * (n1 - 1)))
+            r = certifiable_rank(m1 - 1, n1 - 1, 2)
             if r > m1:
                 cases.append(((r, m1, n1), r))
     cases += [((12, 7, 3), 12), ((50, 10, 5), 20)]

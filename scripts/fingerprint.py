@@ -31,7 +31,6 @@ factor difference after matching.
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -57,8 +56,11 @@ RUNS = {
     "degree-1x5": ((12, 7, 3), 12, {"degree": (1, 5)}, None),
     "degree-4x1": ((12, 7, 3), 12, {"degree": (4, 1)}, None),
     "degree-1x1": ((9, 6, 5), 5, {"degree": (1, 1)}, None),
-    # a forced degree skips the range check that the (3, 3, 2) core fails
+    # the (3, 3, 2) core of (5, 6, 2) has m*n = 2 < 3, as the (6, 2, 6) core
+    # of (6, 2, 8) has 5 < 6; the rank bounds of their degrees still reach r
     "degree-2x1-n2": ((5, 6, 2), 3, {"degree": (2, 1)}, None),
+    "core-below-mn-5x6x2-nf": ((5, 6, 2), 3, {"path": "normal-form"}, None),
+    "core-below-mn-6x2x8": ((6, 2, 8), 6, {}, None),
     "path-normal-form": ((9, 6, 5), 5, {"path": "normal-form"}, None),
     "kernel-svd": ((20, 8, 4), 20, {"kernel": "svd"}, None),
     "kernel-eigs": ((12, 7, 3), 12, {"kernel": "eigs"}, None),
@@ -72,7 +74,6 @@ RUNS = {
     "rank1": ((6, 5, 4), 1, {}, None),
     "error-validation": ((5, 4, 3), 20, {}, None),
     "error-degree": ((9, 6, 5), 8, {"path": "pencil"}, None),
-    "error-degree-range": ((5, 6, 2), 3, {"path": "normal-form"}, None),
     "error-cokernel-corank": ((12, 7, 3), 12, {"degree": (2, 1)}, None),
     "error-kernel": ((8, 5, 4), (6, 7), {}, None),
     "error-cokernel-noisy": ((8, 5, 4), 6, {}, -1),
@@ -105,13 +106,13 @@ def run_one(shape, r, fields, e, seed, scalars):
 
 
 def certifier_outcomes():
-    from cpdhnf import certify_regularity, hilbert_from_points, random_config, rank_bound
+    from cpdhnf import certifiable_rank, certify_regularity, hilbert_from_points, random_config
 
     outcomes = {}
     for m1 in range(2, 11):
         for n1 in range(2, 11):
             m, n = m1 - 1, n1 - 1
-            r = math.floor(min(rank_bound(m, n, 2, 1), m * n))
+            r = certifiable_rank(m, n, 2)
             outcomes[f"certificate/{m},{n},2,{r}"] = certify_regularity(
                 m, n, 2, r, p=8191, trials=3, seed=0)
     for m, n, r, degree, seed in HILBERT_VALUES:

@@ -42,7 +42,6 @@ checkout.
 
 import argparse
 import json
-import math
 import os
 import platform
 import resource
@@ -76,7 +75,7 @@ def case_call(cp, name, seed):
     for m1 in range(2, 11):
         for n1 in range(2, 11):
             m, n = m1 - 1, n1 - 1
-            r = math.floor(min(cp.rank_bound(m, n, 2, 1), m * n))
+            r = cp.certifiable_rank(m, n, 2)
             args.append((m, n, 2, r, _seed(seed, 0, len(args))))
     return lambda: [cp.certify_regularity(m, n, d, r, p=PRIME, trials=3, seed=s)
                     for m, n, d, r, s in args]

@@ -2,8 +2,8 @@
 higher-order) tensors via structured polynomial systems and eigenvalue
 computations, plus finite-field certification of the degree choice."""
 
-from .bigraded import (Bidegree, DegreePlan, MonomialBasis, hilbert_dim,
-                       monomial_basis, rank_bound, select_degree)
+from .bigraded import (Bidegree, DegreePlan, MonomialBasis, certifiable_rank,
+                       hilbert_dim, monomial_basis, rank_bound, select_degree)
 from .config import DecomposeOptions
 from .errors import (AmbiguousKernel, BasisDeficient, ConfigNotInW,
                      CorankMismatch, CpdError, DefectiveEigenvectors,

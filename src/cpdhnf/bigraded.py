@@ -2,12 +2,12 @@
 
 Monomial bases of the graded pieces, the ring's Hilbert function, the
 rational rank bound controlling which bidegrees can work for a given
-number of points, and the solver's rank range check and degree plan.
+number of points, and the rank rules of the solver and the certifier.
 
-The monomial order lives here alone: ``monomial_index`` ranks exponent rows
-in it, and ``shift_table`` maps each shift monomial times each column
-monomial to a row of the (d, e) basis, which is the index map of the shift
-matrix and of every pull-back through its left nullspace.
+The monomial order and the rank rules live here alone: ``shift_table``
+maps each shift monomial times each column monomial to a row of the
+(d, e) basis, the index map of the shift matrix, of every pull-back
+through its left nullspace and of the multiplication maps.
 """
 
 import math
@@ -65,12 +65,6 @@ class MonomialBasis:
     @property
     def exponents(self):
         return _basis_exponents(self.m, self.n, self.degree)
-
-    @property
-    def rows(self):
-        """The exponents as an int64 array of shape (len, m+n+2), x first."""
-        return np.array([a + b for a, b in self.exponents],
-                        dtype=np.int64).reshape(-1, self.m + self.n + 2)
 
     def __len__(self):
         return len(self.exponents)
@@ -186,6 +180,12 @@ def rank_bound(m, n, d, e):
     return Fraction(h11 * hshift - hde, hshift - 1)
 
 
+def certifiable_rank(m, n, d):
+    """The largest rank whose points degree (d, 1) may certify on
+    P^m x P^n: floor(min(rank_bound(m, n, d, 1), m*n))."""
+    return math.floor(min(rank_bound(m, n, d, 1), m * n))
+
+
 class DegreePlan(NamedTuple):
     """Chosen bidegree with its predicted resultant-matrix footprint."""
 
@@ -218,19 +218,26 @@ def select_degree(m, n, r, ell, degree=None, path="auto"):
 
     A forced degree is taken as given.  Otherwise path "pencil", or "auto"
     at ranks up to m+1, takes the pencil shortcut at (1, 1); every other
-    case checks the rank range and compares the smallest workable (d, 1)
-    and (1, e): the lower raised degree wins, matrix size breaks ties, and
-    a residual tie goes to (d, 1).  Mixed degrees with both entries >= 2
-    are never selected automatically.  The pencil needs r <= m+1.
+    case needs r <= ell+1 and compares the lowest (d, 1) and (1, e) whose
+    rank bound reaches r, whichever exist: the lower raised degree wins,
+    matrix size breaks ties, and a residual tie goes to (d, 1).  Mixed
+    degrees with both entries >= 2 are never selected automatically.  The
+    pencil needs r <= m+1.  The core's m*n, which compression can leave
+    below r, is not checked: ``check_rank`` takes the input's own shape.
     """
     if r < 1:
         raise ValueError("rank must be positive")
     if degree is None and (path == "normal-form" or (path == "auto" and r > m + 1)):
-        check_rank((ell + 1, m + 1, n + 1), r)
-        d = next(d for d in range(2, n + 2) if rank_bound(m, n, d, 1) >= r)
-        e = next(e for e in range(2, m + 2) if rank_bound(m, n, 1, e) >= r)
-        return min(_plan(m, n, r, (d, 1)), _plan(m, n, r, (1, e)),
-                   key=lambda plan: (max(plan.degree), plan.rows * plan.cols))
+        if r > ell + 1:
+            raise RankOutOfRange(
+                f"rank {r} exceeds l+1 = {ell + 1} for shape {(ell + 1, m + 1, n + 1)}")
+        plans = [_plan(m, n, r, deg) for deg in (
+            next(((d, 1) for d in range(2, n + 2) if rank_bound(m, n, d, 1) >= r), None),
+            next(((1, e) for e in range(2, m + 2) if rank_bound(m, n, 1, e) >= r), None)) if deg]
+        if not plans:
+            raise RankOutOfRange(
+                f"no (d, 1) or (1, e) has a rank bound reaching {r} for m, n = {m}, {n}")
+        return min(plans, key=lambda plan: (max(plan.degree), plan.rows * plan.cols))
     degree = (1, 1) if degree is None else tuple(degree)
     if degree == (1, 1) and r > m + 1:
         raise RankOutOfRange(f"pencil degree (1, 1) needs rank <= {m + 1}, got {r}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DecomposeOptions
 from .errors import CpdError, RankOutOfRange
-from .bigraded import rank_bound
+from .bigraded import certifiable_rank
 from .recovery import add_noise, decompose_with_info
 from .regcert import DEFAULT_PRIME, certify_regularity
 from .tensors import COMPLEX, REAL, random_cpd
@@ -121,11 +121,6 @@ def cmd_noise_sweep(args):
     return 0
 
 
-def _auto_rank(m, n, d):
-    bound = rank_bound(m, n, d, 1)
-    return int(math.floor(min(bound, m * n)))
-
-
 def cmd_certify(args):
     if args.sweep:
         mmax, nmax = (int(tok) for tok in args.sweep.split(","))
@@ -139,7 +134,7 @@ def cmd_certify(args):
     try:
         ok = True
         for m, n in cells:
-            r = args.r if args.r is not None else _auto_rank(m, n, args.d)
+            r = args.r if args.r is not None else certifiable_rank(m, n, args.d)
             try:
                 cert = certify_regularity(m, n, args.d, r, p=args.p,
                                           trials=args.trials, seed=args.seed)

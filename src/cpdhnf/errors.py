@@ -21,7 +21,8 @@ class CpdError(Exception):
 
 
 class RankOutOfRange(CpdError):
-    """Requested rank violates r <= min(l+1, m*n)."""
+    """Requested rank is out of reach: above min(l+1, m*n), or above the
+    rank bound of every degree the plan may take."""
 
 
 class NoFeasibleGrouping(CpdError):

@@ -5,7 +5,8 @@ ideal's piece in that degree.  Restricting it to a well-conditioned column
 subset turns multiplication by degree-raising polynomials into commuting
 r x r matrices whose joint eigenvalues are homogeneous coordinates of the
 solution points; at degree (1, 1) this is the classical pencil method.
-Every pull-back along a shift reads its columns from
+Every pull-back along a shift, and the shift of each h-monomial by
+each x-variable in the multiplication maps, reads its columns from
 ``bigraded.shift_table``, where the monomial order lives.  scipy is
 imported in the functions that call it.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bigraded import Bidegree, monomial_basis, monomial_index, shift_table
+from .bigraded import Bidegree, hilbert_dim, monomial_basis, shift_table
 from .config import COMM_REL, DIAG_FAIL, DIAG_REL, DIAG_RETRIES, PIV_REL
 from .errors import BasisDeficient, DefectiveEigenvectors
 
@@ -133,8 +134,7 @@ def prenormal_general(N, m, n, degree, rng=None, h0_coeffs=None):
     h0, n_h0 = make_h0(N, m, n, degree, rng=rng, coeffs=h0_coeffs)
     q, tri, piv, cond = choose_basis(n_h0)
     h_degree = _split_degree(degree)[1]
-    h = np.ones(1) if h_degree == (0, 0) else rng.standard_normal(
-        len(monomial_basis(m, n, h_degree)))
+    h = np.ones(1) if h_degree == (0, 0) else rng.standard_normal(hilbert_dim(m, n, *h_degree))
     return PreNormalForm(N, m, n, Bidegree(*degree), h0, h, q, tri, np.asarray(piv), cond)
 
 
@@ -178,10 +178,8 @@ def multiplication_matrices(pnf):
     import scipy.linalg
     r, m, n = pnf.r, pnf.m, pnf.n
     columns, h_degree = _split_degree(pnf.degree)
-    h_rows = monomial_basis(m, n, h_degree).rows
-    x_rows = monomial_basis(m, n, (1, 0)).rows
     # the shift h-monomial * x_k, for every k and every h-monomial
-    shifts = monomial_index(m, n, (h_degree.d + 1, h_degree.e), x_rows[:, None, :] + h_rows)
+    shifts = shift_table(m, n, (h_degree.d + 1, h_degree.e), (1, 0)).T
     # one (h-monomial, basis column) block of N per k; gathering all k at
     # once holds (m+1) times as much and raised the peak RSS of a
     # (40,8,8) r=39 decomposition by 0.3 MiB

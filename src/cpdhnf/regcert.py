@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bigraded import hilbert_dim, rank_bound, shift_table
+from .bigraded import certifiable_rank, hilbert_dim, rank_bound, shift_table
 from .errors import ConfigNotInW, InsufficientMemory, RankOutOfRange
 from .polysys import check_dense_fits, dense_too_large
 
@@ -386,10 +386,9 @@ def certify_regularity(m, n, d, r, p=DEFAULT_PRIME, trials=3, seed=0):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     _check_prime(p)
-    bound = rank_bound(m, n, d, 1)
-    if r > min(bound, m * n):
+    if r > certifiable_rank(m, n, d):
         raise RankOutOfRange(
-            f"rank {r} outside the certifiable range min({bound}, {m * n})"
+            f"rank {r} outside the certifiable range min({rank_bound(m, n, d, 1)}, {m * n})"
         )
     cert = {
         "format": "cpdhnf-cert v1",

@@ -197,12 +197,12 @@ def multiplication_per_variable(pnf):
     """The multiplication family with one gather and one back-substitution
     per x-variable."""
     import scipy.linalg
-    from cpdhnf.bigraded import monomial_basis, monomial_index, shift_table
+    from cpdhnf.bigraded import monomial_index, shift_table
     from cpdhnf.normalform import _split_degree
     r, m, n = pnf.r, pnf.m, pnf.n
     columns, h_degree = _split_degree(pnf.degree)
-    h_rows = monomial_basis(m, n, h_degree).rows
-    x_rows = monomial_basis(m, n, (1, 0)).rows
+    h_rows = exponent_rows(m, n, h_degree)
+    x_rows = exponent_rows(m, n, (1, 0))
     shifts = monomial_index(m, n, (h_degree.d + 1, h_degree.e), x_rows[:, None, :] + h_rows)
     maps = (np.tensordot(pnf.h, pnf.N[:, cols], axes=([0], [1]))
             for cols in shift_table(m, n, pnf.degree, columns)[shifts][..., pnf.basis])
@@ -224,12 +224,20 @@ def rank1_factorization_column(v, shape):
     return sigma, vectors
 
 
+def exponent_rows(m, n, degree):
+    """The exponents of ``monomial_basis(m, n, degree)`` as an int64 array
+    of shape (len, m+n+2), x first."""
+    from cpdhnf.bigraded import monomial_basis
+    return np.array([a + b for a, b in monomial_basis(m, n, degree).exponents],
+                    dtype=np.int64).reshape(-1, m + n + 2)
+
+
 def shift_table_rows(m, n, degree, columns):
     """The shift table with every shift x column exponent row ranked whole
     by ``monomial_index``."""
-    from cpdhnf.bigraded import monomial_basis, monomial_index
-    shifts = monomial_basis(m, n, (degree[0] - columns[0], degree[1] - columns[1])).rows
-    cols = monomial_basis(m, n, columns).rows
+    from cpdhnf.bigraded import monomial_index
+    shifts = exponent_rows(m, n, (degree[0] - columns[0], degree[1] - columns[1]))
+    cols = exponent_rows(m, n, columns)
     return monomial_index(m, n, degree, shifts[:, None, :] + cols)
 
 

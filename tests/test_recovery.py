@@ -345,6 +345,18 @@ class TestDecompose:
         assert info["path"] == "rank-1"
         assert info["backward_error"] <= 1e-13
 
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    @pytest.mark.parametrize("shape, r, path", [((6, 2, 8), 6, "auto"), ((3, 2, 4), 3, "auto"),
+                                                ((5, 6, 2), 3, "normal-form"),
+                                                ((4, 3, 2, 2), 3, "normal-form")])
+    def test_core_below_its_range_decomposes(self, shape, r, path, scalars):
+        """The compressed core (grouped, for order 4) has m*n < r although
+        the input passes validation; the rank bound still reaches r."""
+        t, _ = random_cpd(shape, r, seed=43, scalars=scalars)
+        dec, info = decompose_with_info(t, r, DecomposeOptions(path=path))
+        assert info["path"] == "normal-form"
+        assert info["backward_error"] <= 1e-12
+
     def test_rank_out_of_range(self, golden_tensor):
         with pytest.raises(RankOutOfRange) as exc:
             decompose(golden_tensor, 5)
