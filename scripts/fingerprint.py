@@ -62,6 +62,12 @@ RUNS = {
     "core-below-mn-5x6x2-nf": ((5, 6, 2), 3, {"path": "normal-form"}, None),
     "core-below-mn-6x2x8": ((6, 2, 8), 6, {}, None),
     "path-normal-form": ((9, 6, 5), 5, {"path": "normal-form"}, None),
+    # a mode of size 2 leaves m*n one below r, which the pencil or the rank
+    # bound of the planned degree still reaches
+    "pencil-6x6x2-r6": ((6, 6, 2), 6, {}, None),
+    "pencil-2x2x2-r2": ((2, 2, 2), 2, {}, None),
+    "nf-6x2x6-r6": ((6, 2, 6), 6, {}, None),
+    "order4-4x2x2x2-r4": ((4, 2, 2, 2), 4, {}, None),
     "kernel-svd": ((20, 8, 4), 20, {"kernel": "svd"}, None),
     "kernel-eigs": ((12, 7, 3), 12, {"kernel": "eigs"}, None),
     "pencil-kernel-eigs": ((9, 6, 5), 5, {"kernel": "eigs"}, None),
@@ -72,7 +78,8 @@ RUNS = {
     "order5-noisy": ((4, 4, 3, 3, 3), 16, {}, -10),
     "nf-50x10x5-r10-e15": ((50, 10, 5), 10, {}, -15),
     "rank1": ((6, 5, 4), 1, {}, None),
-    "error-validation": ((5, 4, 3), 20, {}, None),
+    # r above l+1: the degree plan rejects it before any arithmetic
+    "error-degree-range": ((5, 4, 3), 20, {}, None),
     "error-degree": ((9, 6, 5), 8, {"path": "pencil"}, None),
     "error-cokernel-corank": ((12, 7, 3), 12, {"degree": (2, 1)}, None),
     "error-kernel": ((8, 5, 4), (6, 7), {}, None),

@@ -2,7 +2,8 @@
 
 Monomial bases of the graded pieces, the ring's Hilbert function, the
 rational rank bound controlling which bidegrees can work for a given
-number of points, and the rank rules of the solver and the certifier.
+number of points, the certifier's rank cap and the solver's degree plan,
+which alone decides the ranks the solver can reach.
 
 The monomial order and the rank rules live here alone: ``shift_table``
 maps each shift monomial times each column monomial to a row of the
@@ -204,33 +205,28 @@ def _plan(m, n, r, degree):
     return DegreePlan(Bidegree(d, e), path, rows, cols)
 
 
-def check_rank(shape, r):
-    """Raise RankOutOfRange unless rank r is at most min(l+1, m*n) for the
-    order-3 shape (l+1, m+1, n+1): the ranks the solver can reach."""
-    l1, m1, n1 = shape
-    bound = min(l1, (m1 - 1) * (n1 - 1))
-    if r > bound:
-        raise RankOutOfRange(f"rank {r} exceeds min(l+1, m*n) = {bound} for shape {tuple(shape)}")
-
-
 def select_degree(m, n, r, ell, degree=None, path="auto"):
-    """Plan the bidegree and path of a solve on an (ell+1, m+1, n+1) core.
+    """Plan the bidegree and path of a solve on an (ell+1, m+1, n+1) core;
+    the solver's one rule for which ranks it can reach.
 
-    A forced degree is taken as given.  Otherwise path "pencil", or "auto"
-    at ranks up to m+1, takes the pencil shortcut at (1, 1); every other
-    case needs r <= ell+1 and compares the lowest (d, 1) and (1, e) whose
+    Whatever the degree and path, RankOutOfRange comes first when
+    r > ell+1, which compression preserves, or when r >= 2 and a mode has
+    size 1.  A forced degree is then taken as given.  Otherwise path
+    "pencil", or "auto" at ranks up to m+1, takes the pencil shortcut at
+    (1, 1); every other case compares the lowest (d, 1) and (1, e) whose
     rank bound reaches r, whichever exist: the lower raised degree wins,
     matrix size breaks ties, and a residual tie goes to (d, 1).  Mixed
     degrees with both entries >= 2 are never selected automatically.  The
-    pencil needs r <= m+1.  The core's m*n, which compression can leave
-    below r, is not checked: ``check_rank`` takes the input's own shape.
+    pencil needs r <= m+1.
     """
     if r < 1:
         raise ValueError("rank must be positive")
+    shape = (ell + 1, m + 1, n + 1)
+    if r > ell + 1:
+        raise RankOutOfRange(f"rank {r} exceeds l+1 = {ell + 1} for shape {shape}")
+    if r > 1 and min(m, n) < 1:
+        raise RankOutOfRange(f"rank {r} needs every mode of size >= 2, got shape {shape}")
     if degree is None and (path == "normal-form" or (path == "auto" and r > m + 1)):
-        if r > ell + 1:
-            raise RankOutOfRange(
-                f"rank {r} exceeds l+1 = {ell + 1} for shape {(ell + 1, m + 1, n + 1)}")
         plans = [_plan(m, n, r, deg) for deg in (
             next(((d, 1) for d in range(2, n + 2) if rank_bound(m, n, d, 1) >= r), None),
             next(((1, e) for e in range(2, m + 2) if rank_bound(m, n, 1, e) >= r), None)) if deg]

@@ -21,12 +21,14 @@ class CpdError(Exception):
 
 
 class RankOutOfRange(CpdError):
-    """Requested rank is out of reach: above min(l+1, m*n), or above the
-    rank bound of every degree the plan may take."""
+    """The degree plan cannot reach the requested rank: it is above l+1,
+    it is at least 2 while a mode has size 1, or it is above the rank
+    bound of every degree the plan may take (m+1 for the pencil)."""
 
 
 class NoFeasibleGrouping(CpdError):
-    """No three-way mode partition satisfies the rank condition."""
+    """No three-way mode partition has a grouped shape whose degree plan
+    reaches the rank."""
 
 
 class FlatteningRankMismatch(CpdError):

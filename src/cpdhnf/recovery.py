@@ -11,7 +11,7 @@ from functools import reduce
 
 import numpy as np
 
-from .bigraded import check_rank, select_degree
+from .bigraded import select_degree
 from .config import GN_DAMPING, GN_FLOOR, RANK_REL, SOLVE_GAP, DecomposeOptions
 from .errors import AmbiguousKernel, BasisDeficient, CpdError, InsufficientMemory, RankDeficientKR
 from .linalg import khatri_rao
@@ -195,10 +195,9 @@ def _decompose_order3(t, r, options, rng, timings, info):
     """Rank-r factors of an order-3 tensor from the recovered points, with
     their alpha residual; the residual is None on the rank-1 path, which
     fits no alphas."""
-    with _stage(timings, "validation"):
-        check_rank(t.shape, r)
-    # st_hosvd compresses to exactly these targets, so the plan and its
-    # memory check run before any arithmetic
+    # st_hosvd compresses to exactly these targets, so the plan, which
+    # alone decides whether rank r is reachable, and its memory check run
+    # before any arithmetic
     targets = tuple(min(dim, r) for dim in t.shape)
     if r > 1:
         lc, mc, nc = targets

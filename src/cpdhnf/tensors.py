@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bigraded import check_rank, select_degree
+from .bigraded import select_degree
 from .errors import NoFeasibleGrouping, RankOutOfRange
 from .linalg import khatri_rao, normalize_columns
 
@@ -214,48 +214,47 @@ def reshape_group(t, grouping):
 
 
 def _three_partitions(d):
-    for labels in itertools.product(range(3), repeat=d):
-        parts = [[], [], []]
-        for mode, lab in enumerate(labels, start=1):
-            parts[lab].append(mode)
-        if all(parts):
-            yield tuple(tuple(p) for p in parts)
+    """Each partition of modes 1..d into three nonempty parts, once: as
+    the labeling whose labels first appear in the order 0, 1, 2."""
+    for labels in itertools.product(range(3), repeat=d - 1):
+        labels = (0,) + labels
+        if 2 in labels and 1 in labels[:labels.index(2)]:
+            yield tuple(tuple(mode for mode, lab in enumerate(labels, start=1) if lab == k)
+                        for k in range(3))
 
 
 def choose_grouping(shape, r):
     """Exhaustively score all three-way mode partitions and pick the best.
 
-    Feasible partitions satisfy r <= min(l+1, m*n) for the grouped shape;
-    among them the expected solver cost rows^2 * cols of the planned
-    resultant matrix is minimized.  Exhaustive enumeration (3^d partitions)
-    is cheap at tool scale (d <= 10 or so).
+    Each grouped shape, nonincreasing, is planned once: that
+    ``select_degree`` call decides both whether its partitions are
+    feasible and their expected solver cost, rows^2 * cols of the planned
+    resultant matrix, which the choice minimizes; ties go to the smaller
+    grouped shape, then to the smaller parts.  Exhaustive enumeration
+    (about 3^d / 6 partitions) is cheap at tool scale (d <= 10 or so).
     """
     shape = tuple(int(s) for s in shape)
     d = len(shape)
     if d < 4:
         raise ValueError("grouping applies to tensors of order >= 4")
-    best = None
-    seen = set()
+    candidates = {}
     for parts in _three_partitions(d):
-        ordered = tuple(sorted(parts, key=lambda p: (-math.prod(shape[i - 1] for i in p), p)))
-        if ordered in seen:
-            continue
-        seen.add(ordered)
-        l1, m1, n1 = (math.prod(shape[i - 1] for i in p) for p in ordered)
+        sized = sorted((-math.prod(shape[i - 1] for i in p), p) for p in parts)
+        dims, ordered = tuple(-size for size, _ in sized), tuple(p for _, p in sized)
+        candidates[dims] = min(candidates.get(dims, ordered), ordered)
+    best = None
+    for (l1, m1, n1), ordered in candidates.items():
         try:
-            check_rank((l1, m1, n1), r)
+            plan = select_degree(m1 - 1, n1 - 1, r, l1 - 1)
         except RankOutOfRange:
             continue
-        plan = select_degree(m1 - 1, n1 - 1, r, l1 - 1)
-        cost = plan.rows * plan.rows * plan.cols
-        key = (cost, (l1, m1, n1), ordered)
-        if best is None or key < best[0]:
-            best = (key, ordered)
+        key = (plan.rows * plan.rows * plan.cols, (l1, m1, n1), ordered)
+        best = min(best or key, key)
     if best is None:
         raise NoFeasibleGrouping(
             f"no mode partition of shape {shape} supports rank {r}"
         )
-    return Grouping(best[1], shape)
+    return Grouping(best[2], shape)
 
 
 def st_hosvd(t, targets):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cpdhnf import (DecomposeOptions, DegreePlan, RankOutOfRange, hilbert_dim,
                     monomial_basis, rank_bound, select_degree)
-from cpdhnf.bigraded import Bidegree, _plan, _shift_table, check_rank, monomial_index, shift_table
+from cpdhnf.bigraded import Bidegree, _plan, _shift_table, monomial_index, shift_table
 
 from oracles import exponent_rows, resolve_degree, select_degree_flagged, shift_table_rows
 
@@ -233,6 +233,12 @@ class TestSelectDegree:
             select_degree(2, 2, 5, 99)
         with pytest.raises(RankOutOfRange):
             select_degree(6, 2, 13, 6)
+        # a mode of size 1 admits rank 1 alone, on every path and degree
+        for kwargs in [{}, {"path": "pencil"}, {"path": "normal-form"}, {"degree": (2, 1)}]:
+            with pytest.raises(RankOutOfRange, match=r"^rank 2 needs every mode of size >= 2, "
+                               r"got shape \(5, 4, 1\)$"):
+                select_degree(3, 0, 2, 4, **kwargs)
+        assert select_degree(3, 0, 1, 4) == _plan(3, 0, 1, (1, 1))
 
     def test_swapped_branch_when_cheaper(self):
         # tall-and-skinny second factor: raising the y-degree gives a much
@@ -279,13 +285,14 @@ class TestSelectDegree:
 
     def test_matches_the_rules_it_replaces(self):
         """Every compressed shape with m, n <= 7, every admissible rank and
-        the two above it, each path and forced degree: the same plan, or
-        the same error type and message, wherever the old rules did not
-        stop at their range check r <= min(l+1, m*n).  Where they did, the
-        plan is the best of every (d, 1) and (1, e) in the search whose
-        rank bound reaches r, or RankOutOfRange when r > l+1 or none does."""
+        the two above it, each path and forced degree: RankOutOfRange with
+        its message when r > l+1, on every path and forced degree.  Otherwise the same plan, or the same error
+        type and message, wherever the old rules did not stop at their
+        range check r <= min(l+1, m*n).  Where they did, the plan is the
+        best of every (d, 1) and (1, e) in the search whose rank bound
+        reaches r, or RankOutOfRange when none does."""
         degrees = [None, (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]
-        cases, flipped = 0, {"plan": 0, "error": 0}
+        cases, upfront, flipped = 0, 0, {"plan": 0, "error": 0}
         for m, n in itertools.product(range(1, 8), repeat=2):
             for ell in range(0, 9):
                 for r in range(1, min(ell + 1, m * n) + 3):
@@ -295,8 +302,13 @@ class TestSelectDegree:
                         except ValueError:
                             continue
                         cases += 1
-                        expected = _outcome(lambda: _reference_plan(options, r, m, n, ell))
                         got = _outcome(lambda: select_degree(m, n, r, ell, degree, path))
+                        if r > ell + 1:
+                            upfront += 1
+                            assert got == ("RankOutOfRange", f"rank {r} exceeds l+1 = {ell + 1} "
+                                           f"for shape {(ell + 1, m + 1, n + 1)}")
+                            continue
+                        expected = _outcome(lambda: _reference_plan(options, r, m, n, ell))
                         if expected[0] == "RankOutOfRange" and "min(l+1, m*n)" in expected[1]:
                             expected = _outcome(lambda: _best_reaching_plan(m, n, r, ell))
                             planned = isinstance(expected, DegreePlan)
@@ -305,7 +317,7 @@ class TestSelectDegree:
                                 expected, got = expected[0], got[0]
                         assert got == expected, (m, n, r, ell, path, degree)
         assert cases > 20000
-        assert min(flipped.values()) > 0, flipped
+        assert upfront > 0 and min(flipped.values()) > 0, (upfront, flipped)
 
     def test_every_validated_shape_plans_its_core(self):
         """Every order-3 shape with 2 <= dims <= 10 and 2 <= r <= min(l+1,
@@ -336,8 +348,6 @@ def _reference_plan(options, r, m, n, ell):
 
 
 def _best_reaching_plan(m, n, r, ell):
-    if r > ell + 1:
-        raise RankOutOfRange("rank above l+1")
     plans = [_plan(m, n, r, deg) for deg in [(d, 1) for d in range(2, n + 2)]
              + [(1, e) for e in range(2, m + 2)] if rank_bound(m, n, *deg) >= r]
     if not plans:
@@ -353,13 +363,21 @@ def _outcome(call):
 
 
 class TestCheckRank:
+    """Shapes with no mode of size 2, where the largest rank that
+    ``select_degree`` plans on the core is min(l+1, m*n)."""
+
     def test_message(self):
         with pytest.raises(RankOutOfRange) as exc:
-            check_rank((5, 4, 3), 20)
-        assert str(exc.value) == "rank 20 exceeds min(l+1, m*n) = 5 for shape (5, 4, 3)"
+            select_degree(3, 2, 20, 4)
+        assert str(exc.value) == "rank 20 exceeds l+1 = 5 for shape (5, 4, 3)"
 
     @pytest.mark.parametrize("shape, largest", [((5, 4, 3), 5), ((12, 7, 3), 12), ((9, 3, 3), 4)])
     def test_largest_rank_in_range(self, shape, largest):
-        check_rank(shape, largest)
+        def plan_core(r):
+            lc, mc, nc = (min(dim, r) for dim in shape)
+            return select_degree(mc - 1, nc - 1, r, lc - 1)
+
+        plan = plan_core(largest)
+        assert rank_bound(*(min(dim, largest) - 1 for dim in shape[1:]), *plan.degree) >= largest
         with pytest.raises(RankOutOfRange):
-            check_rank(shape, largest + 1)
+            plan_core(largest + 1)

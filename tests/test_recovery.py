@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from cpdhnf import (COMPLEX, REAL, AmbiguousKernel, BasisDeficient,
                     hilbert_from_points, kernel_flattening, newton_refine,
                     normalform, polysys, random_config, random_cpd,
                     rank1_factorization, rank_bound, recovery, solve_alpha,
-                    solve_gamma, st_hosvd)
+                    select_degree, solve_gamma, st_hosvd)
 from cpdhnf.config import GN_DAMPING, GN_FLOOR
 
 from conftest import (GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_GAMMAS,
@@ -351,16 +352,48 @@ class TestDecompose:
                                                 ((4, 3, 2, 2), 3, "normal-form")])
     def test_core_below_its_range_decomposes(self, shape, r, path, scalars):
         """The compressed core (grouped, for order 4) has m*n < r although
-        the input passes validation; the rank bound still reaches r."""
+        the input's own m*n reaches r; the rank bound still reaches r."""
         t, _ = random_cpd(shape, r, seed=43, scalars=scalars)
         dec, info = decompose_with_info(t, r, DecomposeOptions(path=path))
         assert info["path"] == "normal-form"
         assert info["backward_error"] <= 1e-12
 
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    @pytest.mark.parametrize("shape, r, options", [
+        ((2, 2, 2), 2, {}), ((4, 4, 2), 4, {}), ((6, 6, 2), 6, {}), ((8, 6, 2), 6, {}),
+        ((6, 2, 6), 6, {}), ((6, 6, 2), 6, {"kernel": "svd"}), ((6, 6, 2), 6, {"kernel": "eigs"}),
+        ((6, 6, 2), 6, {"path": "normal-form"}), ((2, 2, 2, 2), 2, {}), ((4, 2, 2, 2), 4, {})])
+    def test_rank_above_mn_decomposes(self, shape, r, options, scalars):
+        """A mode of size 2 (grouped, for order 4) leaves m*n one below r,
+        where the pencil or the rank bound of the planned degree reaches r:
+        the two-slice pencils n x n x 2 at rank n among them."""
+        t, _ = random_cpd(shape, r, seed=44, scalars=scalars)
+        _, info = decompose_with_info(t, r, DecomposeOptions(**options))
+        assert info["backward_error"] <= 1e-12
+
+    def test_every_shape_above_mn_that_plans_decomposes(self):
+        """Every order-3 shape with 2 <= dims <= 10 and rank r > min(l+1,
+        m*n) whose core plans, one real and one complex draw each."""
+        pairs = 0
+        for l1, m1, n1 in itertools.product(range(2, 11), repeat=3):
+            for r in range((m1 - 1) * (n1 - 1) + 1, l1 + 1):
+                lc, mc, nc = (min(dim, r) for dim in (l1, m1, n1))
+                try:
+                    select_degree(mc - 1, nc - 1, r, lc - 1)
+                except RankOutOfRange:
+                    continue
+                pairs += 1
+                for seed, scalars in enumerate([REAL, COMPLEX]):
+                    t, _ = random_cpd((l1, m1, n1), r, seed=seed, scalars=scalars)
+                    _, info = decompose_with_info(t, r)
+                    assert info["backward_error"] <= 1e-12, ((l1, m1, n1), r, scalars)
+        assert pairs == 81
+
     def test_rank_out_of_range(self, golden_tensor):
         with pytest.raises(RankOutOfRange) as exc:
             decompose(golden_tensor, 5)
-        assert exc.value.stage == "validation"
+        assert exc.value.stage == "degree"
+        assert str(exc.value) == "[degree] rank 5 exceeds l+1 = 4 for shape (4, 3, 3)"
 
     @pytest.mark.parametrize("shape", [(6, 5, 4), (3, 2, 2, 2)])
     @pytest.mark.parametrize("r", [0, -2])
@@ -405,7 +438,7 @@ class TestDecompose:
 
     def test_stage_timings_reported(self, golden_tensor):
         _, info = decompose_with_info(golden_tensor, 4)
-        for stage in ("validation", "compression", "degree", "kernel", "resultant",
+        for stage in ("compression", "degree", "kernel", "resultant",
                       "cokernel", "multiplication", "diagonalization", "refinement",
                       "recovery"):
             assert stage in info["stage_timings_ms"]
@@ -676,11 +709,24 @@ class TestPlanMemoryCheck:
 
 class TestPlanBeforeCompression:
     """The degree plan and its memory check run before the HOSVD, so a plan
-    that fails costs no arithmetic."""
+    that fails costs no arithmetic.  Above l+1 the pencil and a forced
+    degree fail typed at the plan, not at the flattening kernel, and a mode
+    of size 1 admits rank 1 alone."""
 
-    @pytest.mark.parametrize("case", ["pencil-above-rank", "no-memory"])
-    def test_no_hosvd_when_the_plan_fails(self, monkeypatch, case):
-        t, _ = random_cpd((9, 6, 5), 8, seed=54)
+    @pytest.mark.parametrize("shape, r, options, error, stage, fits", [
+        pytest.param((9, 6, 5), 8, {"path": "pencil"}, RankOutOfRange, "degree", 8,
+                     id="pencil-above-rank"),
+        pytest.param((9, 6, 5), 8, {}, InsufficientMemory, "cokernel", 8, id="no-memory"),
+        pytest.param((5, 4, 1), 2, {}, RankOutOfRange, "degree", 1, id="mode-of-size-1"),
+        pytest.param((4, 9, 6), 5, {"path": "pencil"}, RankOutOfRange, "degree", 4,
+                     id="pencil-above-l"),
+        pytest.param((4, 9, 6), 5, {"degree": (2, 1)}, RankOutOfRange, "degree", 4,
+                     id="forced-degree-above-l")])
+    def test_no_hosvd_when_the_plan_fails(self, monkeypatch, shape, r, options, error, stage,
+                                          fits):
+        """``fits`` is a rank that the same shape decomposes at, after the
+        failure, with one HOSVD."""
+        t, _ = random_cpd(shape, r, seed=54)
         calls = []
 
         def recording(*args):
@@ -688,18 +734,18 @@ class TestPlanBeforeCompression:
             return st_hosvd(*args)
 
         monkeypatch.setattr(recovery, "st_hosvd", recording)
-        if case == "no-memory":
+        if error is InsufficientMemory:
             monkeypatch.setattr(polysys, "_physical_memory", lambda: 1)
-            error, stage, options = InsufficientMemory, "cokernel", DecomposeOptions()
-        else:
-            error, stage, options = RankOutOfRange, "degree", DecomposeOptions(path="pencil")
         with pytest.raises(error) as exc:
-            decompose(t, 8, options)
+            decompose(t, r, DecomposeOptions(**options))
         assert exc.value.stage == stage
         assert calls == []
         monkeypatch.setattr(polysys, "_physical_memory", lambda: None)
-        decompose(t, 8)
+        t, _ = random_cpd(shape, fits, seed=54)
+        _, info = decompose_with_info(t, fits)
         assert len(calls) == 1
+        assert info["backward_error"] <= 1e-12
+        assert (info["path"] == "rank-1") == (fits == 1)
 
 
 class TestDegreeGuards:

@@ -501,6 +501,15 @@ class TestHilbertFromPoints:
             config = random_config(m, n, r, seed=seed)
             assert hilbert_from_points(config, (1, 1)) == r
 
+    def test_trailing_size_two_at_the_pencil_rank(self):
+        """m+1 points on P^m x P^1, one more than m*n: degree (2, 1), whose
+        rank bound is exactly m+1, has Hilbert value m+1, so the degrees the
+        plan takes for these ranks lie in the regularity."""
+        for m in range(1, 10):
+            assert rank_bound(m, 1, 2, 1) == m + 1
+            for seed in range(3):
+                assert hilbert_from_points(random_config(m, 1, m + 1, seed=seed), (2, 1)) == m + 1
+
     def test_dependent_configuration_rejected(self):
         base = random_config(2, 2, 1, seed=6)
         dup = PointConfigFp(base.p,

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdhnf import (CPDecomposition, DenseTensor, Grouping, NoFeasibleGrouping,
-                    backward_error, choose_grouping, cpd_eval, flatten_mode1,
-                    random_cpd, rank1_factorization, read_tensor, reshape_group,
-                    st_hosvd, write_tensor)
+                    RankOutOfRange, backward_error, choose_grouping, cpd_eval,
+                    flatten_mode1, random_cpd, rank1_factorization, read_tensor,
+                    reshape_group, select_degree, st_hosvd, write_tensor)
 from cpdhnf.recovery import add_noise
 
 from conftest import GOLDEN_ALPHAS, GOLDEN_BETAS, GOLDEN_FLATTENING, GOLDEN_GAMMAS
@@ -186,16 +186,37 @@ class TestChooseGrouping:
 
     @pytest.mark.parametrize("order", [4, 5])
     def test_matches_feasibility_from_the_degree_error(self, order):
-        """Skipping the groupings that fail the range check picks what
-        catching the degree selection's range error picked."""
+        """On shapes with no mode of size 2, skipping the groupings whose
+        plan fails picks what the oracle, with its range check
+        r <= min(l+1, m*n), picked.  On the others the pick plans at a cost
+        no higher than the oracle's pick, and NoFeasibleGrouping comes only
+        when no grouping plans."""
         for shape in itertools.product(range(2, 5), repeat=order):
+            grouped = {tuple(sorted((math.prod(s for s, lab in zip(shape, labels) if lab == k)
+                                     for k in range(3)), reverse=True))
+                       for labels in itertools.product(range(3), repeat=order)
+                       if len(set(labels)) == 3}
             for r in range(2, 25):
+                costs = {}
+                for l1, m1, n1 in grouped:
+                    try:
+                        plan = select_degree(m1 - 1, n1 - 1, r, l1 - 1)
+                    except RankOutOfRange:
+                        continue
+                    costs[l1, m1, n1] = plan.rows * plan.rows * plan.cols
                 expected = choose_grouping_flagged(shape, r)
-                if expected is None:
+                if not costs:
+                    assert expected is None
                     with pytest.raises(NoFeasibleGrouping):
                         choose_grouping(shape, r)
+                    continue
+                got = choose_grouping(shape, r)
+                if 2 not in shape:
+                    assert got.parts == expected, (shape, r)
                 else:
-                    assert choose_grouping(shape, r).parts == expected, (shape, r)
+                    assert got.grouped_shape in costs, (shape, r)
+                    assert expected is None or costs[got.grouped_shape] <= costs[
+                        Grouping(expected, shape).grouped_shape], (shape, r)
 
 
 class TestStHosvd:
