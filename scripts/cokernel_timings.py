@@ -30,13 +30,15 @@ so a copy of the script in another checkout measures that checkout.
 and by ``auto`` on the shift matrix of every normal-form instance of the
 perfbench ``nf-small`` workload, plus (12,7,3) r=12 and (50,10,5) r=20,
 drawn with the first seed: the warm median of ``--repeats`` calls after
-one cold call, in one fresh process with one BLAS thread.  The entry count
-where ``eigs`` becomes the faster method sets ``EIGS_ENTRY_THRESHOLD``.
-Each cell also gives rows - cols - r of its shift matrix (0 at the rank
-bound) and the route ``auto`` took, seen from the functions it called:
+one cold call, in one fresh process with one BLAS thread; a call that
+raises CorankMismatch is timed to its raise.  The entry count where
+``eigs`` becomes the faster method sets ``EIGS_ENTRY_THRESHOLD``.  Each
+cell also gives rows - cols - r of its shift matrix (0 at the rank bound)
+and the route ``auto`` took, seen from the functions it called:
 ``cokernel`` (the known row space), ``svd``, ``gram`` (the block
-iteration; ``gram+svd`` when it fell back) or ``complement`` (neither; at
-the bound, ``svd`` means the complement fell back).
+iteration; ``gram+svd`` when it fell back off the bound) or
+``complement`` (neither).  A cell where ``auto`` raised reads ``raise``,
+whatever it called: at the bound the complement's rejection is final.
 
     python3 scripts/cokernel_timings.py --seeds 101,102,103,104,105 --repeats 3
     python3 scripts/cokernel_timings.py --crossover --seeds 101 --repeats 7
@@ -152,8 +154,8 @@ def measure(shape, r, seeds, repeats):
 
 def crossover(seed, repeats):
     sys.path.insert(0, str(ROOT / "src"))
-    from cpdhnf import (DecomposeOptions, certifiable_rank, decompose_with_info,
-                        left_nullspace, polysys, random_cpd, recovery)
+    from cpdhnf import (CorankMismatch, DecomposeOptions, certifiable_rank,
+                        decompose_with_info, left_nullspace, polysys, random_cpd, recovery)
 
     cases = []
     for m1 in range(2, 9):
@@ -186,8 +188,12 @@ def crossover(seed, repeats):
         decompose_with_info(random_cpd(shape, r, seed=seed)[0], r, DecomposeOptions(kernel="svd"))
         res = built[0]
         route.clear()
-        N = left_nullspace(res, r)
-        taken = "cokernel" if N is res.cokernel else "+".join(route) or "complement"
+        try:
+            N = left_nullspace(res, r)
+        except CorankMismatch:
+            taken = "raise"
+        else:
+            taken = "cokernel" if N is res.cokernel else "+".join(route) or "complement"
         row = {"shape": list(shape), "rank": r, "shift_matrix": list(res.shape),
                "entries": res.shape[0] * res.shape[1],
                "excess_over_rank": res.shape[0] - res.shape[1] - r, "auto_route": taken}
@@ -195,7 +201,10 @@ def crossover(seed, repeats):
             times = []
             for _ in range(repeats + 1):
                 t0 = time.perf_counter()
-                left_nullspace(res, r, method)
+                try:
+                    left_nullspace(res, r, method)
+                except CorankMismatch:
+                    pass
                 times.append(1e3 * (time.perf_counter() - t0))
             row[f"{method}_ms"] = round(statistics.median(times[1:]), 2)
         rows.append(row)

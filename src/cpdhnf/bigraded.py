@@ -187,6 +187,10 @@ def certifiable_rank(m, n, d):
     return math.floor(min(rank_bound(m, n, d, 1), m * n))
 
 
+# the paths a solve may ask for; a plan takes one of the last two
+PATHS = ("auto", "pencil", "normal-form")
+
+
 class DegreePlan(NamedTuple):
     """Chosen bidegree with its predicted resultant-matrix footprint."""
 
@@ -209,7 +213,8 @@ def select_degree(m, n, r, ell, degree=None, path="auto"):
     """Plan the bidegree and path of a solve on an (ell+1, m+1, n+1) core;
     the solver's one rule for which ranks it can reach.
 
-    Whatever the degree and path, RankOutOfRange comes first when
+    A path outside ``PATHS`` raises ValueError.  Then, whatever the degree
+    and path, RankOutOfRange comes first when
     r > ell+1, which compression preserves, or when r >= 2 and a mode has
     size 1.  A forced degree is then taken as given.  Otherwise path
     "pencil", or "auto" at ranks up to m+1, takes the pencil shortcut at
@@ -219,6 +224,8 @@ def select_degree(m, n, r, ell, degree=None, path="auto"):
     degrees with both entries >= 2 are never selected automatically.  The
     pencil needs r <= m+1.
     """
+    if path not in PATHS:
+        raise ValueError(f"unknown path {path!r}")
     if r < 1:
         raise ValueError("rank must be positive")
     shape = (ell + 1, m + 1, n + 1)

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .config import DecomposeOptions
+from .config import NULLSPACE_METHODS, DecomposeOptions
 from .errors import CpdError, RankOutOfRange
 from .bigraded import certifiable_rank
 from .recovery import add_noise, decompose_with_info
@@ -158,7 +158,7 @@ def _build_parser():
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--degree", type=_parse_degree, default=None,
                    help="auto or D,E")
-    p.add_argument("--kernel", choices=["svd", "eigs", "auto"], default="auto")
+    p.add_argument("--kernel", choices=NULLSPACE_METHODS, default="auto")
     p.add_argument("--newton", type=int, default=3, help="most refinement steps; 0: none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
@@ -180,7 +180,7 @@ def _build_parser():
                    help="a:b inclusive range or comma list of exponents")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kernel", choices=["svd", "eigs", "auto"], default="auto")
+    p.add_argument("--kernel", choices=NULLSPACE_METHODS, default="auto")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_noise_sweep)
 

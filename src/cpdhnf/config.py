@@ -4,9 +4,11 @@ Every threshold the pipeline checks is a constant here.  The Gram
 eigensolver stops within 25 steps, once the r nullspace pairs reach
 relative residual 1e-6 and pair r+1, which the gap test reads, reaches
 1e-3; under ``kernel="auto"`` it takes over from the dense SVD at 20,000
-entries off the rank bound (at it, one QR gives the cokernel at any
-size), and hands back to it, with a warning, when it cannot certify the
-corank.  That crossover was measured again after the Gram route came to
+entries off the rank bound and hands back to it, with a warning, when it
+cannot certify the corank.  At the bound one QR gives the cokernel at any
+size, and its rejection is final: it puts sigma_min / sigma_max of the
+shift matrix below RANK_REL, which the SVD rejects too.  The crossover
+was measured again after the Gram route came to
 apply the shift matrix through its shift table and to split it along x_0,
 in three runs of ``scripts/cokernel_timings.py --crossover --seeds 101
 --repeats 7`` at one BLAS thread: the SVD was faster up to 12,000 entries,
@@ -18,6 +20,7 @@ The remaining values are engineering defaults.
 import operator
 from dataclasses import dataclass
 
+from .bigraded import PATHS
 from .tensors import Grouping
 
 # kernel extraction from the flattening
@@ -36,6 +39,7 @@ EIGS_TOL = 1e-6        # relative residual ||F^-1 x - mu x|| / |mu| of the r
                        # pair r+1 stops at its square root
 EIGS_MAXITER = 25      # step cap of the block iteration; then it gives up
 EIGS_ENTRY_THRESHOLD = 20_000   # off the rank bound, auto uses the Gram eigensolver from here
+NULLSPACE_METHODS = ("auto", "svd", "eigs")
 
 # basis choice and multiplication matrices
 PIV_REL = 1e-8         # smallest/largest pivot ratio in the QR
@@ -76,9 +80,9 @@ class DecomposeOptions:
     grouping: Grouping | None = None
 
     def __post_init__(self):
-        if self.path not in ("auto", "pencil", "normal-form"):
+        if self.path not in PATHS:
             raise ValueError(f"unknown path {self.path!r}")
-        if self.kernel not in ("auto", "svd", "eigs"):
+        if self.kernel not in NULLSPACE_METHODS:
             raise ValueError(f"unknown nullspace method {self.kernel!r}")
         if self.degree is not None:
             self.degree = tuple(operator.index(x) for x in self.degree)

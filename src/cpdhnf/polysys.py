@@ -29,7 +29,7 @@ import numpy as np
 
 from .bigraded import Bidegree, hilbert_dim, shift_table
 from .config import (EIGS_ENTRY_THRESHOLD, EIGS_MAXITER, EIGS_TOL, GAP_REL,
-                     KERNEL_SEP, NULL_REL, RANK_REL, SEP_RATIO)
+                     KERNEL_SEP, NULL_REL, NULLSPACE_METHODS, RANK_REL, SEP_RATIO)
 from .errors import CorankMismatch, FlatteningRankMismatch, InsufficientMemory
 
 
@@ -298,35 +298,43 @@ def left_nullspace(res, r, method="auto"):
     ``auto`` returns a known ``cokernel`` of r rows (at (1, 1), the row
     space ``kernel_flattening`` computed and certified), else uses
     ``eigs`` at the rank bound or at or above ``EIGS_ENTRY_THRESHOLD`` (in
-    ``config``) matrix entries and ``svd`` below; when ``eigs`` cannot
-    certify the corank (a small QR diagonal, no gap, a failed
-    factorization, or no convergence in EIGS_MAXITER steps) it falls back
-    to the dense SVD and warns with the detail.
+    ``config``) matrix entries and ``svd`` below.  At the bound the QR
+    decides alone: S = diag(N, I) R with its columns reordered, and each
+    chain level holds a subset of R's columns, so a QR diagonal ratio
+    below RANK_REL puts sigma_min(R) / sigma_max(R) below it, the SVD's
+    own rejection.  Off the bound, when ``eigs`` cannot certify the corank
+    (a small QR diagonal, no gap, a failed factorization, or no
+    convergence in EIGS_MAXITER steps) ``auto`` falls back to the dense
+    SVD and warns with the detail.
+    An unknown method raises ValueError before any test of the matrix.
     Raises CorankMismatch when the spectrum does not show a corank-r gap,
     which signals a degree outside the regularity or a misspecified rank;
-    under ``auto`` only when the SVD agrees.  Raises InsufficientMemory,
-    with no fallback, when the dense S, Gram or SVD cannot be allocated.
-    Every method's result is checked by ||N R||_F / ||R||_F, computed from
-    the shift table; above NULL_REL it warns.
+    under ``auto`` off the bound only when the SVD agrees.  Raises
+    InsufficientMemory, with no fallback, when the dense S, Gram or SVD
+    cannot be allocated.  Every method's result is checked by
+    ||N R||_F / ||R||_F, computed from the shift table; above NULL_REL it
+    warns.
     """
+    if method not in NULLSPACE_METHODS:
+        raise ValueError(f"unknown nullspace method {method!r}")
     nrows, ncols = res.shape
     if res.s == 0 or ncols == 0:
         raise ValueError("left_nullspace needs a nonempty system")
     if r < 1 or r >= nrows:
         raise ValueError(f"corank {r} out of range for {nrows} rows")
-    expected_rank = nrows - r
-    if expected_rank > ncols:
+    if nrows - ncols > r:
         raise CorankMismatch(
             f"shift matrix is {nrows} x {ncols}: corank is at least "
             f"{nrows - ncols} > {r}; the degree is outside the regularity"
         )
-    if method not in ("auto", "svd", "eigs"):
-        raise ValueError(f"unknown nullspace method {method!r}")
+    at_bound = nrows - ncols == r
     if method == "auto" and res.cokernel is not None and len(res.cokernel) == r:
         N = res.cokernel
-    elif method == "svd" or (method == "auto" and nrows - ncols < r
+    elif method == "svd" or (method == "auto" and not at_bound
                              and nrows * ncols < EIGS_ENTRY_THRESHOLD):
         N = _nullspace_svd(res, r)
+    elif at_bound:
+        N = _nullspace_eigs(res, r, at_bound=True)
     else:
         try:
             N = _nullspace_eigs(res, r)
@@ -467,13 +475,14 @@ def _complement(S, name):
     return ormqr("L", "N", qr, tau, trailing, lwork, overwrite_c=True)[0].conj().T
 
 
-def _nullspace_eigs(res, r):
+def _nullspace_eigs(res, r, at_bound=False):
     """The complement of the columns of R's stacked top level at the rank
-    bound, else block iteration on it; R itself when R does not split."""
+    bound, which ``left_nullspace`` decides, else block iteration on it;
+    R itself when R does not split."""
     lower = lower_chain(res, r)
     top = res if lower is None else _stacked(res, res.degree.d, lower)
     N = (_complement(top, f"degree-{tuple(res.degree)} shift matrix")
-         if res.shape[0] - res.shape[1] == r else _block_iteration(top, r))
+         if at_bound else _block_iteration(top, r))
     return N if lower is None else _lift(N, lower)
 
 

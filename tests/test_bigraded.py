@@ -228,6 +228,13 @@ class TestSelectDegree:
         assert plan.path == "pencil"
         assert tuple(plan.degree) == (1, 1)
 
+    @pytest.mark.parametrize("r, degree", [(4, None), (8, None), (8, (2, 1))])
+    def test_unknown_path(self, r, degree):
+        """An unknown path is a ValueError at every rank and degree, not the
+        pencil plan or a RankOutOfRange about the pencil."""
+        with pytest.raises(ValueError, match="^unknown path 'bogus'$"):
+            select_degree(5, 4, r, 9, degree, path="bogus")
+
     def test_rank_out_of_range(self):
         with pytest.raises(RankOutOfRange):
             select_degree(2, 2, 5, 99)

@@ -306,9 +306,17 @@ class TestLeftNullspace:
             build_resultant(empty, (1, 1))
 
     def test_unknown_method(self, golden_system):
+        """A bad name is a ValueError before any test of the matrix, also on
+        one whose shape alone puts the degree outside the regularity."""
         res = build_resultant(golden_system, (2, 1))
         with pytest.raises(ValueError):
             left_nullspace(res, 4, method="qr")
+        system, _, _ = system_from_points(2, 2, 4)
+        res = build_resultant(system, (2, 1))
+        with pytest.raises(CorankMismatch, match="outside the regularity"):
+            left_nullspace(res, 2)
+        with pytest.raises(ValueError, match="^unknown nullspace method 'qr'$"):
+            left_nullspace(res, 2, method="qr")
 
 
 def shift_invert_reference(res, r):
@@ -643,16 +651,15 @@ class TestComplementAtTheBound:
 
     @pytest.mark.parametrize("degree", [(1, 1), (2, 1)])
     def test_lost_column_rank(self, degree, monkeypatch):
-        """Two equal forms cost R a column's rank: eigs raises, and auto
-        hands the decision to the SVD, which raises too.  At (1, 1) the
-        check on R itself decides; at (2, 1) the chain's first level does."""
+        """Two equal forms cost R a column's rank: the SVD oracle raises,
+        and auto raises the QR's CorankMismatch as eigs does, with no SVD
+        call and no warning.  At (1, 1) the check on R itself decides; at
+        (2, 1) the chain's first level does."""
         t, _ = random_cpd((12, 6, 4), 12, seed=15)
         coeffs = solved_resultant(t, (12, 6, 4), 12, (2, 1)).forms.reshape(-1, 6, 4).copy()
         coeffs[-1] = coeffs[0]
         res = build_resultant(BilinearSystem(coeffs), degree)
         assert at_bound(res, 12) and res.cokernel is None
-        with pytest.raises(CorankMismatch, match="rank deficient"):
-            left_nullspace(res, 12, "eigs")
         with pytest.raises(CorankMismatch):
             left_nullspace(res, 12, "svd")
         svd_calls = []
@@ -663,9 +670,48 @@ class TestComplementAtTheBound:
             return nullspace_svd(res, r)
 
         monkeypatch.setattr(polysys, "_nullspace_svd", counting_svd)
-        with pytest.raises(CorankMismatch):
-            left_nullspace(res, 12)
-        assert svd_calls == [12]
+        messages = []
+        for method in ("eigs", "auto"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CorankMismatch, match="rank deficient: QR diagonal") as exc:
+                    left_nullspace(res, 12, method)
+            messages.append(str(exc.value))
+        assert svd_calls == []
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("shape, r, degree", [((12, 6, 4), 12, (2, 1)),
+                                                  ((12, 8, 3), 12, (2, 1)),
+                                                  ((8, 3, 5), 8, (3, 1)),
+                                                  ((14, 6, 4), 14, (3, 1))])
+    @pytest.mark.parametrize("scalars", [REAL, COMPLEX])
+    @pytest.mark.filterwarnings("ignore:nullspace residual")
+    def test_complement_rejects_only_what_svd_rejects(self, shape, r, degree, scalars):
+        """One form perturbed from another by 10^e, e = -3 to -13, nears a
+        lost column rank.  A QR diagonal ratio below RANK_REL bounds
+        sigma_min(R) / sigma_max(R) below it, so whenever the complement
+        rejects, the dense SVD rejects too, and dropping the SVD re-check
+        under auto loses no input.  The sweep crosses the threshold, so it
+        holds both verdicts."""
+        t, _ = random_cpd(shape, r, seed=17, scalars=scalars)
+        forms = solved_resultant(t, shape, r, (2, 1)).forms
+        rng = np.random.default_rng(18)
+        rejected = []
+        for e in range(-3, -14, -1):
+            coeffs = forms.reshape(-1, *shape[1:]).copy()
+            noise = rng.standard_normal(coeffs[0].shape).astype(coeffs.dtype)
+            if scalars == COMPLEX:
+                noise += 1j * rng.standard_normal(coeffs[0].shape)
+            coeffs[-1] = coeffs[0] + 10.0 ** e * noise / np.linalg.norm(noise)
+            res = build_resultant(BilinearSystem(coeffs), degree)
+            assert at_bound(res, r)
+            try:
+                left_nullspace(res, r, "eigs")
+            except CorankMismatch:
+                rejected.append(e)
+                with pytest.raises(CorankMismatch):
+                    polysys._nullspace_svd(res, r)
+        assert 0 < len(rejected) < 11
 
     def test_dense_stacked_matrix_out_of_memory(self, monkeypatch):
         """A dense S that cannot be allocated is InsufficientMemory, with no
