@@ -13,8 +13,14 @@ Each case runs in a fresh process with one BLAS thread:
   ``--seed``, the 81 certificates of acceptance criterion 5.
 
 The process runs its case once cold (the first call also fills lazy
-caches), then ``--repeats`` times warm, and reports the warm median.  One
-more run splits the time spent in ``regcert._shift_corank`` into
+caches), then ``--repeats`` times warm, and reports the warm median.  As
+many more runs, with every phase timed, give the median time of each
+phase (``split_ms``):
+
+- ``kernel``: the kernel of the evaluation matrix (``_fp_kernel``),
+  outside ``regcert._shift_corank``;
+
+and, inside ``_shift_corank``,
 
 - ``build``: the leading rows P, the columns J that lead at them, their
   dependency levels, and the scatter of the rows Q of the shift matrix
@@ -24,6 +30,10 @@ more run splits the time spent in ``regcert._shift_corank`` into
 - ``solve``: the rest, which is the level-scheduled back-substitution
   that gives X in X A = R[Q, J] and then the Schur complement
   S = R[Q, K] - X R[P, K], and the cached shift-table lookup.
+
+The same runs count the pivots of ``_row_echelon`` in the ``kernel`` and
+``rank`` phases (``pivots``) and divide its median time in each phase by
+them (``us_per_pivot``).
 
 It also reports |P|, the number of dependency levels of J, |Q| and the
 shape |Q| x |K| of S: of the one shift matrix of a Hilbert-value case,
@@ -55,7 +65,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = ("criterion-11", "cert-large", "cert-sweep")
-PHASES = {"build": "_leading_split", "rank": "_rank"}
+PHASES = {"kernel": "_fp_kernel", "build": "_leading_split", "rank": "_rank"}
+ECHELON_PHASES = ("kernel", "rank")
 PRIME = 8191
 
 
@@ -81,13 +92,15 @@ def case_call(cp, name, seed):
                     for m, n, d, r, s in args]
 
 
-def _timed(spent, name, func):
+def _timed(spent, name, func, active):
     def timed(*args):
+        active.append(name)
         t0 = time.perf_counter()
         try:
             return func(*args)
         finally:
             spent[name] += 1e3 * (time.perf_counter() - t0)
+            active.pop()
     return timed
 
 
@@ -108,9 +121,9 @@ def measure(name, seed, repeats):
         call()
         warm.append(1e3 * (time.perf_counter() - t0))
 
-    spent = dict.fromkeys(["total", *PHASES], 0.0)
-    sizes = []
-    leading_split = regcert._leading_split
+    # the wrappers add into these dicts, which each run resets
+    spent, echelon_pivots, sizes, active = {}, {}, [], []
+    leading_split, row_echelon = regcert._leading_split, regcert._row_echelon
 
     def recorded_split(*args):
         T, entries, bounds = leading_split(*args)
@@ -118,13 +131,30 @@ def measure(name, seed, repeats):
         sizes.append((npiv, len(bounds) - 2, T.shape[1], len(T) - npiv))
         return T, entries, bounds
 
+    def counted_echelon(M, p, reduced=False):
+        phase = active[-1]
+        t0 = time.perf_counter()
+        result = row_echelon(M, p, reduced)
+        spent["echelon_" + phase] += 1e3 * (time.perf_counter() - t0)
+        echelon_pivots[phase] += result[0]
+        return result
+
     for phase, func in PHASES.items():
         inner = recorded_split if phase == "build" else getattr(regcert, func)
-        setattr(regcert, func, _timed(spent, phase, inner))
-    regcert._shift_corank = _timed(spent, "total", regcert._shift_corank)
-    call()
+        setattr(regcert, func, _timed(spent, phase, inner, active))
+    regcert._shift_corank = _timed(spent, "total", regcert._shift_corank, active)
+    regcert._row_echelon = counted_echelon
+    runs = []
+    for _ in range(repeats):
+        spent.update(dict.fromkeys(["total", *PHASES], 0.0))
+        spent.update(("echelon_" + phase, 0.0) for phase in ECHELON_PHASES)
+        echelon_pivots.update(dict.fromkeys(ECHELON_PHASES, 0))
+        sizes.clear()
+        call()
+        runs.append(dict(spent))
+    spent = {key: statistics.median(run[key] for run in runs) for key in spent}
     split = {phase: round(spent[phase], 1) for phase in PHASES}
-    split["solve"] = round(spent["total"] - sum(spent[phase] for phase in PHASES), 1)
+    split["solve"] = round(spent["total"] - spent["build"] - spent["rank"], 1)
     pivots, levels, q_rows, k_cols = (int(x) for x in np.sum(sizes, axis=0))
     largest = max(sizes, key=lambda size: size[2] * size[3])
     return {
@@ -135,6 +165,10 @@ def measure(name, seed, repeats):
         "warm_ms": [round(ms, 1) for ms in warm],
         "shift_corank_ms": round(spent["total"], 1),
         "split_ms": split,
+        "pivots": echelon_pivots,
+        "us_per_pivot": {phase: round(1e3 * spent["echelon_" + phase]
+                                      / max(1, echelon_pivots[phase]), 2)
+                         for phase in ECHELON_PHASES},
         "shift_matrices": len(sizes),
         "P": pivots,
         "levels": levels,

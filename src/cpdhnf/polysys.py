@@ -302,7 +302,10 @@ def left_nullspace(res, r, method="auto"):
     decides alone: S = diag(N, I) R with its columns reordered, and each
     chain level holds a subset of R's columns, so a QR diagonal ratio
     below RANK_REL puts sigma_min(R) / sigma_max(R) below it, the SVD's
-    own rejection.  Off the bound, when ``eigs`` cannot certify the corank
+    own rejection.  The bound is one-sided: when sigma_min(R) /
+    sigma_max(R) lies between about 1e-9 and RANK_REL, the QR diagonal
+    ratio can stay above RANK_REL, and ``auto`` and ``eigs`` then accept a
+    matrix that ``svd`` rejects.  Off the bound, when ``eigs`` cannot certify the corank
     (a small QR diagonal, no gap, a failed factorization, or no
     convergence in EIGS_MAXITER steps) ``auto`` falls back to the dense
     SVD and warns with the detail.

@@ -8,6 +8,7 @@ lower bound r this sandwiches it: finding one configuration with value r
 certifies the degree for generic configurations (semicontinuity).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,15 +34,23 @@ _PANEL = 32
 # slower (median of 4 seeds at 1 thread) and took 1.9 MiB more peak memory.
 _ROW_BLOCK = 64
 
-# Shift-matrix columns per chunk of a level in the back-substitution of
-# _shift_corank; it bounds only the rows of one gather.  On one core, 16
-# made the largest Hilbert value of criterion 11 40% slower; 64 made it 20%
-# faster but a 1260 x 2100 shift matrix 5% slower, with 0.5 MiB more peak
-# memory.
-_GATHER_BLOCK = 32
+# Work of one chunk of a level in the back-substitution of _shift_corank.  A
+# chunk of b rows of T gathers up to b times a form's nonzero count of
+# solved rows, so its product costs about b^2 |Q| multiply-adds, against a
+# fixed cost per chunk; chunks take b = isqrt(_GATHER_WORK // |Q|) rows.
+# On one core (least CPU time of 30 interleaved runs), criterion 11's
+# largest Hilbert value (|Q| = 10, 77 rows) took 18.4 ms against 23.4 ms
+# with 32 rows, the 1260 x 2100 value (|Q| = 300, 14 rows) 28.8 against
+# 30.6 ms, and the certification sweep 101 against 100 ms.  A bound on
+# entries (rows x |Q|) suits only one of the first two: 1280 entries gave
+# 17.3 and 35.8 ms, 2400 entries 23.9 and 30.7 ms.
+_GATHER_WORK = 60_000
 
 
+@functools.lru_cache(maxsize=None)
 def _check_prime(p):
+    # a rejected p raises, and lru_cache stores no exception, so the cache
+    # holds only primes below 2^15
     if p < 2 or p >= 1 << 15:
         raise ValueError("prime must satisfy 2 <= p < 2^15, so that products of "
                          "residues stay below 2^30 and float64 sums of them are exact")
@@ -59,11 +68,26 @@ def _row_echelon(M, p, reduced=False):
     column t when a row becomes pivot t, so it ends as L: every row
     i >= rank of M[order] is -L[i] M[order][:rank] mod p.
 
-    Entries start as residues of p < 2^15, and only the pivot column (for
-    the nonzero test) and the pivot row are reduced before use.  Each update
-    subtracts at most (p-1)^2, so after t pivots every entry is below
-    p + t (p-1)^2 < 2^63 in magnitude and int64 arithmetic is exact; one
-    reduction at the end makes every entry a residue again.
+    A step reduces the pivot column and takes the current row's entry as
+    the pivot unless it is zero; only then does it search the column for
+    the first nonzero below and swap that row up.  It scales the pivot row
+    by the inverse of its pivot and reduces it in place, and then updates
+    every row below in one statement (a row whose multiplier is zero is
+    left unchanged), or in reduced mode every row, with the pivot row's
+    own multiplier zeroed.  That is about seven numpy calls a step, and on
+    one core of a 2-vCPU Xeon VM a pivot costs about 11 us in the panels
+    of ``_rank`` and 12 us in the kernels of ``_fp_kernel`` (the 3,283
+    pivots of criterion 5's sweep, on matrices of at most 150 x 100).
+
+    Entries start as residues of p < 2^15, and the other entries are
+    reduced only when they enter the pivot column or the pivot row.  So
+    both factors of every update are residues, each update subtracts at
+    most (p-1)^2, and after t pivots every entry is below p + t (p-1)^2 in
+    magnitude.  The pivot row is scaled before it is reduced, so its
+    entries reach p (p + t (p-1)^2) < 2^30 (1 + t 2^15), which is below
+    2^63 for t < 2^17, and a matrix with that many pivots holds at least
+    2^34 entries.  So int64 arithmetic is exact, and one reduction at the
+    end makes every entry a residue again.
     """
     rows, w = np.shape(M)
     E = np.zeros((rows, w + min(rows, w)), dtype=np.int64)
@@ -71,26 +95,29 @@ def _row_echelon(M, p, reduced=False):
     pivots, order = [], np.arange(rows)
     row = 0
     for col in range(w):
-        if row >= rows:
+        if row == rows:
             break
-        column = E[row:, col]
+        top = 0 if reduced else row
+        column = E[top:, col]
         column %= p
-        nz = np.flatnonzero(column)
-        if nz.size == 0:
-            continue
-        piv = row + nz[0]
-        if piv != row:
+        if not column[row - top]:
+            nz = np.flatnonzero(column[row - top:])
+            if not nz.size:
+                continue
+            piv = row + nz[0]
             E[[row, piv]] = E[[piv, row]]
             order[[row, piv]] = order[[piv, row]]
         hi = w + row + 1
-        E[row, hi - 1] = 1
         prow = E[row, col:hi]
-        prow[...] = prow % p * pow(int(prow[0]), p - 2, p) % p
-        last = row + nz[-1] + 1
-        E[row + 1:last, col:hi] -= E[row + 1:last, col, None] * prow
+        prow[-1] = 1
+        prow *= pow(int(prow[0]), -1, p)
+        prow %= p
         if reduced:
-            E[:row, col] %= p
-            E[:row, col:hi] -= E[:row, col, None] * prow
+            update = column[:, None] * prow
+            update[row] = 0
+            E[:, col:hi] -= update
+        else:
+            E[row + 1:, col:hi] -= E[row + 1:, col, None] * prow
         pivots.append(col)
         row += 1
     E %= p
@@ -115,11 +142,12 @@ def _rank(A, p):
     """Rank over Z_p of a float64 matrix of integers, by blocked elimination.
 
     ``A`` must be C-contiguous with entries at most p in magnitude, and it
-    is overwritten (a tall one is transposed into a copy first).  One
-    ``_row_echelon`` pass factors each panel of ``_PANEL`` columns into k
-    pivots, a row order that brings the pivot rows to the top, and
-    multipliers L; every other row of the panel is -L times the pivot rows
-    mod p, so the trailing block takes the Schur complement update
+    is overwritten (a tall one is transposed into a copy first).  Each
+    panel of ``_PANEL`` columns is reduced once, for the test that skips a
+    panel of zeros, and that reduced copy is what one ``_row_echelon`` pass
+    factors into k pivots, a row order that brings the pivot rows to the
+    top, and multipliers L; every other row of the panel is -L times the
+    pivot rows mod p, so the trailing block takes the Schur complement update
     ``S += L[k:] @ (pivot rows mod p)`` by GEMM over blocks of
     ``_ROW_BLOCK`` rows.  Trailing entries are reduced only when they enter
     a panel or a pivot row.  Both factors are at most p in magnitude, and
@@ -136,8 +164,8 @@ def _rank(A, p):
         if rank == rows:
             break
         c1 = min(c0 + _PANEL, cols)
-        panel = A[rank:, c0:c1]
-        if not np.any(panel % p):
+        panel = A[rank:, c0:c1] % p
+        if not panel.any():
             # rows that are already zero need no per-pivot pass
             continue
         k, _, _, order, L = _row_echelon(panel, p)
@@ -269,11 +297,12 @@ def _shift_corank(forms, m, n, degree, p):
     rows of X^T at the other rows of P where its column is nonzero.  The
     columns of J come ordered by dependency level, so those rows all lie in
     earlier ranges, and the K rows, which need only X^T, form the last
-    range; each range is solved in chunks of ``_GATHER_BLOCK`` rows by one
-    gather (level scheduling; Anderson and Saad, IJHSC 1989).  ``_rank``
-    eliminates only S.  Every product has both factors reduced to at most p
-    in magnitude and at most (m+1)(n+1) nonzero terms in each sum, so every
-    sum is an integer below 2^52 that float64 holds exactly.  Raises
+    range; each range is solved in chunks of isqrt(``_GATHER_WORK`` // |Q|)
+    rows, each by one gather (level scheduling; Anderson and Saad, IJHSC
+    1989).  ``_rank`` eliminates only S.  Every product has both factors
+    reduced to at most p in magnitude and at most (m+1)(n+1) nonzero terms
+    in each sum, so every sum is an integer below 2^52 that float64 holds
+    exactly.  Raises
     InsufficientMemory when the shift table or T cannot be allocated, and
     before T is allocated when it exceeds physical memory.
     """
@@ -286,9 +315,10 @@ def _shift_corank(forms, m, n, degree, p):
                                  f"degree {tuple(degree)}", shifts * cols * 8) from exc
     T, entries, bounds = _leading_split(forms, table, nrows)
     # the first range, level 0 or K when P is empty, depends on no row
+    block = max(1, math.isqrt(_GATHER_WORK // max(1, T.shape[1])))
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
-        for t0 in range(lo, hi, _GATHER_BLOCK):
-            t1 = min(t0 + _GATHER_BLOCK, hi)
+        for t0 in range(lo, hi, block):
+            t1 = min(t0 + block, hi)
             rows, coefs = entries(t0, t1)
             T[t0:t1] = _reduce(T[t0:t1] - _gathered(T, rows, coefs, lo), p)
     return nrows - bounds[-2] - _rank(T[bounds[-2]:], p)

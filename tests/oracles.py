@@ -6,8 +6,9 @@ one-point-at-a-time back end that the stacked routines replace: the
 per-point kernel solve, the per-variable multiplication matrices and the
 per-column rank-1 peeling, the shift table ranked one full exponent row
 at a time, the degree planning of ``_decompose_order3`` before
-``select_degree`` took over its rules, and the Gauss-Newton step from an
-explicit Jacobian."""
+``select_degree`` took over its rules, the Gauss-Newton step from an
+explicit Jacobian, and the Z_p elimination that searched every pivot
+column for its first nonzero."""
 
 import numpy as np
 
@@ -305,3 +306,41 @@ def choose_grouping_flagged(shape, r):
         if best is None or key < best[0]:
             best = (key, ordered)
     return None if best is None else best[1]
+
+
+def row_echelon_per_pivot(M, p, reduced=False):
+    """``regcert._row_echelon`` as it was before the current row's entry
+    became the pivot: each step lists the nonzeros of the reduced pivot
+    column, takes the first as the pivot and updates the rows through the
+    last; the reduced mode updates the rows above in a second statement.
+    Returns the same (rank, echelon matrix, pivot columns, order, L)."""
+    rows, w = np.shape(M)
+    E = np.zeros((rows, w + min(rows, w)), dtype=np.int64)
+    E[:, :w] = np.asarray(M, dtype=np.int64) % p
+    pivots, order = [], np.arange(rows)
+    row = 0
+    for col in range(w):
+        if row >= rows:
+            break
+        column = E[row:, col]
+        column %= p
+        nz = np.flatnonzero(column)
+        if nz.size == 0:
+            continue
+        piv = row + nz[0]
+        if piv != row:
+            E[[row, piv]] = E[[piv, row]]
+            order[[row, piv]] = order[[piv, row]]
+        hi = w + row + 1
+        E[row, hi - 1] = 1
+        prow = E[row, col:hi]
+        prow[...] = prow % p * pow(int(prow[0]), p - 2, p) % p
+        last = row + nz[-1] + 1
+        E[row + 1:last, col:hi] -= E[row + 1:last, col, None] * prow
+        if reduced:
+            E[:row, col] %= p
+            E[:row, col:hi] -= E[:row, col, None] * prow
+        pivots.append(col)
+        row += 1
+    E %= p
+    return row, E[:, :w], pivots, order, E[:, w:w + row]

@@ -12,7 +12,7 @@ from cpdhnf import (COMPLEX, REAL, BilinearSystem, CorankMismatch,
                     kernel_flattening, left_nullspace, monomial_basis, polysys,
                     random_cpd, recovery)
 from cpdhnf.bigraded import shift_table
-from cpdhnf.config import EIGS_ENTRY_THRESHOLD, EIGS_MAXITER, EIGS_TOL, SEP_RATIO
+from cpdhnf.config import EIGS_ENTRY_THRESHOLD, EIGS_MAXITER, EIGS_TOL, RANK_REL, SEP_RATIO
 from cpdhnf.tensors import add_noise
 
 from conftest import (GOLDEN_BETAS, GOLDEN_FLATTENING, GOLDEN_GAMMAS,
@@ -712,6 +712,29 @@ class TestComplementAtTheBound:
                 with pytest.raises(CorankMismatch):
                     polysys._nullspace_svd(res, r)
         assert 0 < len(rejected) < 11
+
+    def test_complement_accepts_what_svd_rejects(self):
+        """The QR test is one-sided: with sigma_min(R) / sigma_max(R)
+        between 1e-9 and RANK_REL, the QR diagonal ratio can stay above
+        RANK_REL, so auto and eigs return the nullspace of a matrix whose
+        SVD rejects it.  One seeded draw pins both outcomes."""
+        t, _ = random_cpd((12, 6, 4), 12, seed=17)
+        coeffs = solved_resultant(t, (12, 6, 4), 12, (2, 1)).forms.reshape(-1, 6, 4).copy()
+        noise = np.random.default_rng(5).standard_normal((6, 4))
+        coeffs[-1] = coeffs[0] + 1e-7 * noise / np.linalg.norm(noise)
+        res = build_resultant(BilinearSystem(coeffs), (2, 1))
+        assert at_bound(res, 12)
+        R = res.toarray()
+        s = np.linalg.svd(R, compute_uv=False)
+        assert 1e-9 < s[-1] / s[0] < RANK_REL
+        with pytest.raises(CorankMismatch):
+            left_nullspace(res, 12, "svd")
+        for method in ("auto", "eigs"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                N = left_nullspace(res, 12, method)
+            assert np.linalg.norm(N @ N.conj().T - np.eye(12)) <= 1e-12
+            assert np.linalg.norm(N @ R) <= 1e-14 * np.linalg.norm(R)
 
     def test_dense_stacked_matrix_out_of_memory(self, monkeypatch):
         """A dense S that cannot be allocated is InsufficientMemory, with no

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdhnf import (ConfigNotInW, InsufficientMemory, PointConfigFp, RankOutOfRange,
-                    certify_regularity, fp_rank, hilbert_from_points, polysys,
-                    random_config, rank_bound, regcert)
+                    certifiable_rank, certify_regularity, fp_rank, hilbert_from_points,
+                    polysys, random_config, rank_bound, regcert)
 from cpdhnf.bigraded import hilbert_dim, shift_table
 from cpdhnf.regcert import _PANEL, _fp_kernel, _leading_split, _row_echelon, _shift_corank
 
 from conftest import NO_SCIPY, run_fresh
-from oracles import catalecticant_corank
+from oracles import catalecticant_corank, row_echelon_per_pivot
 
 
 def rational_rank(M):
@@ -252,6 +252,65 @@ class TestRowEchelon:
         for M, rank in cases:
             assert _check_multipliers(M, p) == modular_rank(M, p) == rank
             assert fp_rank(M, p) == rank
+
+
+def _echelon_inputs(rng, p):
+    """Seeded random, rank-deficient, zero-column, tall and wide matrices;
+    sparse ones and ones whose leading entries are zero, so that the column
+    search and the row swap run; and the worst-growth matrices of
+    ``test_worst_growth_stays_exact`` with p - 1 in place of 32748."""
+    for rows, cols in ((150, 32), (32, 150), (60, 60), (7, 3), (1, 5), (5, 1)):
+        yield rng.integers(0, p, size=(rows, cols))
+        k = int(rng.integers(1, min(rows, cols) + 1))
+        yield rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))
+        M = rng.integers(-2 ** 40, 2 ** 40, size=(rows, cols))
+        M[:, rng.integers(0, cols, size=cols // 2 + 1)] = 0
+        yield M
+        yield rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < 0.2)
+        M = rng.integers(0, p, size=(rows, cols))
+        M[:rows // 2 + 1, :cols // 3 + 1] = 0
+        yield M
+    lower = np.tril(np.full((100, 80), p - 1), -1)
+    lower[np.arange(80), np.arange(80)] = 1
+    upper = np.triu(np.full((80, 120), p - 1), 1)
+    upper[np.arange(80), np.arange(80)] = 1
+    yield (lower @ upper) % p
+    rank = 8 * _PANEL
+    row_block, col_block = np.arange(rank + 8) // _PANEL, np.arange(rank + 16) // _PANEL
+    lower = (row_block[:, None] > row_block[:rank]) + np.eye(rank + 8, rank, dtype=np.int64)
+    upper = np.where(col_block > row_block[:rank, None], (p - 1) // 2,
+                     np.eye(rank, rank + 16, dtype=np.int64))
+    yield (lower @ upper) % p
+
+
+class TestRowEchelonOracle:
+    """The elimination that takes the current row's entry as the pivot
+    against the one that searched every pivot column for its first
+    nonzero."""
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("p", [2, 3, 8191, 32749])
+    def test_identical_to_the_per_pivot_search(self, p, reduced):
+        swapped = 0
+        for M in _echelon_inputs(np.random.default_rng(p), p):
+            got, want = _row_echelon(M, p, reduced), row_echelon_per_pivot(M, p, reduced)
+            assert got[0] == want[0] and got[2] == want[2]
+            for a, b in zip(got[1::2], want[1::2]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert np.array_equal(got[3], want[3])
+            swapped += not np.array_equal(want[3], np.arange(len(M)))
+        assert swapped >= 5
+
+    def test_kernels_of_criterion_5(self, monkeypatch):
+        # the 81 cells of the certification sweep, each with its three
+        # trial configurations
+        p = 8191
+        ws = [random_config(m, n, certifiable_rank(m, n, 2), p, seed=trial).w_matrix()
+              for m in range(1, 10) for n in range(1, 10) for trial in range(3)]
+        got = [_fp_kernel(w, p) for w in ws]
+        monkeypatch.setattr(regcert, "_row_echelon", row_echelon_per_pivot)
+        for w, basis in zip(ws, got):
+            assert np.array_equal(basis, _fp_kernel(w, p))
 
 
 class TestFpKernel:
